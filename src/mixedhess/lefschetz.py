@@ -77,7 +77,10 @@ def mult_map_matrix(
     Built without Hessians: the operator power is never expanded;
     instead the linear operator is applied l-k times to each basis
     monomial's action on the dual generator, and coordinates in degree
-    l are read off the inverse socle pairing.
+    l are read off the inverse socle pairing.  Coordinates are
+    accumulated only from the nonzero pairings, each against the
+    nonzero entries of its row of the cached inverse; Fraction sums are
+    exact, so skipping zero terms leaves every entry unchanged.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
@@ -86,7 +89,9 @@ def mult_map_matrix(
         raise ValueError("linear form lives in a different variable set")
     cols_b = alg.quotient_basis(k)
     comp_b = alg.quotient_basis(d - l)
-    inv = alg.pairing_inverse(l)
+    inv_rows = [
+        [(i, v) for i, v in enumerate(row) if v] for row in alg.pairing_inverse(l)
+    ]
     s = len(alg.quotient_basis(l))
     zero_exps = (0,) * alg.f.varset.size
     columns = []
@@ -94,13 +99,13 @@ def mult_map_matrix(
         g = apolar_monomial(beta.exps, alg.f)
         for _ in range(l - k):
             g = linear_apply(L.coeffs, g)
-        pair = [apolar_pairing(c.exps, zero_exps, g) for c in comp_b]
-        columns.append(
-            [
-                sum((inv[t][i] * pair[t] for t in range(s)), Fraction(0))
-                for i in range(s)
-            ]
-        )
+        col = [Fraction(0)] * s
+        for c, row in zip(comp_b, inv_rows):
+            p = apolar_pairing(c.exps, zero_exps, g)
+            if p:
+                for i, v in row:
+                    col[i] += p * v
+        columns.append(col)
     return [[columns[j][i] for j in range(len(cols_b))] for i in range(s)]
 
 

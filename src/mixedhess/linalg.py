@@ -3,8 +3,10 @@
 Everything verdict-bearing in this package reduces to ranks, kernels and
 inverses of matrices over Q.  Ranks and determinants run fraction-free
 (Bareiss) over integers after clearing denominators row by row; kernels
-and inverses use plain reduced row echelon form over Fractions, which is
-cheap at the sizes the algebra layer produces.
+and inverses use reduced row echelon form over Fractions with sparse row
+operations: each elimination step touches only the columns where the
+normalized pivot row is nonzero, and only the rows with a nonzero entry
+in the pivot column.
 
 Sparse vectors are dicts keyed by arbitrary totally-ordered keys
 (exponent tuples in practice).  :class:`RowSpace` is an incremental span
@@ -143,12 +145,18 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        m[rank] = [c / p for c in m[rank]]
+        prow = m[rank]
+        # Columns left of col are zero in every row from rank down.
+        nz = [c for c in range(col, ncols) if prow[c]]
+        p = prow[col]
+        for c in nz:
+            prow[c] /= p
         for r in range(nrows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+            row = m[r]
+            factor = row[col]
+            if r != rank and factor:
+                for c in nz:
+                    row[c] -= factor * prow[c]
         pivots.append(col)
         rank += 1
         if rank == nrows:

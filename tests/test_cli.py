@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,34 @@ def test_analyze_byte_stable(tmp_path, poly_file, capsys):
     assert main(["analyze", poly_file, "--seed", "9", "--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Reports written by an earlier commit of the package; every later commit
+# must reproduce them byte for byte at the same seed.
+GOLDEN = {
+    "analyze_four_cycle_seed1.json": [
+        "analyze", "samples/four_cycle.poly", "--seed", "1",
+    ],
+    "family_boolean_n5_seed1.json": [
+        "family", "boolean", "--n", "5", "--seed", "1",
+    ],
+    "mult_map_four_cycle_1_2_seed1.json": [
+        "mult-map", "samples/four_cycle.poly", "--from", "1", "--to", "2",
+        "--linear", "3,-1,4,1,-5,9,2,-6", "--seed", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_match_golden_files(name, tmp_path, monkeypatch, capsys):
+    # The report echoes its input path, so run from the repository root.
+    monkeypatch.chdir(REPO)
+    out = tmp_path / name
+    assert main(GOLDEN[name] + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (REPO / "tests" / "golden" / name).read_bytes()
 
 
 def test_analyze_input_errors(capsys, tmp_path):

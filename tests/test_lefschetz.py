@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedhess import (
     InvariantViolation,
@@ -21,6 +22,7 @@ from mixedhess import (
     unimodality_check,
 )
 from mixedhess.linalg import matrix_rank
+from mixedhess.polyring import apolar_monomial, apolar_pairing, linear_apply
 
 from conftest import dense_random_form, random_linear_avoiding
 
@@ -39,6 +41,57 @@ def test_boolean_mult_map_frozen_matrix(boolean3_alg):
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
     assert matrix_rank(M) == 3
+
+
+def _dense_mult_map(alg, k, l, L):
+    """Multiplication map by the dense formula sum_t inv[t][i] * pair[t]."""
+    d = alg.socle_degree
+    inv = alg.pairing_inverse(l)
+    s = len(inv)
+    zero = (0,) * alg.varset.size
+    columns = []
+    for beta in alg.quotient_basis(k):
+        g = apolar_monomial(beta.exps, alg.f)
+        for _ in range(l - k):
+            g = linear_apply(L.coeffs, g)
+        pair = [apolar_pairing(c.exps, zero, g) for c in alg.quotient_basis(d - l)]
+        columns.append(
+            [
+                sum((inv[t][i] * pair[t] for t in range(s)), Fraction(0))
+                for i in range(s)
+            ]
+        )
+    return [[col[i] for col in columns] for i in range(s)]
+
+
+def _assert_mult_maps_match_dense(alg, L):
+    d = alg.socle_degree
+    for k in range(d + 1):
+        for l in range(k, d + 1):
+            M = mult_map_matrix(alg, k, l, L)
+            assert M == _dense_mult_map(alg, k, l, L), (k, l)
+            assert all(type(v) is Fraction for row in M for v in row)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sparse_mult_map_matches_dense_on_random_forms(seed):
+    rng = random.Random(seed)
+    alg = build_algebra(dense_random_form(rng, rng.randint(2, 3), rng.randint(2, 4)))
+    _assert_mult_maps_match_dense(alg, random_linear_avoiding(alg, rng, bound=3))
+
+
+@pytest.mark.parametrize("name", ["four-cycle", "determinantal-3x3"])
+def test_sparse_mult_map_matches_dense_on_catalog(catalog, name):
+    # These inverse pairings are signed permutation matrices, so each
+    # coordinate has one term; the random dense forms above give dense
+    # inverses, where a coordinate sums several.
+    alg = build_algebra(catalog[name].polynomial)
+    rng = random.Random(name)
+    for _ in range(3):
+        coeffs = [rng.choice([0, 0, 1, -2, 3]) for _ in range(alg.varset.size)]
+        L = LinearForm(alg.varset, tuple(Fraction(c) for c in coeffs))
+        _assert_mult_maps_match_dense(alg, L)
 
 
 def test_mult_map_validates_input(boolean3_alg):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedhess.linalg import (
     RowSpace,
@@ -129,6 +130,91 @@ def test_invert_roundtrip():
     for i in range(4):
         for j in range(4):
             assert prod[i][j] == (1 if i == j else 0)
+
+
+def _dense_rref(rows):
+    """The dense Gauss-Jordan elimination rref replaced; kept as an oracle."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        m[rank] = [c / p for c in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return m[:rank], pivots
+
+
+def _product(a, b):
+    return [
+        [sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+# Mostly zeros, so pivot rows are sparse and many rows skip an update.
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@st.composite
+def _sparse_matrices(draw, square=False):
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([Fraction(0)] * ncols)
+        else:
+            rows.append([draw(_entries) for _ in range(ncols)])
+    if square and draw(st.booleans()):
+        for i in range(nrows):
+            rows[i][i] += 1
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_rref_matches_dense_oracle(rows):
+    ncols = len(rows[0])
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == _dense_rref(rows)
+    basis = kernel_basis(rows, ncols)
+    assert len(basis) == ncols - matrix_rank(rows)
+    for vec in basis:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), Fraction(0)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices(square=True))
+def test_sparse_invert_is_an_inverse(rows):
+    n = len(rows)
+    if matrix_rank(rows) < n:
+        with pytest.raises(ValueError):
+            invert(rows)
+        return
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert _product(invert(rows), rows) == eye
 
 
 def test_invert_rejects_singular():
