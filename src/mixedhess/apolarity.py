@@ -21,15 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .linalg import RowSpace, invert, kernel_basis, rref, sparse_rref
+from .linalg import RowSpace, invert, kernel_basis, sparse_rref
 from .polyring import (
     Monomial,
     Polynomial,
-    VarSet,
-    apolar_monomial,
     apolar_pairing,
     falling_product,
     grlex_key,
@@ -39,33 +36,6 @@ from .polyring import (
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
-
-
-@dataclass(frozen=True)
-class Catalecticant:
-    """The degree-k apolarity map written in monomial bases.
-
-    rows are indexed by base-ring monomials of degree d-k, columns by
-    operator monomials of degree k, both graded-lex descending.
-    ``rows_sparse`` maps row exponent -> {column exponent -> entry}.
-    """
-
-    varset: VarSet
-    degree: int
-    row_monomials: tuple[Monomial, ...]
-    col_monomials: tuple[Monomial, ...]
-    rows_sparse: dict
-
-    def dense(self) -> list[list[Fraction]]:
-        cols = {m.exps: j for j, m in enumerate(self.col_monomials)}
-        out = []
-        zero = Fraction(0)
-        for rm in self.row_monomials:
-            row = [zero] * len(self.col_monomials)
-            for ce, val in self.rows_sparse.get(rm.exps, {}).items():
-                row[cols[ce]] = val
-            out.append(row)
-        return out
 
 
 def _divisors_of_degree(exps: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
@@ -102,24 +72,6 @@ def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
     return rows
 
 
-def catalecticant(f: Polynomial, k: int) -> Catalecticant:
-    """Full catalecticant matrix of f in degree k.
-
-    For k > deg f every operator annihilates f and the matrix has no
-    rows (its kernel is everything), which is the degenerate convention
-    used by the algebra builder.
-    """
-    d = f.homogeneous_degree()
-    if d is None:
-        raise ValueError("catalecticant needs a nonzero homogeneous polynomial")
-    if k < 0:
-        raise ValueError("negative degree")
-    cols = tuple(Monomial(e) for e in monomial_exponents(f.varset, k))
-    row_exps = monomial_exponents(f.varset, d - k) if k <= d else ()
-    rows = tuple(Monomial(e) for e in row_exps)
-    return Catalecticant(f.varset, k, rows, cols, _sparse_catalecticant_rows(f, k))
-
-
 class GradedAlgebra:
     """The standard graded Artinian Gorenstein quotient attached to a
     homogeneous dual generator f of degree d >= 1.
@@ -147,12 +99,6 @@ class GradedAlgebra:
         self._ann_cache: dict[int, tuple[Polynomial, ...]] = {}
         self._pairing_cache: dict[int, list[list[Fraction]]] = {}
         self._pairing_inv_cache: dict[int, list[list[Fraction]]] = {}
-        lead = quotient_bases[self.socle_degree][0].exps
-        fact = 1
-        for e in lead:
-            fact *= math.factorial(e)
-        self.theta_monomial = Monomial(lead)
-        self.theta_normalizer = Fraction(1) / (f.terms[lead] * fact)
 
     # -- basic queries -------------------------------------------------
 
@@ -238,28 +184,6 @@ class GradedAlgebra:
             ) from None
         self._pairing_inv_cache[k] = inv
         return inv
-
-    def coordinates(self, k: int, op: Polynomial) -> list[Fraction]:
-        """Coordinates of the class of a degree-k operator in the degree-k
-        quotient basis, obtained by pairing against the complementary
-        basis and solving with the (cached) inverse pairing matrix."""
-        gammas = self.quotient_basis(self.socle_degree - k)
-        b = []
-        for g in gammas:
-            total = Fraction(0)
-            for a, c in op.terms.items():
-                total += c * apolar_pairing(a, g.exps, self.f)
-            b.append(total)
-        inv = self.pairing_inverse(k)
-        # coordinates solve P^T c = b, i.e. c = (P^{-1})^T b
-        n = len(b)
-        return [sum(inv[t][i] * b[t] for t in range(n)) for i in range(n)]
-
-    def apply_to_f(self, op: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.varset)
-        for a, c in op.terms.items():
-            out = out + apolar_monomial(a, self.f).scale(c)
-        return out
 
 
 def build_algebra(f: Polynomial) -> GradedAlgebra:

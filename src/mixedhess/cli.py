@@ -74,6 +74,7 @@ from .lefschetz import (
     generalization_check,
     mult_map_matrix,
     rank_profile,
+    sample_points,
     slp_check,
     wlp_check,
 )
@@ -250,33 +251,6 @@ def _base_report(command: str, config: SamplingConfig, source: str) -> dict:
     }
 
 
-def _profile_at_sample(
-    alg: GradedAlgebra, config: SamplingConfig
-) -> dict[str, Any]:
-    """Rank profile at one seeded random linear form avoiding f = 0."""
-    rng = config.rng("cli-profile", alg.socle_degree, alg.hilbert)
-    n = alg.varset.size
-    for _ in range(4 * config.trials):
-        coeffs = tuple(
-            Fraction(rng.randint(-config.sample_bound, config.sample_bound))
-            for _ in range(n)
-        )
-        if not any(coeffs):
-            continue
-        if alg.f.evaluate(coeffs) == 0:
-            continue
-        L = LinearForm(alg.varset, coeffs)
-        return {
-            "at_sampled_form": list(rank_profile(alg, L)),
-            "maximal": list(full_profile(alg)),
-        }
-    return {
-        "at_sampled_form": None,
-        "maximal": list(full_profile(alg)),
-        "note": "no sampled form avoided the vanishing locus",
-    }
-
-
 def _analysis_body(
     alg: GradedAlgebra, config: SamplingConfig, checks: Sequence[str]
 ) -> tuple[dict[str, Any], list[str]]:
@@ -310,7 +284,15 @@ def _analysis_body(
         if verdict.mode != "exact":
             warnings.append("the SLP verdict is probabilistic")
     if "profile" in checks:
-        body["profile"] = _profile_at_sample(alg, config)
+        # Rank profile at one seeded random linear form avoiding f = 0.
+        points = sample_points(alg, config, "cli-profile")
+        profile = {"at_sampled_form": None, "maximal": list(full_profile(alg))}
+        if points:
+            L = LinearForm(alg.varset, points[0])
+            profile["at_sampled_form"] = list(rank_profile(alg, L))
+        else:
+            profile["note"] = "no sampled form avoided the vanishing locus"
+        body["profile"] = profile
     return body, warnings
 
 

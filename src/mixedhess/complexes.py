@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .apolarity import (
@@ -817,91 +817,3 @@ def turan_noninjectivity_witness(
     note = f"{cert.note}; {bound}" if cert.note else bound
     return replace(cert, note=note)
 
-
-# -- enumeration of connected triangle-free graphs --------------------------
-
-
-def _canonical_edges(n: int, edges: frozenset[tuple[int, int]]):
-    """Lexicographically least relabeling of the edge set among vertex
-    bijections that preserve degrees."""
-    deg = [0] * n
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(deg[v], []).append(v)
-    ordered = [classes[d] for d in sorted(classes)]
-    targets = []
-    start = 0
-    for cls in ordered:
-        targets.append(list(range(start, start + len(cls))))
-        start += len(cls)
-
-    best = None
-    for perms in product(*(permutations(t) for t in targets)):
-        relabel = [0] * n
-        for cls, tgt in zip(ordered, perms):
-            for v, t in zip(cls, tgt):
-                relabel[v] = t
-        key = tuple(
-            sorted(
-                (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-                for a, b in edges
-            )
-        )
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def enumerate_connected_triangle_free_graphs(
-    max_vertices: int,
-) -> list[Graph]:
-    """All connected triangle-free graphs with up to the given number
-    of vertices, one per isomorphism class.
-
-    Grown by vertex augmentation: every such graph on n >= 2 vertices
-    arises from one on n - 1 vertices (remove a non-cut vertex) by
-    attaching a new vertex to a nonempty independent set, and
-    attaching to an independent set is exactly what keeps triangles
-    out.  Isomorph rejection uses a degree-refined canonical form."""
-    if max_vertices < 1:
-        return []
-    out = [Graph.on_vertices(1, [])]
-    level: list[frozenset[tuple[int, int]]] = [frozenset()]
-    for n in range(2, max_vertices + 1):
-        prev_n = n - 1
-        seen = set()
-        next_level = []
-        for edges in level:
-            adj = [0] * prev_n
-            for a, b in edges:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            for mask in range(1, 1 << prev_n):
-                independent = True
-                rest = mask
-                while rest:
-                    v = (rest & -rest).bit_length() - 1
-                    if adj[v] & mask:
-                        independent = False
-                        break
-                    rest &= rest - 1
-                if not independent:
-                    continue
-                grown = set(edges)
-                rest = mask
-                while rest:
-                    v = (rest & -rest).bit_length() - 1
-                    grown.add((v, prev_n))
-                    rest &= rest - 1
-                key = _canonical_edges(n, frozenset(grown))
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_level.append(frozenset(key))
-        level = next_level
-        for edges in level:
-            out.append(Graph.on_vertices(n, sorted(edges)))
-    return out

@@ -45,9 +45,8 @@ from .hessians import (
     MixedHessian,
     RankCertificate,
     generic_rank,
-    mixed_hessian,
 )
-from .lefschetz import slp_check
+from .lefschetz import slp_check, wlp_criterion_matrix
 from .linalg import matrix_rank, sparse_rref
 from .polyring import (
     Monomial,
@@ -284,12 +283,6 @@ class DoubleLiftReport:
     notes: tuple[str, ...] = ()
 
 
-def _criterion_matrix(alg: GradedAlgebra) -> MixedHessian:
-    d = alg.socle_degree
-    q, odd = divmod(d, 2)
-    return mixed_hessian(alg, q, q) if odd else mixed_hessian(alg, q - 1, q)
-
-
 def times_uv(
     f: Polynomial,
     verify: str = "counts",
@@ -316,8 +309,8 @@ def times_uv(
 
     base = base_algebra if base_algebra is not None else build_algebra(f)
     lift_alg = build_algebra(g)
-    mb = _criterion_matrix(base)
-    ml = _criterion_matrix(lift_alg)
+    mb = wlp_criterion_matrix(base)
+    ml = wlp_criterion_matrix(lift_alg)
     cb = generic_rank(mb, config)
     cl = generic_rank(ml, config)
     db = min(mb.shape) - cb.rank
@@ -577,7 +570,7 @@ def odd_counterexample(
                 "the annihilator needs generators beyond the quadrics, "
                 "contradicting the construction"
             )
-        matrix = _criterion_matrix(alg)
+        matrix = wlp_criterion_matrix(alg)
         criterion = generic_rank(matrix, config)
         full = min(matrix.shape)
         if criterion.rank >= full:
@@ -602,9 +595,7 @@ def odd_counterexample(
     )
 
 
-def _quartic_base(
-    qc: int, config: SamplingConfig
-) -> tuple[SimplicialComplex, str, list[str]]:
+def _quartic_base(qc: int) -> tuple[SimplicialComplex, str, list[str]]:
     steps: list[str] = []
     if qc == 14 or (qc >= 16 and qc % 2 == 0):
         comp = turan_complex((2, 2, 2))
@@ -658,7 +649,7 @@ def even_counterexample(
             f"codimension {codim} is out of range for socle degree {d}: "
             f"attainable values are {attain}"
         )
-    comp, desc, steps = _quartic_base(qc, config)
+    comp, desc, steps = _quartic_base(qc)
     f = dual_generator(comp)
     witness: NoninjectivityWitness | None = None
     base_alg: GradedAlgebra | None = None
@@ -688,7 +679,7 @@ def even_counterexample(
     criterion: RankCertificate | None = None
     if verify == "report" and d > 4:
         alg = build_algebra(f)
-        matrix = _criterion_matrix(alg)
+        matrix = wlp_criterion_matrix(alg)
         criterion = generic_rank(matrix, config)
         full = min(matrix.shape)
         if criterion.rank >= full:

@@ -113,7 +113,16 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
         raise ValueError(f"orders ({k}, {l}) out of range for socle degree {d}")
     rows_b = alg.quotient_basis(k)
     cols_b = alg.quotient_basis(l)
-    entries = tuple(
+    entries = _entries(alg, rows_b, cols_b)
+    return MixedHessian(alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l))
+
+
+def _entries(
+    alg: GradedAlgebra, rows_b: Sequence[Monomial], cols_b: Sequence[Monomial]
+) -> tuple[tuple[Polynomial, ...], ...]:
+    """Entry (i, j) is the product of the i-th row and j-th column
+    monomials acting on the dual generator."""
+    return tuple(
         tuple(
             apolar_monomial(
                 tuple(a + b for a, b in zip(alpha.exps, beta.exps)), alg.f
@@ -122,7 +131,6 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
         )
         for alpha in rows_b
     )
-    return MixedHessian(alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l))
 
 
 def dual_basis(alg: GradedAlgebra, l: int) -> tuple[Polynomial, ...]:
@@ -192,18 +200,9 @@ def bigraded_hessian(
     dec = bigraded_decomposition(alg)
     rows_b = dec.pieces.get(row_bidegree, ())
     cols_b = dec.pieces.get(col_bidegree, ())
-    entries = tuple(
-        tuple(
-            apolar_monomial(
-                tuple(a + b for a, b in zip(alpha.exps, beta.exps)), alg.f
-            )
-            for beta in cols_b
-        )
-        for alpha in rows_b
-    )
     return MixedHessian(
         alg.f.varset,
-        entries,
+        _entries(alg, rows_b, cols_b),
         tuple(rows_b),
         tuple(cols_b),
         "bigraded",

@@ -38,7 +38,12 @@ from .hessians import (
     rank_at,
 )
 from .linalg import matrix_rank
-from .polyring import LinearForm, apolar_monomial, apolar_pairing, linear_apply
+from .polyring import (
+    LinearForm,
+    apolar_monomial,
+    apolar_pairing,
+    linear_power_apply,
+)
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,7 @@ def mult_map_matrix(
     zero_exps = (0,) * alg.f.varset.size
     columns = []
     for beta in cols_b:
-        g = apolar_monomial(beta.exps, alg.f)
-        for _ in range(l - k):
-            g = linear_apply(L.coeffs, g)
+        g = linear_power_apply(L, apolar_monomial(beta.exps, alg.f), l - k)
         col = [Fraction(0)] * s
         for c, row in zip(comp_b, inv_rows):
             p = apolar_pairing(c.exps, zero_exps, g)
@@ -165,7 +168,7 @@ def generalization_check(
 # -- witness sampling -------------------------------------------------------
 
 
-def _sample_points(alg: GradedAlgebra, config: SamplingConfig, tag: str):
+def sample_points(alg: GradedAlgebra, config: SamplingConfig, tag: str):
     """Up to `trials` integer points at which the dual generator does
     not vanish (degenerate draws are re-rolled a bounded number of
     times instead of consuming a trial)."""
@@ -244,7 +247,7 @@ def wlp_check(
     target = min(h.shape)
     notes: list[str] = []
 
-    points = _sample_points(alg, config, "wlp-witness")
+    points = sample_points(alg, config, "wlp-witness")
     if not points:
         notes.append(
             "no sample point avoided the vanishing locus of the generator"
@@ -311,7 +314,7 @@ def slp_check(
     d = alg.socle_degree
     mats = slp_criterion_matrices(alg)
     notes: list[str] = []
-    points = _sample_points(alg, config, "slp-witness")
+    points = sample_points(alg, config, "slp-witness")
     if not points:
         notes.append(
             "no sample point avoided the vanishing locus of the generator"

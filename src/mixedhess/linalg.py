@@ -1,12 +1,12 @@
 """Exact rational linear algebra.
 
 Everything verdict-bearing in this package reduces to ranks, kernels and
-inverses of matrices over Q.  Ranks and determinants run fraction-free
-(Bareiss) over integers after clearing denominators row by row; kernels
-and inverses use reduced row echelon form over Fractions with sparse row
-operations: each elimination step touches only the columns where the
-normalized pivot row is nonzero, and only the rows with a nonzero entry
-in the pivot column.
+inverses of matrices over Q.  Ranks run fraction-free (Bareiss) over
+integers after clearing denominators row by row; kernels and inverses
+use reduced row echelon form over Fractions with sparse row operations:
+each elimination step touches only the columns where the normalized
+pivot row is nonzero, and only the rows with a nonzero entry in the
+pivot column.
 
 Sparse vectors are dicts keyed by arbitrary totally-ordered keys
 (exponent tuples in practice).  :class:`RowSpace` is an incremental span
@@ -81,50 +81,6 @@ def matrix_rank(rows: Sequence[Sequence], *, stop_at: int | None = None) -> int:
     return rank
 
 
-def matrix_det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant (Bareiss over integers, denominators tracked)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    denom = Fraction(1)
-    m = []
-    for row in rows:
-        fr = [c if isinstance(c, Fraction) else Fraction(c) for c in row]
-        lcm = 1
-        for c in fr:
-            d = c.denominator
-            if d != 1:
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
-        denom *= lcm
-        m.append([int(c * lcm) for c in fr])
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        for r in range(col + 1, n):
-            row_r = m[r]
-            v = row_r[col]
-            row_p = m[col]
-            for c in range(col + 1, n):
-                row_r[c] = (p * row_r[c] - v * row_p[c]) // prev
-            row_r[col] = 0
-        prev = p
-    return Fraction(sign * m[n - 1][n - 1]) / denom
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fractions; returns (rref, pivot cols).
 
@@ -197,28 +153,7 @@ def invert(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return [row[n:] for row in red[:n]]
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch in matrix product")
-    nb = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * nb
-        for k, v in enumerate(row):
-            if v:
-                brow = b[k]
-                for j in range(nb):
-                    if brow[j]:
-                        acc[j] += v * brow[j]
-        out.append(acc)
-    return out
-
-
 # -- sparse vectors -------------------------------------------------------
-
-
-def sparse_scale(vec: dict, c: Fraction) -> dict:
-    return {k: c * v for k, v in vec.items()}
 
 
 def sparse_axpy(target: dict, c: Fraction, vec: dict) -> None:

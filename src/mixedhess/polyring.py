@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class VarSetMismatch(ValueError):
@@ -137,9 +137,6 @@ class Monomial:
             raise VarSetMismatch("monomials over different variable counts")
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
     def text(self, varset: VarSet) -> str:
         return _format_exps(self.exps, varset) or "1"
 
@@ -214,9 +211,6 @@ class Polynomial:
             return degs.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return self.homogeneous_degree() is not None
-
     def bidegree(self) -> tuple[int, int] | None:
         """Common (x-degree, u-degree) of all terms, or None."""
         bds = {self.varset.bidegree_of(e) for e in self.terms}
@@ -224,19 +218,11 @@ class Polynomial:
             return bds.pop()
         return None
 
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(e) for e in self.sorted_exps()]
-
     def sorted_exps(self) -> list[tuple[int, ...]]:
         return sorted(self.terms, key=grlex_key, reverse=True)
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return self.terms.get(tuple(exps), _ZERO)
-
-    def leading_exps(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
 
     # -- arithmetic ----------------------------------------------------
 

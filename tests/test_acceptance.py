@@ -47,7 +47,7 @@ from mixedhess import (
     slp_check,
 )
 from mixedhess.complexes import incidence_gradient_matrix
-from mixedhess.linalg import matrix_det, matrix_rank
+from mixedhess.linalg import matrix_rank
 
 from conftest import (
     connected_triangle_free_graphs,
@@ -142,8 +142,8 @@ def test_criterion_3_boolean_slp(capsys):
         ones = tuple(Fraction(1) for _ in range(n))
         for k in range(1, n // 2 + 1):
             h = mixed_hessian(alg, k, k)
-            det = matrix_det(evaluate_matrix(h, ones))
-            assert det != 0, (n, k)
+            m = evaluate_matrix(h, ones)
+            assert matrix_rank(m) == len(m), (n, k)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     with capsys.disabled():
@@ -331,7 +331,8 @@ def test_criterion_9_property_suite(capsys):
         assert alg.hilbert == tuple(reversed(alg.hilbert))
         # pairing invertibility in every degree
         for k in range(d + 1):
-            assert matrix_det(alg.pairing_matrix(k)) != 0
+            m = alg.pairing_matrix(k)
+            assert matrix_rank(m) == len(m)
         # dual-route and plain-route Hessians have equal generic rank
         for k, l in ((1, d - 1), (1, d // 2 or 1)):
             if not (0 <= k <= l <= d):

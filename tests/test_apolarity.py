@@ -17,7 +17,7 @@ from mixedhess import (
     parse_polynomial,
     unimodality_check,
 )
-from mixedhess.linalg import matrix_det
+from mixedhess.linalg import matrix_rank
 
 from conftest import dense_random_form
 
@@ -73,7 +73,7 @@ def test_pairing_matrices_invertible(four_cycle_alg, boolean3_alg):
         for k in range(d + 1):
             m = alg.pairing_matrix(k)
             assert len(m) == alg.dim(k)
-            assert matrix_det(m) != 0
+            assert matrix_rank(m) == len(m)
 
 
 def test_quadrics_presented_for_four_cycle(four_cycle_alg):

@@ -1,0 +1,63 @@
+"""Every span the benchmark reads must exist in the package.
+
+The traced benchmark run (``perfbench/run.py --trace 1``) wraps the
+public functions of the package's layers and looks each per-layer
+metric up by span name; a renamed or deleted function makes that run
+crash or report an idle layer.  This test catches it in the test suite
+instead.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import run  # noqa: E402
+import tracer  # noqa: E402
+
+# Per-layer metrics that are not read from a span.
+NOT_SPANS = {"trace.overhead_s", "exact_cert_frac"}
+
+
+def _traced_spans() -> set[str]:
+    """Span names a traced run records, filtered as ``tracer.install``
+    filters them."""
+    names = set()
+    for short, only in tracer.TRACED_MODULES.items():
+        module = importlib.import_module(f"mixedhess.{short}")
+        for span, (_, attr, _) in tracer.traceable(module).items():
+            if only is None or attr in only:
+                names.add(span)
+    return names
+
+
+def _metric_spans() -> list[str]:
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    spans = []
+    for metric in spec["per_layer"]:
+        if metric["name"] in NOT_SPANS:
+            continue
+        span = metric["name"].rsplit(".", 1)[0]
+        spans.append(run.SPAN_ALIASES.get(span, span))
+    return spans
+
+
+def test_per_layer_metric_spans_are_traced():
+    traced = _traced_spans()
+    assert [s for s in _metric_spans() if s not in traced] == []
+
+
+def test_workload_layers_are_traced():
+    traced = _traced_spans()
+    missing = [
+        (name, span)
+        for name, workload in run.WORKLOADS.items()
+        for span in workload.layers
+        if span not in traced
+    ]
+    assert missing == []

@@ -65,6 +65,23 @@ def test_analyze_check_subset(capsys, poly_file):
     assert "wlp" not in result and "quadrics" not in result
 
 
+def test_analyze_profile_without_a_usable_sample(capsys, tmp_path):
+    # xy(x - y)(x + y) vanishes at every point of {-1, 0, 1}^2, so no
+    # sampled linear form avoids f = 0.
+    path = tmp_path / "vanishing.poly"
+    path.write_text("x^3*y - x*y^3\n")
+    code, out = _run(capsys, [
+        "analyze", str(path), "--seed", "1", "--sample-bound", "1",
+        "--checks", "profile",
+    ])
+    assert code == 0
+    assert json.loads(out)["result"]["profile"] == {
+        "at_sampled_form": None,
+        "maximal": [1, 2, 2, 1],
+        "note": "no sampled form avoided the vanishing locus",
+    }
+
+
 def test_analyze_unknown_check(capsys, poly_file):
     code, _ = _run(capsys, ["analyze", poly_file, "--checks", "nope"])
     assert code == 2
@@ -118,6 +135,21 @@ GOLDEN = {
     "mult_map_four_cycle_1_2_seed1.json": [
         "mult-map", "samples/four_cycle.poly", "--from", "1", "--to", "2",
         "--linear", "3,-1,4,1,-5,9,2,-6", "--seed", "1",
+    ],
+    "family_odd_d5_codim10_seed1.json": [
+        "family", "odd", "--d", "5", "--codim", "10", "--seed", "1",
+    ],
+    "family_even_d6_codim16_seed1.json": [
+        "family", "even", "--d", "6", "--codim", "16", "--seed", "1",
+    ],
+    "family_times_uv_boolean3_seed1.json": [
+        "family", "times-uv", "--base", "samples/boolean3.poly", "--seed", "1",
+    ],
+    "from_complex_tk222_seed1.json": [
+        "from-complex", "samples/tk222.json", "--seed", "1",
+    ],
+    "examples_turan_222_seed1.json": [
+        "examples", "--only", "turan-222", "--seed", "1",
     ],
 }
 
