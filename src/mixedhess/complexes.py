@@ -98,12 +98,7 @@ class SimplicialComplex:
                 if v not in verts:
                     verts.append(v)
             sets.append(fs)
-        maximal = [
-            s
-            for i, s in enumerate(sets)
-            if not any(i != j and s < t for j, t in enumerate(sets))
-            and not any(s == t for t in sets[:i])
-        ]
+        maximal = _maximal_distinct(sets)
         order = {v: i for i, v in enumerate(verts)}
         return SimplicialComplex(
             tuple(verts),
@@ -216,17 +211,7 @@ class Graph:
         return adj
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = self.neighbors()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return self._components() == 1
 
     def is_triangle_free(self) -> bool:
         adj = self.neighbors()
@@ -235,13 +220,16 @@ class Graph:
     def cycle_rank(self) -> int:
         """Number of independent cycles (assumes the graph is connected
         when used for classification; computed via components here)."""
+        return len(self.edges) - len(self.vertices) + self._components()
+
+    def _components(self) -> int:
         adj = self.neighbors()
         seen: set[str] = set()
-        components = 0
+        count = 0
         for v in self.vertices:
             if v in seen:
                 continue
-            components += 1
+            count += 1
             seen.add(v)
             stack = [v]
             while stack:
@@ -249,7 +237,7 @@ class Graph:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
-        return len(self.edges) - len(self.vertices) + components
+        return count
 
     def two_core(self) -> "Graph":
         """Iteratively strip degree-at-most-one vertices."""
@@ -366,6 +354,15 @@ def grow_with_leaves(comp: SimplicialComplex, count: int) -> SimplicialComplex:
     return comp
 
 
+def _maximal_distinct(sets: list[frozenset[str]]) -> list[frozenset[str]]:
+    """The inclusion-maximal sets, each once, in first-appearance order."""
+    return [
+        s
+        for i, s in enumerate(sets)
+        if not any(s < t for t in sets) and s not in sets[:i]
+    ]
+
+
 def without_face(
     comp: SimplicialComplex, face: Iterable[str]
 ) -> SimplicialComplex:
@@ -384,13 +381,7 @@ def without_face(
         else:
             for v in gone:
                 candidates.append(fs - {v})
-    maximal = [
-        s
-        for i, s in enumerate(candidates)
-        if s
-        and not any(i != j and s < t for j, t in enumerate(candidates))
-        and s not in candidates[:i]
-    ]
+    maximal = [s for s in _maximal_distinct(candidates) if s]
     order = {v: i for i, v in enumerate(comp.vertices)}
     used = {v for s in maximal for v in s}
     return SimplicialComplex(
@@ -461,17 +452,7 @@ def hilbert_from_face_counts(comp: SimplicialComplex) -> tuple[int, ...]:
     in middle degrees k the dimension is (number of k-vertex faces) +
     (number of (d-k)-vertex faces), d the socle degree.  Serves as an
     independent oracle for the catalecticant ranks."""
-    d = comp.dim + 2
-    e = comp.face_counts()
-
-    def count(k: int) -> int:
-        return e[k] if 0 <= k < len(e) else 0
-
-    h = [1]
-    for k in range(1, d):
-        h.append(count(k) + count(d - k))
-    h.append(1)
-    return tuple(h)
+    return _face_count_hilbert(comp, 0)
 
 
 def alternate_hilbert_closed_form(comp: SimplicialComplex) -> tuple[int, ...]:
@@ -481,17 +462,20 @@ def alternate_hilbert_closed_form(comp: SimplicialComplex) -> tuple[int, ...]:
     catalecticant rank is the ground truth and agrees with
     `hilbert_from_face_counts`, not with this variant, already for the
     three-group complex with two vertices per group."""
+    return _face_count_hilbert(comp, 1)
+
+
+def _face_count_hilbert(comp: SimplicialComplex, shift: int) -> tuple[int, ...]:
+    """(1, c(1) + c(d-1), ..., c(d-1) + c(1), 1) with c(k) the number of
+    (k - shift)-vertex faces and d the socle degree."""
     d = comp.dim + 2
     e = comp.face_counts()
 
     def count(k: int) -> int:
+        k -= shift
         return e[k] if 0 <= k < len(e) else 0
 
-    h = [1]
-    for k in range(1, d):
-        h.append(count(k - 1) + count(d - k - 1))
-    h.append(1)
-    return tuple(h)
+    return (1, *(count(k) + count(d - k) for k in range(1, d)), 1)
 
 
 def incidence_gradient_matrix(graph: Graph) -> MixedHessian:
@@ -581,15 +565,21 @@ def _maximal_cliques(
     yield from expand(set(), set(vertices), set())
 
 
-def is_flag(comp: SimplicialComplex) -> bool:
-    """Whether the complex is determined by its edges: every set of
-    pairwise adjacent vertices must be a face, which happens exactly
-    when each maximal clique of the 1-skeleton lies in a facet."""
+def _skeleton_adjacency(comp: SimplicialComplex) -> dict[str, set[str]]:
+    """Neighbours of each vertex in the 1-skeleton."""
     adj: dict[str, set[str]] = {v: set() for v in comp.vertices}
     for fac in comp.facets:
         for a, b in combinations(fac, 2):
             adj[a].add(b)
             adj[b].add(a)
+    return adj
+
+
+def is_flag(comp: SimplicialComplex) -> bool:
+    """Whether the complex is determined by its edges: every set of
+    pairwise adjacent vertices must be a face, which happens exactly
+    when each maximal clique of the 1-skeleton lies in a facet."""
+    adj = _skeleton_adjacency(comp)
     facet_sets = [frozenset(f) for f in comp.facets]
     for clique in _maximal_cliques(comp.vertices, adj):
         if not any(clique <= fs for fs in facet_sets):
@@ -614,11 +604,7 @@ def detect_complete_multipartite(
     Returns None otherwise."""
     if not comp.is_pure() or not comp.facets:
         return None
-    adj: dict[str, set[str]] = {v: set() for v in comp.vertices}
-    for fac in comp.facets:
-        for a, b in combinations(fac, 2):
-            adj[a].add(b)
-            adj[b].add(a)
+    adj = _skeleton_adjacency(comp)
     groups: list[tuple[str, ...]] = []
     assigned: set[str] = set()
     for v in comp.vertices:

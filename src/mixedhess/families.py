@@ -44,6 +44,7 @@ from .config import DEFAULT_CONFIG, SamplingConfig
 from .hessians import (
     MixedHessian,
     RankCertificate,
+    _entries,
     generic_rank,
 )
 from .lefschetz import slp_check, wlp_criterion_matrix
@@ -53,7 +54,6 @@ from .polyring import (
     Polynomial,
     VarSet,
     apolar_apply,
-    apolar_monomial,
     parse_polynomial,
 )
 
@@ -431,17 +431,9 @@ def perazzo_form(
         Monomial(tuple(1 if t == i else 0 for t in range(n)))
         for i in range(n)
     )
-    hess_entries = tuple(
-        tuple(
-            apolar_monomial(
-                tuple(a + b for a, b in zip(units[i].exps, units[j].exps)),
-                f,
-            )
-            for j in range(n)
-        )
-        for i in range(n)
+    hess = MixedHessian(
+        vs, _entries(f, units, units), units, units, "hessian", (1, 1)
     )
-    hess = MixedHessian(vs, hess_entries, units, units, "hessian", (1, 1))
     hess_cert = generic_rank(hess, config)
     degenerate = hess_cert.rank < n
 

@@ -113,19 +113,19 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
         raise ValueError(f"orders ({k}, {l}) out of range for socle degree {d}")
     rows_b = alg.quotient_basis(k)
     cols_b = alg.quotient_basis(l)
-    entries = _entries(alg, rows_b, cols_b)
+    entries = _entries(alg.f, rows_b, cols_b)
     return MixedHessian(alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l))
 
 
 def _entries(
-    alg: GradedAlgebra, rows_b: Sequence[Monomial], cols_b: Sequence[Monomial]
+    f: Polynomial, rows_b: Sequence[Monomial], cols_b: Sequence[Monomial]
 ) -> tuple[tuple[Polynomial, ...], ...]:
     """Entry (i, j) is the product of the i-th row and j-th column
-    monomials acting on the dual generator."""
+    monomials acting on f."""
     return tuple(
         tuple(
             apolar_monomial(
-                tuple(a + b for a, b in zip(alpha.exps, beta.exps)), alg.f
+                tuple(a + b for a, b in zip(alpha.exps, beta.exps)), f
             )
             for beta in cols_b
         )
@@ -202,7 +202,7 @@ def bigraded_hessian(
     cols_b = dec.pieces.get(col_bidegree, ())
     return MixedHessian(
         alg.f.varset,
-        _entries(alg, rows_b, cols_b),
+        _entries(alg.f, rows_b, cols_b),
         tuple(rows_b),
         tuple(cols_b),
         "bigraded",

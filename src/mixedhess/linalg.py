@@ -1,26 +1,25 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra, on two elimination paths.
 
-Everything verdict-bearing in this package reduces to ranks, kernels and
-inverses of matrices over Q.  Ranks run fraction-free (Bareiss) over
-integers after clearing denominators row by row; kernels and inverses
-use reduced row echelon form over Fractions with sparse row operations:
-each elimination step touches only the columns where the normalized
-pivot row is nonzero, and only the rows with a nonzero entry in the
-pivot column.
+Everything verdict-bearing in this package reduces to ranks, spans,
+kernels and inverses of matrices over Q.
 
-Sparse vectors are dicts keyed by arbitrary totally-ordered keys
-(exponent tuples in practice).  :class:`RowSpace` is an incremental span
-tracker for such vectors: pivot keys are always the graded-lex-largest
-key of the stored row, so insertion order never changes the computed
-rank.
+* :func:`matrix_rank` runs fraction-free (Bareiss) over integers after
+  clearing denominators row by row.  It serves the dense matrices of
+  evaluated Hessians and multiplication maps.
+* :class:`RowSpace` does all Fraction elimination.  It tracks the span
+  of sparse vectors, dicts keyed by totally-ordered keys (exponent
+  tuples in practice); each pivot is the largest key of its stored row,
+  so insertion order never changes the computed rank.
+  :func:`sparse_rref` fully reduces its pivot rows in one
+  back-substitution pass, and :func:`rref`, :func:`kernel_basis` and
+  :func:`invert` run dense matrices through it with column j keyed -j.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
-
-Row = "list[Fraction]"
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -28,20 +27,9 @@ def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     out = []
     for row in rows:
         fr = [c if isinstance(c, Fraction) else Fraction(c) for c in row]
-        lcm = 1
-        for c in fr:
-            d = c.denominator
-            if d != 1:
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
-        out.append([int(c * lcm) for c in fr])
+        lcm = math.lcm(*(c.denominator for c in fr))
+        out.append([c.numerator * (lcm // c.denominator) for c in fr])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def matrix_rank(rows: Sequence[Sequence], *, stop_at: int | None = None) -> int:
@@ -84,40 +72,19 @@ def matrix_rank(rows: Sequence[Sequence], *, stop_at: int | None = None) -> int:
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fractions; returns (rref, pivot cols).
 
-    Pivot columns are scanned left to right, so they are canonical for
-    the matrix regardless of row order.
+    Column j is keyed -j, so :func:`sparse_rref` picks pivots left to
+    right; the reduced form is unique, so it does not depend on row order.
     """
-    m = [[c if isinstance(c, Fraction) else Fraction(c) for c in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        # Columns left of col are zero in every row from rank down.
-        nz = [c for c in range(col, ncols) if prow[c]]
-        p = prow[col]
-        for c in nz:
-            prow[c] /= p
-        for r in range(nrows):
-            row = m[r]
-            factor = row[col]
-            if r != rank and factor:
-                for c in nz:
-                    row[c] -= factor * prow[c]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m[:rank], pivots
+    ncols = len(rows[0]) if rows else 0
+    reduced = sparse_rref({-j: c for j, c in enumerate(row) if c} for row in rows)
+    pivots = sorted(-key for key in reduced)
+    dense = []
+    for p in pivots:
+        row = [Fraction(0)] * ncols
+        for key, v in reduced[-p].items():
+            row[-key] = v
+        dense.append(row)
+    return dense, pivots
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
@@ -144,9 +111,7 @@ def invert(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError("inverse of a non-square matrix")
-        fr = [c if isinstance(c, Fraction) else Fraction(c) for c in row]
-        fr += [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        aug.append(fr)
+        aug.append(list(row) + [int(j == i) for j in range(n)])
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -176,7 +141,7 @@ class RowSpace:
     Pivot rows are normalized (pivot coefficient 1) and stored keyed by
     their largest key, so reduction strictly decreases the top key and
     always terminates.  Rows are not back-reduced against later pivots;
-    only the rank and membership tests are exposed.
+    :func:`sparse_rref` does that once, after the last insert.
     """
 
     def __init__(self):
@@ -214,31 +179,20 @@ def sparse_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     """Fully reduced echelon form of sparse rows.
 
     Returns a map pivot-key -> row (pivot coefficient 1, other pivot
-    keys eliminated everywhere).  The pivot-key set is canonical for the
-    row space: it does not depend on the order rows arrive in, because a
-    key is a pivot iff adding columns in graded-lex-descending order
-    grows the rank there.
+    keys eliminated everywhere), in ascending pivot order.  The rows go
+    through a :class:`RowSpace`, whose pivot keys are the leading keys of
+    the span and so do not depend on the order rows arrive in; one
+    back-substitution pass then makes the form unique.
     """
-    pivots: dict[Hashable, dict] = {}
+    space = RowSpace()
     for vec in rows:
-        row = dict(vec)
-        # Pivot rows are fully reduced, so one subtraction per pivot key
-        # present removes it without reintroducing any other pivot key.
-        hits = [k for k in row if k in pivots]
-        while hits:
-            for k in hits:
-                c = row.get(k)
-                if c:
-                    sparse_axpy(row, -c, pivots[k])
-            hits = [k for k in row if k in pivots]
-        if not row:
-            continue
-        top = max(row)
-        inv = Fraction(1) / row[top]
-        row = {k: inv * v for k, v in row.items()}
-        for other in pivots.values():
-            c = other.get(top)
-            if c:
-                sparse_axpy(other, -c, row)
-        pivots[top] = row
-    return pivots
+        space.insert(vec)
+    reduced: dict[Hashable, dict] = {}
+    for top in sorted(space.pivots):
+        row = dict(space.pivots[top])
+        # Every smaller pivot row is fully reduced, so one subtraction per
+        # pivot key present removes it without reintroducing another.
+        for k in [k for k in row if k in reduced]:
+            sparse_axpy(row, -row[k], reduced[k])
+        reduced[top] = row
+    return reduced

@@ -151,6 +151,15 @@ GOLDEN = {
     "examples_turan_222_seed1.json": [
         "examples", "--only", "turan-222", "--seed", "1",
     ],
+    "family_perazzo_u2_uv_v2_seed1.json": [
+        "family", "perazzo", "--partials", "u^2; u*v; v^2", "--seed", "1",
+    ],
+    "from_complex_pentagon_seed1.json": [
+        "from-complex", "samples/pentagon.json", "--seed", "1",
+    ],
+    "family_odd_d5_codim14_seed1.json": [
+        "family", "odd", "--d", "5", "--codim", "14", "--seed", "1",
+    ],
 }
 
 

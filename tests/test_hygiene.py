@@ -49,3 +49,62 @@ def test_every_exported_name_is_importable():
     missing = [name for name in mixedhess.__all__ if not hasattr(mixedhess, name)]
     assert missing == []
     assert len(set(mixedhess.__all__)) == len(mixedhess.__all__)
+
+
+def _assigned_names(source: str) -> dict[str, int]:
+    """Names a module binds at top level by assignment, with their line."""
+    names: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name):
+                    names.setdefault(n.id, node.lineno)
+    return names
+
+
+def _read_names(sources: list[str]) -> set[str]:
+    """Names loaded as expressions or accessed as attributes."""
+    read: set[str] = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return read
+
+
+def _unread_assignments(modules: dict[str, str]) -> dict[str, list[str]]:
+    read = _read_names(list(modules.values()))
+    unread = {}
+    for name, source in sorted(modules.items()):
+        if name == "__init__.py":
+            continue
+        dead = [
+            f"{var} (line {line})"
+            for var, line in _assigned_names(source).items()
+            if var not in read
+        ]
+        if dead:
+            unread[name] = dead
+    return unread
+
+
+def test_module_level_assignments_are_read():
+    modules = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _unread_assignments(modules) == {}
+
+
+def test_unread_assignment_detector_flags_a_dead_alias():
+    modules = {
+        "a.py": 'Row = "list[int]"\nLIMIT = 3\n_CACHE: dict = {}\n',
+        "b.py": "from .a import LIMIT\nx = LIMIT + 1\n",
+        "c.py": "import a\ny = a._CACHE\nprint(x, y)\n",
+    }
+    assert _unread_assignments(modules) == {"a.py": ["Row (line 1)"]}

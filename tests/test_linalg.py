@@ -205,6 +205,28 @@ def test_sparse_rref_matches_dense_rank():
             assert row[pivot] == 1
 
 
+_sparse_rows = st.lists(
+    st.dictionaries(
+        st.integers(0, 6),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+        max_size=5,
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_rows, st.randoms(use_true_random=False))
+def test_sparse_rref_ignores_row_order(rows, rng):
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    reduced = sparse_rref(rows)
+    assert sparse_rref(shuffled) == reduced
+    for pivot, row in reduced.items():
+        assert row[pivot] == 1
+        assert all(row.get(other, 0) == 0 for other in reduced if other != pivot)
+
+
 def test_row_space_incremental():
     space = RowSpace()
     assert space.insert({0: Fraction(1), 1: Fraction(2)})
