@@ -8,12 +8,29 @@ its pivot columns (graded-lex order) give a deterministic monomial basis
 of the degree-k piece of the quotient algebra, and its kernel is the
 degree-k slice of the annihilator.
 
-The quadric-generation test works degree by degree.  For 3 <= k <= d it
-compares the span of (variable * annihilator_{k-1}) against the full
-degree-k annihilator with an incremental sparse row space.  At k = d+1
-the annihilator is all of Q_{d+1}, and the span condition dualizes to a
-tiny statement about linear forms (see ``_socle_step_spanned``), which
-avoids enumerating the enormous degree-(d+1) monomial basis.
+The quadric-generation test works degree by degree.  For 3 <= k <= d
+it asks whether x*Ann_{k-1}, the span of (variable * annihilator_{k-1}),
+is all of Ann_k; it always lies inside.  Let D_j be the degree-j
+monomials that divide some term of f, and N_j the other ones.
+
+- Every monomial of N_j kills f, and the catalecticant only sees D_j,
+  so Ann_j = span(N_j) (+) K_j, where K_j is the catalecticant kernel:
+  supported on D_j, of dimension |D_j| - h_j.
+- The monomials M_k = x*N_{k-1} lie in N_k and in x*Ann_{k-1}.  Both
+  spaces contain span(M_k), so they are equal iff they are equal once
+  the M_k coordinates are dropped; as one lies in the other, iff their
+  dimensions agree there.
+- With M_k dropped, x*Ann_{k-1} is spanned by the shifts of K_{k-1}
+  (the shifts of N_{k-1} vanish), and Ann_k is span(G_k) (+) K_k, where
+  G_k holds the monomials of N_k outside M_k.  Its dimension is
+  |D_k| - h_k + |G_k|.
+- A monomial of N_k lies in G_k iff all its degree-(k-1) divisors lie
+  in D_{k-1}.  So every coordinate kept is x_v*m with m in D_{k-1}, and
+  the elimination never sees the rest of the degree-k monomial basis.
+
+At k = d+1 the annihilator is all of Q_{d+1}, and the span condition
+dualizes to a tiny statement about linear forms (see
+``_socle_step_spanned``).
 """
 
 from __future__ import annotations
@@ -275,23 +292,54 @@ def ann_generated_by_quadrics(alg: GradedAlgebra) -> QuadricsCheck:
 
 
 def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
-    """Does variables * Ann_{k-1} span Ann_k?  (It is always contained.)"""
+    """Does variables * Ann_{k-1} span Ann_k?  (It is always contained.)
+
+    Decided with the M_k coordinates dropped, as the module docstring
+    proves.  The D_{k-1} part of an annihilator vector g is its K_{k-1}
+    part, because g minus it lies in span(N_{k-1}).  Those parts are
+    shifted by each variable and cut to the coordinates D_k and G_k;
+    the shifts span Ann_k iff they reach rank |D_k| + |G_k| - h_k.
+    """
     r = alg.varset.size
-    target = math.comb(r + k - 1, k) - alg.dim(k)
+    below = _support_divisors(alg.f, k - 1)
+    here = _support_divisors(alg.f, k)
+    shifts = {
+        m: [m[:v] + (m[v] + 1,) + m[v + 1 :] for v in range(r)] for m in below
+    }
+    # D_k and G_k; every monomial of D_k is a shift of one in D_{k-1},
+    # and the shifts left out lie in M_k.
+    kept = {
+        e
+        for row in shifts.values()
+        for e in row
+        if e in here
+        or all(e[:w] + (e[w] - 1,) + e[w + 1 :] in below for w in range(r) if e[w])
+    }
+    target = len(kept) - alg.dim(k)
     if target == 0:
         return True
     space = RowSpace()
     count = 0
-    for m in alg.ann_basis(k - 1):
+    for g in alg.ann_basis(k - 1):
+        kernel_part = {e: c for e, c in g.terms.items() if e in below}
+        if not kernel_part:
+            continue
         for v in range(r):
             shifted = {}
-            for e, c in m.terms.items():
-                shifted[e[:v] + (e[v] + 1,) + e[v + 1 :]] = c
-            if space.insert(shifted):
+            for e, c in kernel_part.items():
+                s = shifts[e][v]
+                if s in kept:
+                    shifted[s] = c
+            if shifted and space.insert(shifted):
                 count += 1
                 if count == target:
                     return True
     return space.rank == target
+
+
+def _support_divisors(f: Polynomial, k: int) -> set[tuple[int, ...]]:
+    """D_k: the degree-k monomials dividing some term of f."""
+    return {a for b in f.terms for a in _divisors_of_degree(b, k)}
 
 
 def _socle_step_spanned(alg: GradedAlgebra) -> bool:

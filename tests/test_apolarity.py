@@ -6,18 +6,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedhess import (
     InvariantViolation,
+    Polynomial,
     VarSet,
     ann_generated_by_quadrics,
     apolar_apply,
     bigraded_decomposition,
     build_algebra,
+    even_counterexample,
+    example_catalog,
+    odd_counterexample,
     parse_polynomial,
     unimodality_check,
 )
-from mixedhess.linalg import matrix_rank
+from mixedhess.apolarity import _degree_step_spanned
+from mixedhess.linalg import RowSpace, matrix_rank
 
 from conftest import dense_random_form
 
@@ -89,6 +95,81 @@ def test_quadrics_fail_for_fermat_cubic():
     assert not check.presented
     assert 3 in check.failing_degrees
     assert check.dim_ann2 == 3
+
+
+def _full_enumeration_step_spanned(alg, k) -> bool:
+    """Does variables * Ann_{k-1} span Ann_k?  (It is always contained.)
+
+    The oracle for ``_degree_step_spanned``: every shift of every
+    annihilator basis vector, monomial ones included, eliminated in all
+    degree-k coordinates against the full dimension of Ann_k.
+    """
+    r = alg.varset.size
+    target = math.comb(r + k - 1, k) - alg.dim(k)
+    if target == 0:
+        return True
+    space = RowSpace()
+    count = 0
+    for m in alg.ann_basis(k - 1):
+        for v in range(r):
+            shifted = {}
+            for e, c in m.terms.items():
+                shifted[e[:v] + (e[v] + 1,) + e[v + 1 :]] = c
+            if space.insert(shifted):
+                count += 1
+                if count == target:
+                    return True
+    return space.rank == target
+
+
+def _assert_steps_match_oracle(f):
+    alg = build_algebra(f)
+    degrees = range(3, alg.socle_degree + 1)
+    new = [_degree_step_spanned(alg, k) for k in degrees]
+    assert new == [_full_enumeration_step_spanned(alg, k) for k in degrees]
+    return new
+
+
+@pytest.mark.parametrize(
+    "identifier", [entry.identifier for entry in example_catalog()]
+)
+def test_quadric_steps_match_oracle_on_catalog(catalog, identifier):
+    _assert_steps_match_oracle(catalog[identifier].polynomial)
+
+
+@pytest.mark.parametrize(
+    "family, d, codim",
+    [
+        (odd_counterexample, 5, 10),
+        (odd_counterexample, 5, 14),
+        (odd_counterexample, 7, 12),
+        (even_counterexample, 4, 14),
+        (even_counterexample, 6, 16),
+    ],
+    ids=["odd-5-10", "odd-5-14", "odd-7-12", "even-4-14", "even-6-16"],
+)
+def test_quadric_steps_match_oracle_on_families(family, d, codim):
+    f = family(d, codim, verify="none").polynomial
+    assert all(_assert_steps_match_oracle(f))
+
+
+@st.composite
+def sparse_forms(draw):
+    """Forms in 3-6 variables of degree 3-5 with 2-7 terms."""
+    n = draw(st.integers(3, 6))
+    d = draw(st.integers(3, 5))
+    monomial = st.lists(
+        st.integers(0, n - 1), min_size=d, max_size=d
+    ).map(lambda picks: tuple(picks.count(i) for i in range(n)))
+    coeff = st.integers(-9, 9).filter(bool)
+    terms = draw(st.dictionaries(monomial, coeff, min_size=2, max_size=7))
+    return Polynomial(VarSet(tuple(f"x{i + 1}" for i in range(n))), terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_forms())
+def test_quadric_steps_match_oracle_on_sparse_forms(f):
+    _assert_steps_match_oracle(f)
 
 
 def test_nonzero_linear_slice_blocks_presentation():

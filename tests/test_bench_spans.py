@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,3 +62,20 @@ def test_workload_layers_are_traced():
         if span not in traced
     ]
     assert missing == []
+
+
+def test_quadric_layers_record_calls():
+    # A traced run fails when a workload's mapped layer records no call;
+    # run one odd-quadrics report traced and check the quadric layers.
+    proc = subprocess.run(
+        [
+            sys.executable, str(REPO / "perfbench" / "child.py"), "1",
+            "family", "odd", "--d", "5", "--codim", "14", "--seed", "1",
+        ],
+        cwd=REPO, capture_output=True, text=True, timeout=300, check=True,
+    )
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["exit"] == 0
+    spans = child["spans"]
+    idle = [s for s in run.QUADRIC_LAYERS if spans.get(s, {}).get("calls", 0) < 1]
+    assert idle == []
