@@ -94,9 +94,10 @@ class GradedAlgebra:
     homogeneous dual generator f of degree d >= 1.
 
     Carries, per degree k = 0..d: the Hilbert value h_k, a deterministic
-    monomial quotient basis (catalecticant pivot columns), and (lazily)
-    a basis of the degree-k annihilator.  Pairing matrices between
-    complementary degrees and their inverses are cached on first use.
+    monomial quotient basis (catalecticant pivot columns), the reduced
+    catalecticant it was read from, and (lazily) a basis of the degree-k
+    annihilator.  Pairing matrices between complementary degrees and
+    their inverses are cached on first use.
     """
 
     def __init__(
@@ -104,6 +105,7 @@ class GradedAlgebra:
         f: Polynomial,
         hilbert: tuple[int, ...],
         quotient_bases: tuple[tuple[Monomial, ...], ...],
+        reduced_catalecticants: tuple[dict, ...],
         warnings: tuple[str, ...],
     ):
         self.f = f
@@ -111,6 +113,7 @@ class GradedAlgebra:
         self.socle_degree = len(hilbert) - 1
         self.hilbert = hilbert
         self._quotient_bases = quotient_bases
+        self._reduced = reduced_catalecticants
         self.warnings = warnings
         self.i1_zero = hilbert[1] == f.varset.size if self.socle_degree >= 1 else False
         self._ann_cache: dict[int, tuple[Polynomial, ...]] = {}
@@ -155,14 +158,12 @@ class GradedAlgebra:
             for e in all_exps:
                 yield Polynomial.from_monomial(self.varset, e)
             return
-        rows = _sparse_catalecticant_rows(self.f, k)
-        relevant_set = {a for row in rows.values() for a in row}
-        red = sparse_rref(list(rows.values()))
-        pivot_cols = set(red.keys())
+        red = self._reduced[k]
+        support = _support_divisors(self.f, k)
         for e in all_exps:
-            if e in pivot_cols:
+            if e in red:
                 continue
-            if e not in relevant_set:
+            if e not in support:
                 yield Polynomial.from_monomial(self.varset, e)
                 continue
             terms = {e: Fraction(1)}
@@ -232,9 +233,10 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
 
     hilbert: list[int] = []
     bases: list[tuple[Monomial, ...]] = []
+    reduced: list[dict] = []
     for k in range(d + 1):
-        rows = _sparse_catalecticant_rows(f, k)
-        red = sparse_rref(list(rows.values()))
+        red = sparse_rref(_sparse_catalecticant_rows(f, k).values())
+        reduced.append(red)
         pivots = sorted(red.keys(), key=grlex_key, reverse=True)
         hilbert.append(len(pivots))
         bases.append(tuple(Monomial(e) for e in pivots))
@@ -252,7 +254,9 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
             "degree-one annihilator is nonzero (linear relation among "
             "first partials); algebra kept in the given variables"
         )
-    return GradedAlgebra(f, tuple(hilbert), tuple(bases), tuple(warnings))
+    return GradedAlgebra(
+        f, tuple(hilbert), tuple(bases), tuple(reduced), tuple(warnings)
+    )
 
 
 # -- quadric generation ---------------------------------------------------

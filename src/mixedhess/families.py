@@ -518,6 +518,20 @@ def _cubic_base(r: int) -> tuple[Polynomial, str, list[str]]:
     return dual_generator(comp), desc, steps
 
 
+def _deficient_criterion(
+    alg: GradedAlgebra, config: SamplingConfig, error: str
+) -> tuple[RankCertificate, int]:
+    """Rank-certify the WLP criterion matrix of a family member and
+    return the certificate with the full rank it falls short of; reaching
+    full rank contradicts the construction and raises with `error`."""
+    matrix = wlp_criterion_matrix(alg)
+    criterion = generic_rank(matrix, config)
+    full = min(matrix.shape)
+    if criterion.rank >= full:
+        raise InvariantViolation(error)
+    return criterion, full
+
+
 def odd_counterexample(
     d: int,
     codim: int,
@@ -562,14 +576,11 @@ def odd_counterexample(
                 "the annihilator needs generators beyond the quadrics, "
                 "contradicting the construction"
             )
-        matrix = wlp_criterion_matrix(alg)
-        criterion = generic_rank(matrix, config)
-        full = min(matrix.shape)
-        if criterion.rank >= full:
-            raise InvariantViolation(
-                "the middle Hessian reached full rank, contradicting "
-                "the construction"
-            )
+        criterion, full = _deficient_criterion(
+            alg, config,
+            "the middle Hessian reached full rank, contradicting "
+            "the construction",
+        )
         steps.append(
             "verified: presented by quadrics, middle Hessian rank "
             f"{criterion.rank} < {full}"
@@ -671,14 +682,11 @@ def even_counterexample(
     criterion: RankCertificate | None = None
     if verify == "report" and d > 4:
         alg = build_algebra(f)
-        matrix = wlp_criterion_matrix(alg)
-        criterion = generic_rank(matrix, config)
-        full = min(matrix.shape)
-        if criterion.rank >= full:
-            raise InvariantViolation(
-                "the step-deciding Hessian of the lift reached full "
-                "rank, contradicting the deficiency transport"
-            )
+        criterion, full = _deficient_criterion(
+            alg, config,
+            "the step-deciding Hessian of the lift reached full "
+            "rank, contradicting the deficiency transport",
+        )
         q = d // 2
         steps.append(
             f"verified: rank of the ({q - 1}, {q}) Hessian of the lift "

@@ -15,6 +15,12 @@ generic behaviour as a polynomial matrix) and the multiplication route
 to confirm at sampled points; any disagreement raises
 InvariantViolation, since it would falsify the underlying identity.
 
+Both checks rest on one identity: the plain mixed Hessian of order
+(d-i-j, i), evaluated at the coefficient point of l, has the rank of
+multiplication by l^j from A_i to A_{i+j}.  A property is a list of such
+cells (i, j), decided by one routine: WLP is the cell (floor(d/2), 1),
+SLP the cells (k, d-2k) for k = 1..floor(d/2).
+
 A verdict is *exact* when it is witnessed by a point (positive) or by a
 symbolic certificate such as a vanishing determinant (negative), and
 *probabilistic* when it relies on sampled ranks alone, in which case
@@ -213,20 +219,75 @@ def _confirm_routes(
 # -- property checks --------------------------------------------------------
 
 
+def _cell_hessian(alg: GradedAlgebra, i: int, j: int) -> MixedHessian:
+    """Criterion matrix of cell (i, j): the order-(d-i-j, i) Hessian."""
+    return mixed_hessian(alg, alg.socle_degree - i - j, i)
+
+
 def wlp_criterion_matrix(alg: GradedAlgebra) -> MixedHessian:
     """The single Hessian whose generic rank decides the weak Lefschetz
     property: order (q, q) for socle degree 2q+1, order (q-1, q) for
     socle degree 2q."""
-    d = alg.socle_degree
-    q, odd = divmod(d, 2)
-    return mixed_hessian(alg, q, q) if odd else mixed_hessian(alg, q - 1, q)
+    return _cell_hessian(alg, alg.socle_degree // 2, 1)
 
 
-def slp_criterion_matrices(alg: GradedAlgebra) -> tuple[MixedHessian, ...]:
-    """The square Hessians of orders (k, k), k = 1..floor(d/2), whose
-    determinants decide the strong Lefschetz property."""
-    d = alg.socle_degree
-    return tuple(mixed_hessian(alg, k, k) for k in range(1, d // 2 + 1))
+def _decide(
+    alg: GradedAlgebra, config: SamplingConfig, name: str, cells: tuple,
+    generic_note: str, profile_on_failure: bool,
+) -> LefschetzVerdict:
+    """Decide a property given as cells (i, j, step, witness note,
+    confirmation note with {} for the rank).  A point where every cell
+    has full rank is a witness; otherwise the first cell whose generic
+    rank falls short names its step in a negative verdict, and when none
+    does the property holds without a witness."""
+    mats = [_cell_hessian(alg, i, j) for i, j, *_ in cells]
+    notes: list[str] = []
+    points = sample_points(alg, config, f"{name.lower()}-witness")
+    if not points:
+        notes.append(
+            "no sample point avoided the vanishing locus of the generator"
+        )
+    for pt in points:
+        if all(rank_at(m, pt) == min(m.shape) for m in mats):
+            witness = _linear_form(alg, pt)
+            profile = rank_profile(alg, witness)
+            if profile != full_profile(alg):
+                raise InvariantViolation(
+                    "criterion matrix has full rank at a witness whose "
+                    f"multiplication profile {profile} is not full"
+                )
+            evidence = tuple(
+                RankCertificate(min(m.shape), "exact", config.trials,
+                                config.sample_bound, note=witness_note)
+                for (_, _, _, witness_note, _), m in zip(cells, mats)
+            )
+            return LefschetzVerdict(
+                name, True, witness, evidence, "exact", profile, None,
+                config.trials, config.seed, tuple(notes),
+            )
+
+    evidence = []
+    for (_, _, step, _, confirm_note), m in zip(cells, mats):
+        cert = generic_rank(m, config)
+        evidence.append(cert)
+        if cert.rank < min(m.shape):
+            profile = None
+            if points:
+                confirmed = _confirm_routes(alg, m, points[0], step)
+                if profile_on_failure:
+                    profile = rank_profile(alg, _linear_form(alg, points[0]))
+                notes.append(confirm_note.format(confirmed))
+            return LefschetzVerdict(
+                name, False, None, tuple(evidence), cert.mode, profile, step,
+                config.trials, config.seed, tuple(notes),
+            )
+
+    notes.append(generic_note)
+    mode = "exact" if all(c.is_exact for c in evidence) else "probabilistic"
+    return LefschetzVerdict(
+        name, True, None, tuple(evidence), mode, None, None,
+        config.trials, config.seed, tuple(notes),
+    )
 
 
 def wlp_check(
@@ -240,64 +301,15 @@ def wlp_check(
     failing step and attach the generic-rank certificate of the
     criterion matrix; they are exact when the certificate is.
     """
-    d = alg.socle_degree
-    q, odd = divmod(d, 2)
-    step = (q, q + 1) if odd else (q - 1, q)
-    h = wlp_criterion_matrix(alg)
-    target = min(h.shape)
-    notes: list[str] = []
-
-    points = sample_points(alg, config, "wlp-witness")
-    if not points:
-        notes.append(
-            "no sample point avoided the vanishing locus of the generator"
-        )
-    for pt in points:
-        if rank_at(h, pt) == target:
-            witness = _linear_form(alg, pt)
-            profile = rank_profile(alg, witness)
-            if profile != full_profile(alg):
-                raise InvariantViolation(
-                    "criterion matrix has full rank at a witness whose "
-                    f"multiplication profile {profile} is not full"
-                )
-            cert = RankCertificate(
-                target,
-                "exact",
-                trials=config.trials,
-                sample_bound=config.sample_bound,
-                note="full rank witnessed at a sampled point",
-            )
-            return LefschetzVerdict(
-                "WLP", True, witness, (cert,), "exact", profile, None,
-                config.trials, config.seed, tuple(notes),
-            )
-
-    cert = generic_rank(h, config)
-    if cert.rank == target:
-        # Generically full although no sampled witness combined full rank
-        # with a nonvanishing generator; report without a witness.
-        notes.append(
-            "criterion matrix is generically of maximal rank but no "
-            "sampled point gave both full rank and a nonzero generator "
-            "value"
-        )
-        return LefschetzVerdict(
-            "WLP", True, None, (cert,), cert.mode, None, None,
-            config.trials, config.seed, tuple(notes),
-        )
-
-    profile = None
-    if points:
-        confirmed = _confirm_routes(alg, h, points[0], step)
-        profile = rank_profile(alg, _linear_form(alg, points[0]))
-        notes.append(
-            f"multiplication route confirms rank {confirmed} at the "
-            "first sampled point"
-        )
-    return LefschetzVerdict(
-        "WLP", False, None, (cert,), cert.mode, profile, step,
-        config.trials, config.seed, tuple(notes),
+    q, odd = divmod(alg.socle_degree, 2)
+    cell = (q, 1, (q, q + 1) if odd else (q - 1, q),
+            "full rank witnessed at a sampled point",
+            "multiplication route confirms rank {} at the first sampled point")
+    return _decide(
+        alg, config, "WLP", (cell,),
+        "criterion matrix is generically of maximal rank but no sampled "
+        "point gave both full rank and a nonzero generator value",
+        profile_on_failure=True,
     )
 
 
@@ -312,63 +324,16 @@ def slp_check(
     generator does not vanish.
     """
     d = alg.socle_degree
-    mats = slp_criterion_matrices(alg)
-    notes: list[str] = []
-    points = sample_points(alg, config, "slp-witness")
-    if not points:
-        notes.append(
-            "no sample point avoided the vanishing locus of the generator"
-        )
-
-    for pt in points:
-        ranks = [rank_at(m, pt) for m in mats]
-        if all(r == m.nrows for r, m in zip(ranks, mats)):
-            witness = _linear_form(alg, pt)
-            evidence = tuple(
-                RankCertificate(
-                    r,
-                    "exact",
-                    trials=config.trials,
-                    sample_bound=config.sample_bound,
-                    note=f"order ({m.orders[0]}, {m.orders[1]}) nonsingular "
-                    "at the witness",
-                )
-                for r, m in zip(ranks, mats)
-            )
-            profile = rank_profile(alg, witness)
-            return LefschetzVerdict(
-                "SLP", True, witness, evidence, "exact", profile, None,
-                config.trials, config.seed, tuple(notes),
-            )
-
-    # No simultaneous witness: find the first order that genuinely fails.
-    evidence = []
-    for m in mats:
-        cert = generic_rank(m, config)
-        evidence.append(cert)
-        if cert.rank < m.nrows:
-            k = m.orders[0]
-            if points:
-                confirmed = _confirm_routes(alg, m, points[0], (k, d - k))
-                notes.append(
-                    f"multiplication route confirms rank {confirmed} for "
-                    f"order ({k}, {k}) at the first sampled point"
-                )
-            return LefschetzVerdict(
-                "SLP", False, None, tuple(evidence), cert.mode, None,
-                (k, d - k), config.trials, config.seed, tuple(notes),
-            )
-
-    notes.append(
+    cells = tuple(
+        (k, d - 2 * k, (k, d - k),
+         f"order ({k}, {k}) nonsingular at the witness",
+         f"multiplication route confirms rank {{}} for order ({k}, {k}) "
+         "at the first sampled point")
+        for k in range(1, d // 2 + 1)
+    )
+    return _decide(
+        alg, config, "SLP", cells,
         "every criterion Hessian is generically nonsingular but no "
-        "sampled point witnessed all of them at once"
-    )
-    mode = (
-        "exact"
-        if all(c.is_exact for c in evidence)
-        else "probabilistic"
-    )
-    return LefschetzVerdict(
-        "SLP", True, None, tuple(evidence), mode, None, None,
-        config.trials, config.seed, tuple(notes),
+        "sampled point witnessed all of them at once",
+        profile_on_failure=False,
     )

@@ -22,6 +22,7 @@ from mixedhess import (
     parse_polynomial,
     unimodality_check,
 )
+from mixedhess import apolarity
 from mixedhess.apolarity import _degree_step_spanned
 from mixedhess.linalg import RowSpace, matrix_rank
 
@@ -95,6 +96,25 @@ def test_quadrics_fail_for_fermat_cubic():
     assert not check.presented
     assert 3 in check.failing_degrees
     assert check.dim_ann2 == 3
+
+
+def test_each_catalecticant_is_reduced_once(monkeypatch):
+    # build_algebra reduces the catalecticant of every degree, and the
+    # annihilator bases read those reductions instead of redoing them.
+    real = apolarity._sparse_catalecticant_rows
+    degrees = []
+
+    def counted(f, k):
+        degrees.append(k)
+        return real(f, k)
+
+    monkeypatch.setattr(apolarity, "_sparse_catalecticant_rows", counted)
+    member = odd_counterexample(5, 10, verify="none")
+    alg = build_algebra(member.polynomial)
+    assert ann_generated_by_quadrics(alg).presented
+    for k in range(6):
+        alg.ann_basis(k)
+    assert sorted(degrees) == list(range(6))
 
 
 def _full_enumeration_step_spanned(alg, k) -> bool:

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
@@ -64,18 +66,30 @@ def test_workload_layers_are_traced():
     assert missing == []
 
 
-def test_quadric_layers_record_calls():
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (
+            ["family", "odd", "--d", "5", "--codim", "14"],
+            run.QUADRIC_LAYERS,
+        ),
+        (
+            ["family", "boolean", "--n", "5"],
+            run.MULT_LAYERS + ("lefschetz.slp_check",),
+        ),
+    ],
+    ids=["odd-quadrics", "boolean-slp"],
+)
+def test_quadric_layers_record_calls(argv, layers):
     # A traced run fails when a workload's mapped layer records no call;
-    # run one odd-quadrics report traced and check the quadric layers.
+    # run one report traced and check the layers its workload maps.
     proc = subprocess.run(
-        [
-            sys.executable, str(REPO / "perfbench" / "child.py"), "1",
-            "family", "odd", "--d", "5", "--codim", "14", "--seed", "1",
-        ],
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "1"]
+        + argv + ["--seed", "1"],
         cwd=REPO, capture_output=True, text=True, timeout=300, check=True,
     )
     child = json.loads(proc.stdout.splitlines()[-1])
     assert child["exit"] == 0
     spans = child["spans"]
-    idle = [s for s in run.QUADRIC_LAYERS if spans.get(s, {}).get("calls", 0) < 1]
+    idle = [s for s in layers if spans.get(s, {}).get("calls", 0) < 1]
     assert idle == []

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mixedhess import (
     InvariantViolation,
     LinearForm,
+    boolean_form,
     build_algebra,
     full_profile,
     generalization_check,
@@ -21,6 +22,7 @@ from mixedhess import (
     wlp_check,
     unimodality_check,
 )
+from mixedhess.hessians import mixed_hessian, rank_at
 from mixedhess.linalg import matrix_rank
 from mixedhess.polyring import apolar_monomial, apolar_pairing, linear_apply
 
@@ -150,6 +152,54 @@ def test_generalization_identity_on_random_instances(config):
                 out = generalization_check(alg, k, l, L)
                 assert out["matches"], (n, d, k, l)
                 assert out["max_discrepancy"] == 0
+
+
+def _assert_cell_identity(alg, L):
+    # The criterion matrix of cell (i, j) is the order-(d-i-j, i)
+    # Hessian; at L it has the rank of multiplication by L^j, A_i -> A_{i+j}.
+    d = alg.socle_degree
+    for i in range(d + 1):
+        for j in range(d - i + 1):
+            hess = rank_at(mixed_hessian(alg, d - i - j, i), L.perp())
+            assert hess == matrix_rank(mult_map_matrix(alg, i, i + j, L)), (i, j)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cell_identity_on_random_forms(seed):
+    rng = random.Random(seed)
+    alg = build_algebra(dense_random_form(rng, rng.randint(2, 3), rng.randint(1, 4)))
+    # The identity holds at every point, on the generator's zero locus too.
+    coeffs = [0]
+    while not any(coeffs):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(alg.varset.size)]
+    _assert_cell_identity(alg, LinearForm(alg.varset, tuple(coeffs)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_checks_at_socle_degrees_one_and_two(n, config):
+    # Socle degree 1 gives SLP no cell at all; degree 2 gives it the one
+    # cell (1, 0), the identity on A_1.
+    alg = build_algebra(boolean_form(n))
+    assert alg.socle_degree == n
+    _assert_cell_identity(alg, _ones(alg))
+    for check in (wlp_check, slp_check):
+        verdict = check(alg, config)
+        assert verdict.holds and verdict.witness is not None
+        assert verdict.profile == full_profile(alg)
+    assert len(slp_check(alg, config).evidence) == n - 1
+
+
+@pytest.mark.parametrize("check", [wlp_check, slp_check])
+def test_witness_with_short_profile_raises(check, boolean3_alg, config, monkeypatch):
+    # A witness of either property is a weak Lefschetz element, so a
+    # multiplication profile below the maximal one breaks an invariant.
+    monkeypatch.setattr(
+        "mixedhess.lefschetz.rank_profile",
+        lambda alg, L: (0,) * alg.socle_degree,
+    )
+    with pytest.raises(InvariantViolation):
+        check(boolean3_alg, config)
 
 
 def test_wlp_false_for_four_cycle(four_cycle_alg, config):
