@@ -24,6 +24,7 @@ failure bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -245,10 +246,47 @@ def evaluate_matrix(
 
 
 def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
-    """Exact rank of the matrix evaluated at one point."""
+    """Exact rank of the matrix evaluated at one point.
+
+    The matrix is evaluated in ints, scaled in ways that keep the rank.
+    A point with Fraction coordinates is scaled by their common
+    denominator D, and a monomial of degree k is weighted by D^(top - k),
+    top the largest entry degree: together they multiply the matrix by
+    D^top.  Each row is scaled by the lcm of its coefficient denominators.
+    """
     if h.nrows == 0 or h.ncols == 0:
         return 0
-    return matrix_rank(evaluate_matrix(h, point))
+    if len(point) != h.varset.size:
+        raise ValueError(
+            f"point has {len(point)} coordinates, expected {h.varset.size}"
+        )
+    denom = math.lcm(*(c.denominator for c in point))
+    pt = [c.numerator * (denom // c.denominator) for c in point]
+    top = h.max_entry_degree() if denom != 1 else 0
+    cache: dict[tuple[int, ...], int] = {}
+
+    def mono(e: tuple[int, ...]) -> int:
+        v = denom ** (top - sum(e)) if denom != 1 else 1
+        for x, a in zip(pt, e):
+            if a:
+                v *= x**a
+        cache[e] = v
+        return v
+
+    rows = []
+    for row in h.entries:
+        lcm = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+        out = []
+        for p in row:
+            acc = 0
+            for e, c in p.terms.items():
+                m = cache.get(e)
+                if m is None:
+                    m = mono(e)
+                acc += c.numerator * (lcm // c.denominator) * m
+            out.append(acc)
+        rows.append(out)
+    return matrix_rank(rows)
 
 
 def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:

@@ -3,9 +3,15 @@
 Everything verdict-bearing in this package reduces to ranks, spans,
 kernels and inverses of matrices over Q.
 
-* :func:`matrix_rank` runs fraction-free (Bareiss) over integers after
-  clearing denominators row by row.  It serves the dense matrices of
-  evaluated Hessians and multiplication maps.
+* :func:`matrix_rank` is a sparse fraction-free elimination over the
+  integers, for evaluated Hessians and multiplication maps, which are
+  mostly zeros.  Each row is scaled once by the lcm of its denominators
+  and kept as {col: int}.  Pivots are chosen Markowitz-style (the
+  sparsest row, at its least shared column); a row is cleared by a
+  nonzero multiple of itself minus a multiple of the pivot row, then
+  divided by its content.  Every step multiplies a row by a nonzero
+  scalar or adds a multiple of another row to it, so no step changes
+  the rank, and no Fraction is built.
 * :class:`RowSpace` does all Fraction elimination.  It tracks the span
   of sparse vectors, dicts keyed by totally-ordered keys (exponent
   tuples in practice); each pivot is the largest key of its stored row,
@@ -22,50 +28,62 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 
-def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        fr = [c if isinstance(c, Fraction) else Fraction(c) for c in row]
-        lcm = math.lcm(*(c.denominator for c in fr))
-        out.append([c.numerator * (lcm // c.denominator) for c in fr])
-    return out
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank by sparse fraction-free elimination on integer rows.
 
-
-def matrix_rank(rows: Sequence[Sequence], *, stop_at: int | None = None) -> int:
-    """Exact rank via fraction-free elimination on integer rows.
-
-    ``stop_at`` allows an early exit once the rank reaches that value
-    (useful when only "is it full rank" matters).
+    Entries are ints or Fractions.  Each row is first scaled by the lcm
+    of its denominators and kept as {col: int} without its zeros.  Each
+    step pivots on the remaining row with the fewest nonzeros, at its
+    column held by the fewest rows (Markowitz), and clears that column
+    from every other row as ``(p/g)*row - (v/g)*pivot`` with
+    ``g = gcd(p, v)``.  No remaining row then holds the pivot column, so
+    the pivot row adds exactly one to their rank and leaves.  An update
+    replaces a row by a nonzero multiple of itself minus a multiple of
+    the pivot row, and dividing a row by its content scales it by a
+    nonzero integer; neither changes the rank.
     """
-    m = _int_rows(rows)
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
+    active: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        lcm = math.lcm(*(c.denominator for c in row))
+        vec = {j: c.numerator * (lcm // c.denominator) for j, c in enumerate(row) if c}
+        if vec:
+            active[i] = vec
+            for c in vec:
+                holders.setdefault(c, set()).add(i)
     rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            row_r = m[r]
-            v = row_r[col]
-            row_p = m[rank]
-            for c in range(col + 1, ncols):
-                row_r[c] = (p * row_r[c] - v * row_p[c]) // prev
-            row_r[col] = 0
-        prev = p
+    while active:
+        i = min(active, key=lambda r: len(active[r]))
+        piv = active.pop(i)
+        col = min(piv, key=lambda c: len(holders[c]))
+        for c in piv:
+            holders[c].discard(i)
+        p = piv[col]
+        for r in holders.pop(col):
+            row = active[r]
+            g = math.gcd(p, row[col])
+            a, b = p // g, row[col] // g
+            new = {c: a * v for c, v in row.items()}
+            del new[col]
+            for c, v in piv.items():
+                if c == col:
+                    continue
+                s = new.get(c, 0) - b * v
+                if s:
+                    if c not in new:
+                        holders[c].add(r)
+                    new[c] = s
+                else:
+                    del new[c]
+                    holders[c].discard(r)
+            if new:
+                content = math.gcd(*new.values())
+                if content != 1:
+                    new = {c: v // content for c, v in new.items()}
+                active[r] = new
+            else:
+                del active[r]
         rank += 1
-        if rank == nrows or (stop_at is not None and rank >= stop_at):
-            break
     return rank
 
 

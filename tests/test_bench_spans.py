@@ -77,8 +77,14 @@ def test_workload_layers_are_traced():
             ["family", "boolean", "--n", "5"],
             run.MULT_LAYERS + ("lefschetz.slp_check",),
         ),
+        (
+            # Every matrix_rank call here comes from rank_at, so a
+            # rank_at that bypassed it would leave the span idle.
+            ["family", "even", "--d", "6", "--codim", "16"],
+            run.RANK_LAYERS,
+        ),
     ],
-    ids=["odd-quadrics", "boolean-slp"],
+    ids=["odd-quadrics", "boolean-slp", "even-rank"],
 )
 def test_quadric_layers_record_calls(argv, layers):
     # A traced run fails when a workload's mapped layer records no call;

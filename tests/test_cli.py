@@ -160,6 +160,10 @@ GOLDEN = {
     "family_odd_d5_codim14_seed1.json": [
         "family", "odd", "--d", "5", "--codim", "14", "--seed", "1",
     ],
+    # The largest golden criterion: a rank-deficient 85x85 Hessian.
+    "family_odd_d7_codim12_seed1.json": [
+        "family", "odd", "--d", "7", "--codim", "12", "--seed", "1",
+    ],
     # The one golden whose annihilator is not generated by quadrics:
     # the span check fails in degrees 3, 4 and 5.
     "analyze_cubic_relations_seed1.json": [

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixedhess import (
+    MixedHessian,
+    Monomial,
+    VarSet,
+    build_algebra,
+    dual_mixed_hessian,
+    evaluate_matrix,
+    parse_polynomial,
+    rank_at,
+)
 from mixedhess.linalg import (
     RowSpace,
     invert,
@@ -16,6 +27,8 @@ from mixedhess.linalg import (
     rref,
     sparse_rref,
 )
+
+from conftest import dense_random_form
 
 
 def _random_matrix(rng, nrows, ncols, bound=9):
@@ -41,13 +54,6 @@ def test_rank_dependent_rows():
     assert matrix_rank(rows) == 2
 
 
-def test_rank_stop_at_short_circuits():
-    rng = random.Random(0)
-    rows = _random_matrix(rng, 6, 6)
-    full = matrix_rank(rows)
-    assert matrix_rank(rows, stop_at=2) == min(2, full)
-
-
 def test_rank_handles_fractions():
     singular = [
         [Fraction(1, 2), Fraction(1, 3)],
@@ -59,6 +65,124 @@ def test_rank_handles_fractions():
         [Fraction(1, 5), Fraction(1)],
     ]
     assert matrix_rank(regular) == 2
+
+
+def _bareiss_rank(rows):
+    """The dense fraction-free (Bareiss) rank matrix_rank replaced; kept
+    as an oracle.  Denominators are cleared row by row first."""
+    m = []
+    for row in rows:
+        fr = [Fraction(c) for c in row]
+        lcm = math.lcm(*(c.denominator for c in fr))
+        m.append([c.numerator * (lcm // c.denominator) for c in fr])
+    nrows = len(m)
+    if nrows == 0:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, nrows):
+            row_r = m[r]
+            v = row_r[col]
+            row_p = m[rank]
+            for c in range(col + 1, ncols):
+                row_r[c] = (p * row_r[c] - v * row_p[c]) // prev
+            row_r[col] = 0
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+@st.composite
+def _rank_matrices(draw):
+    """Integer or mixed int/Fraction matrices of any shape, with entries
+    up to 10**6 in size at densities from 5% to 100%, some zero rows and
+    columns, and some rows that are sums of others."""
+    nrows, ncols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4, 0.7, 1.0]))
+    fractions = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        v = rng.randint(-10**6, 10**6)
+        if fractions and rng.random() < 0.5:
+            return Fraction(v, rng.randint(1, 10**3))
+        return v
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [0] * ncols
+    for _ in range(draw(st.integers(0, 4))):
+        picked = rng.sample(rows, rng.randint(1, len(rows)))
+        rows.append([sum(col) for col in zip(*picked)])
+    rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_matrices())
+def test_rank_matches_bareiss_oracle(rows):
+    assert matrix_rank(rows) == _bareiss_rank(rows)
+    transposed = [list(col) for col in zip(*rows)]
+    assert matrix_rank(transposed) == _bareiss_rank(rows)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(3, -1, 0, 2), (Fraction(1, 2), Fraction(-3, 7), 0, Fraction(5, 3))],
+    ids=["int-point", "fraction-point"],
+)
+def test_rank_at_matches_oracle_on_dual_hessians(point):
+    rng = random.Random(6)
+    alg = build_algebra(dense_random_form(rng, 4, 4))
+    d = alg.socle_degree
+    fractional = False
+    for l in range(d + 1):
+        for k in range(l + 1):
+            h = dual_mixed_hessian(alg, l, k)
+            fractional |= any(
+                c.denominator != 1
+                for row in h.entries for p in row for c in p.terms.values()
+            )
+            assert rank_at(h, point) == _bareiss_rank(evaluate_matrix(h, point))
+    assert fractional
+
+
+def test_rank_at_scales_exactly():
+    vs = VarSet(("x", "y"))
+    x, y, one = (parse_polynomial(t, vs) for t in ("x", "y", "1"))
+    m = Monomial((1, 0))
+
+    def hessian(entries):
+        return MixedHessian(vs, entries, (m, m), (m, m), "hessian", (1, 1))
+
+    # [[x, 1], [1, y]] is singular at (1/2, 2); scaling the point alone
+    # to (1, 4) would make it regular.
+    h = hessian(((x, one), (one, y)))
+    assert rank_at(h, (Fraction(1, 2), 2)) == 1
+    assert rank_at(h, (Fraction(1, 2), 3)) == 2
+    # The second row is twice the first; dropping the coefficient
+    # denominators would make the rows independent.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    h = hessian(((x.scale(half), y.scale(third)), (x, y.scale(2 * third))))
+    assert rank_at(h, (5, 7)) == 1
 
 
 def test_rref_pivots():
