@@ -647,7 +647,7 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
     k, l = args.source_degree, args.target_degree
     check = generalization_check(alg, k, l, L)
     matrix = mult_map_matrix(alg, k, l, L)
-    rank = matrix_rank(matrix) if matrix and matrix[0] else 0
+    rank = matrix_rank(matrix)
     report = _base_report("mult-map", config, args.path)
     report["result"] = {
         "k": k,

@@ -83,7 +83,8 @@ class LiftReport:
     (they generate the lift's whole annihilator, checked degree by
     degree as a span equality), and the two inheritance pairs
     (base, lift) for quadric presentation and the strong Lefschetz
-    property."""
+    property.  algebra is the lift's algebra when a check built it, so
+    the next lift of a chain can reuse it."""
 
     polynomial: Polynomial
     added: tuple[str, ...]
@@ -95,6 +96,7 @@ class LiftReport:
     quadrics_inherited: tuple[bool, bool] | None = None
     slp_inherited: tuple[bool, bool] | None = None
     notes: tuple[str, ...] = ()
+    algebra: GradedAlgebra | None = None
 
 
 def _fresh_names(vs: VarSet, count: int, stem: str = "z") -> tuple[str, ...]:
@@ -259,6 +261,7 @@ def times_u(
         span_equality,
         quadrics_pair,
         slp_pair,
+        algebra=lift_alg,
     )
 
 
@@ -269,7 +272,7 @@ class DoubleLiftReport:
     The criterion matrix of the base (middle square Hessian for odd
     socle degree, the (q-1, q) Hessian for even) and the corresponding
     matrix of the lift are rank-certified; deficiency is the distance
-    below the maximal possible rank."""
+    below the maximal possible rank; algebra is the lift's, if built."""
 
     polynomial: Polynomial
     added: tuple[str, ...]
@@ -281,6 +284,7 @@ class DoubleLiftReport:
     lift_deficiency: int | None = None
     deficiency_transported: bool | None = None
     notes: tuple[str, ...] = ()
+    algebra: GradedAlgebra | None = None
 
 
 def times_uv(
@@ -297,19 +301,22 @@ def times_uv(
     lift are rank-certified: a base whose matrix sits below maximal
     rank must lift to one that does too, which is the mechanism the
     counterexample families rely on."""
+    if base_algebra is None and (verify != "none" or deficiency_check):
+        base_algebra = build_algebra(f)
     first = times_u(f, verify=verify, config=config, base_algebra=base_algebra)
-    second = times_u(first.polynomial, verify=verify, config=config)
+    second = times_u(
+        first.polynomial, verify=verify, config=config, base_algebra=first.algebra
+    )
     g = second.polynomial
     added = first.added + second.added
 
     hb = first.hilbert_base
     hl = second.hilbert_lift
     if not deficiency_check:
-        return DoubleLiftReport(g, added, hb, hl)
+        return DoubleLiftReport(g, added, hb, hl, algebra=second.algebra)
 
-    base = base_algebra if base_algebra is not None else build_algebra(f)
-    lift_alg = build_algebra(g)
-    mb = wlp_criterion_matrix(base)
+    lift_alg = second.algebra or build_algebra(g)
+    mb = wlp_criterion_matrix(base_algebra)
     ml = wlp_criterion_matrix(lift_alg)
     cb = generic_rank(mb, config)
     cl = generic_rank(ml, config)
@@ -318,13 +325,14 @@ def times_uv(
     return DoubleLiftReport(
         g,
         added,
-        base.hilbert,
+        base_algebra.hilbert,
         lift_alg.hilbert,
         cb,
         cl,
         db,
         dl,
         (db == 0) or (dl > 0),
+        algebra=lift_alg,
     )
 
 
@@ -562,14 +570,15 @@ def odd_counterexample(
     r = codim - (d - 3)
     f, desc, steps = _cubic_base(r)
     lift_verify = "none" if verify == "none" else "counts"
+    alg: GradedAlgebra | None = None
     for _ in range(d - 3):
-        rep = times_u(f, verify=lift_verify, config=config)
-        f = rep.polynomial
+        rep = times_u(f, verify=lift_verify, config=config, base_algebra=alg)
+        f, alg = rep.polynomial, rep.algebra
         steps.append(f"multiplied by fresh variable {rep.added[0]}")
     quadrics: bool | None = None
     criterion: RankCertificate | None = None
     if verify == "report":
-        alg = build_algebra(f)
+        alg = alg or build_algebra(f)
         quadrics = ann_generated_by_quadrics(alg).presented
         if not quadrics:
             raise InvariantViolation(
@@ -674,16 +683,14 @@ def even_counterexample(
         rep = times_uv(
             f, verify=lift_verify, config=config, base_algebra=base_alg
         )
-        f = rep.polynomial
-        base_alg = None
+        f, base_alg = rep.polynomial, rep.algebra
         steps.append(
             "multiplied by fresh variables " + " and ".join(rep.added)
         )
     criterion: RankCertificate | None = None
     if verify == "report" and d > 4:
-        alg = build_algebra(f)
         criterion, full = _deficient_criterion(
-            alg, config,
+            base_alg, config,
             "the step-deciding Hessian of the lift reached full "
             "rank, contradicting the deficiency transport",
         )

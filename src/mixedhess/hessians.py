@@ -122,16 +122,18 @@ def _entries(
     f: Polynomial, rows_b: Sequence[Monomial], cols_b: Sequence[Monomial]
 ) -> tuple[tuple[Polynomial, ...], ...]:
     """Entry (i, j) is the product of the i-th row and j-th column
-    monomials acting on f."""
-    return tuple(
-        tuple(
-            apolar_monomial(
-                tuple(a + b for a, b in zip(alpha.exps, beta.exps)), f
-            )
-            for beta in cols_b
-        )
-        for alpha in rows_b
-    )
+    monomials acting on f; each distinct product acts once, and the
+    (immutable) result is shared by every entry with that product."""
+    cache: dict[tuple[int, ...], Polynomial] = {}
+
+    def entry(alpha: Monomial, beta: Monomial) -> Polynomial:
+        key = tuple(a + b for a, b in zip(alpha.exps, beta.exps))
+        poly = cache.get(key)
+        if poly is None:
+            poly = cache[key] = apolar_monomial(key, f)
+        return poly
+
+    return tuple(tuple(entry(alpha, beta) for beta in cols_b) for alpha in rows_b)
 
 
 def dual_basis(alg: GradedAlgebra, l: int) -> tuple[Polynomial, ...]:

@@ -129,7 +129,7 @@ def rank_profile(alg: GradedAlgebra, L: LinearForm) -> tuple[int, ...]:
     ranks = []
     for i in range(d):
         m = mult_map_matrix(alg, i, i + 1, L)
-        ranks.append(matrix_rank(m) if m and m[0] else 0)
+        ranks.append(matrix_rank(m))
     for i in range(d):
         if ranks[i] != ranks[d - 1 - i]:
             raise InvariantViolation(
@@ -207,7 +207,7 @@ def _confirm_routes(
     multiplication-route rank for the named step, and return it."""
     hess_rank = rank_at(h, point)
     m = mult_map_matrix(alg, step[0], step[1], _linear_form(alg, point))
-    mult_rank = matrix_rank(m) if m and m[0] else 0
+    mult_rank = matrix_rank(m)
     if hess_rank != mult_rank:
         raise InvariantViolation(
             f"rank disagreement at step {step}: Hessian route {hess_rank}, "

@@ -1,24 +1,26 @@
-"""Exact rational linear algebra, on two elimination paths.
+"""Exact rational linear algebra on one elimination loop.
 
 Everything verdict-bearing in this package reduces to ranks, spans,
-kernels and inverses of matrices over Q.
+kernels and inverses of matrices over Q, and all of them run through
+:class:`RowSpace`, a sparse fraction-free elimination over the integers.
 
-* :func:`matrix_rank` is a sparse fraction-free elimination over the
-  integers, for evaluated Hessians and multiplication maps, which are
-  mostly zeros.  Each row is scaled once by the lcm of its denominators
-  and kept as {col: int}.  Pivots are chosen Markowitz-style (the
-  sparsest row, at its least shared column); a row is cleared by a
-  nonzero multiple of itself minus a multiple of the pivot row, then
-  divided by its content.  Every step multiplies a row by a nonzero
-  scalar or adds a multiple of another row to it, so no step changes
-  the rank, and no Fraction is built.
-* :class:`RowSpace` does all Fraction elimination.  It tracks the span
-  of sparse vectors, dicts keyed by totally-ordered keys (exponent
-  tuples in practice); each pivot is the largest key of its stored row,
-  so insertion order never changes the computed rank.
-  :func:`sparse_rref` fully reduces its pivot rows in one
-  back-substitution pass, and :func:`rref`, :func:`kernel_basis` and
-  :func:`invert` run dense matrices through it with column j keyed -j.
+* Vectors are dicts keyed by totally-ordered keys (exponent tuples in
+  practice).  A vector entering the loop is scaled once by the lcm of
+  its denominators and divided by its content, so it is kept as
+  {key: int}; scaling by a nonzero rational keeps the line it spans.
+* :class:`RowSpace` stores primitive integer pivot rows under their
+  largest key.  A vector is reduced while its top key is a pivot key by
+  ``(p/g)*row - (v/g)*pivot`` with ``g = gcd(p, v)``, then divided by
+  its content.  Each step multiplies the row by a nonzero integer and
+  subtracts a multiple of a stored row, so the row lies in the span
+  before the step exactly when it does after it; the top key strictly
+  decreases, so reduction terminates.
+* :func:`matrix_rank` runs dense rows through that loop, and
+  :func:`sparse_rref` back-substitutes its pivot rows with the same
+  update.  Fractions appear only in the output of :func:`sparse_rref`,
+  where each row is divided by its pivot entry; :func:`rref`,
+  :func:`kernel_basis` and :func:`invert` run dense matrices through it
+  with column j keyed -j.
 """
 
 from __future__ import annotations
@@ -28,63 +30,97 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank by sparse fraction-free elimination on integer rows.
+def _primitive(vec: dict) -> dict:
+    """The integer vector on the line of ``vec`` with content 1."""
+    lcm = math.lcm(*(c.denominator for c in vec.values()))
+    row = {k: c.numerator * (lcm // c.denominator) for k, c in vec.items() if c}
+    content = math.gcd(*row.values())
+    if content > 1:
+        row = {k: c // content for k, c in row.items()}
+    return row
 
-    Entries are ints or Fractions.  Each row is first scaled by the lcm
-    of its denominators and kept as {col: int} without its zeros.  Each
-    step pivots on the remaining row with the fewest nonzeros, at its
-    column held by the fewest rows (Markowitz), and clears that column
-    from every other row as ``(p/g)*row - (v/g)*pivot`` with
-    ``g = gcd(p, v)``.  No remaining row then holds the pivot column, so
-    the pivot row adds exactly one to their rank and leaves.  An update
-    replaces a row by a nonzero multiple of itself minus a multiple of
-    the pivot row, and dividing a row by its content scales it by a
-    nonzero integer; neither changes the rank.
+
+def _eliminate(row: dict, key: Hashable, piv: dict) -> dict:
+    """``(p/g)*row - (v/g)*piv`` divided by its content, where p and v
+    are the entries of piv and row at key and ``g = gcd(p, v)``; the
+    result has no entry at key."""
+    p, v = piv[key], row[key]
+    g = math.gcd(p, v)
+    a, b = p // g, v // g
+    new = {k: a * c for k, c in row.items()} if a != 1 else dict(row)
+    for k, c in piv.items():
+        s = new.get(k, 0) - b * c
+        if s:
+            new[k] = s
+        else:
+            del new[k]
+    content = math.gcd(*new.values())
+    if content > 1:
+        new = {k: c // content for k, c in new.items()}
+    return new
+
+
+class RowSpace:
+    """Incremental span of sparse vectors keyed by comparable keys.
+
+    Pivot rows are primitive integer rows stored under their largest
+    key, so insertion order never changes the pivot keys.  Rows are not
+    back-reduced against later pivots; :func:`sparse_rref` does that
+    once, after the last insert.
     """
-    active: dict[int, dict[int, int]] = {}
-    holders: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        lcm = math.lcm(*(c.denominator for c in row))
-        vec = {j: c.numerator * (lcm // c.denominator) for j, c in enumerate(row) if c}
-        if vec:
-            active[i] = vec
-            for c in vec:
-                holders.setdefault(c, set()).add(i)
-    rank = 0
-    while active:
-        i = min(active, key=lambda r: len(active[r]))
-        piv = active.pop(i)
-        col = min(piv, key=lambda c: len(holders[c]))
-        for c in piv:
-            holders[c].discard(i)
-        p = piv[col]
-        for r in holders.pop(col):
-            row = active[r]
-            g = math.gcd(p, row[col])
-            a, b = p // g, row[col] // g
-            new = {c: a * v for c, v in row.items()}
-            del new[col]
-            for c, v in piv.items():
-                if c == col:
-                    continue
-                s = new.get(c, 0) - b * v
-                if s:
-                    if c not in new:
-                        holders[c].add(r)
-                    new[c] = s
-                else:
-                    del new[c]
-                    holders[c].discard(r)
-            if new:
-                content = math.gcd(*new.values())
-                if content != 1:
-                    new = {c: v // content for c, v in new.items()}
-                active[r] = new
-            else:
-                del active[r]
-        rank += 1
-    return rank
+
+    def __init__(self):
+        self.pivots: dict[Hashable, dict[Hashable, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec: dict) -> dict:
+        """A nonzero multiple of the remainder of vec, or {} if vec lies
+        in the span."""
+        row = _primitive(vec)
+        pivots = self.pivots
+        while row:
+            top = max(row)
+            piv = pivots.get(top)
+            if piv is None:
+                break
+            row = _eliminate(row, top, piv)
+        return row
+
+    def insert(self, vec: dict) -> bool:
+        """Add a vector to the span; True if the rank grew."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        self.pivots[max(row)] = row
+        return True
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank of a dense matrix of ints or Fractions.
+
+    The sparsest column gets the largest key, so rows pivot on their
+    sparsest columns, and the sparsest rows enter first; both keep the
+    pivot rows short.
+    The rows go through :meth:`RowSpace.reduce` and each nonzero
+    remainder is stored as a pivot directly, so that
+    :meth:`RowSpace.insert` counts only span inserts.
+    """
+    counts = [sum(1 for c in col if c) for col in zip(*rows)]
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    key = {j: k for k, j in enumerate(order)}
+    vecs = [{key[j]: c for j, c in enumerate(row) if c} for row in rows]
+    space = RowSpace()
+    for vec in sorted(vecs, key=len):
+        rem = space.reduce(vec)
+        if rem:
+            space.pivots[max(rem)] = rem
+    return space.rank
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -136,63 +172,6 @@ def invert(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return [row[n:] for row in red[:n]]
 
 
-# -- sparse vectors -------------------------------------------------------
-
-
-def sparse_axpy(target: dict, c: Fraction, vec: dict) -> None:
-    """target += c * vec, dropping entries that cancel to zero."""
-    for k, v in vec.items():
-        s = target.get(k)
-        if s is None:
-            target[k] = c * v
-        else:
-            s = s + c * v
-            if s:
-                target[k] = s
-            else:
-                del target[k]
-
-
-class RowSpace:
-    """Incremental span of sparse vectors keyed by comparable keys.
-
-    Pivot rows are normalized (pivot coefficient 1) and stored keyed by
-    their largest key, so reduction strictly decreases the top key and
-    always terminates.  Rows are not back-reduced against later pivots;
-    :func:`sparse_rref` does that once, after the last insert.
-    """
-
-    def __init__(self):
-        self.pivots: dict[Hashable, dict] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: dict) -> dict:
-        row = dict(vec)
-        while row:
-            top = max(row)
-            piv = self.pivots.get(top)
-            if piv is None:
-                return row
-            sparse_axpy(row, -row[top], piv)
-        return row
-
-    def insert(self, vec: dict) -> bool:
-        """Add a vector to the span; True if the rank grew."""
-        row = self.reduce(vec)
-        if not row:
-            return False
-        top = max(row)
-        inv = Fraction(1) / row[top]
-        self.pivots[top] = {k: inv * v for k, v in row.items()}
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-
 def sparse_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     """Fully reduced echelon form of sparse rows.
 
@@ -200,17 +179,21 @@ def sparse_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     keys eliminated everywhere), in ascending pivot order.  The rows go
     through a :class:`RowSpace`, whose pivot keys are the leading keys of
     the span and so do not depend on the order rows arrive in; one
-    back-substitution pass then makes the form unique.
+    integer back-substitution pass and a division by each pivot entry
+    then make the form unique.
     """
     space = RowSpace()
     for vec in rows:
         space.insert(vec)
     reduced: dict[Hashable, dict] = {}
     for top in sorted(space.pivots):
-        row = dict(space.pivots[top])
-        # Every smaller pivot row is fully reduced, so one subtraction per
+        row = space.pivots[top]
+        # Every smaller pivot row is fully reduced, so one elimination per
         # pivot key present removes it without reintroducing another.
         for k in [k for k in row if k in reduced]:
-            sparse_axpy(row, -row[k], reduced[k])
+            row = _eliminate(row, k, reduced[k])
         reduced[top] = row
-    return reduced
+    return {
+        top: {k: Fraction(c, row[top]) for k, c in row.items()}
+        for top, row in reduced.items()
+    }

@@ -130,6 +130,25 @@ def test_even_counterexamples(config):
             assert member.witness.wlp_excluded
 
 
+@pytest.mark.parametrize(
+    "make, d, codim",
+    [(odd_counterexample, 5, 10), (even_counterexample, 6, 16)],
+    ids=["odd-5-10", "even-6-16"],
+)
+def test_family_chain_builds_each_algebra_once(make, d, codim, config, monkeypatch):
+    # Base, first lift and second lift: each algebra of the chain is
+    # built once and handed on to the next lift and the final check.
+    built = []
+
+    def counting(f):
+        built.append((f.varset.names, tuple(sorted(f.terms.items()))))
+        return build_algebra(f)
+
+    monkeypatch.setattr("mixedhess.families.build_algebra", counting)
+    make(d, codim, config)
+    assert len(built) == len(set(built)) == 3
+
+
 def test_even_out_of_range():
     with pytest.raises(ValueError):
         even_counterexample(4, 15)

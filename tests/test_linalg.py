@@ -43,6 +43,7 @@ def test_rank_identity_and_zero():
     assert matrix_rank(eye) == 4
     assert matrix_rank([[Fraction(0)] * 3 for _ in range(2)]) == 0
     assert matrix_rank([]) == 0
+    assert matrix_rank([[], []]) == 0
 
 
 def test_rank_dependent_rows():
@@ -349,6 +350,127 @@ def test_sparse_rref_ignores_row_order(rows, rng):
     for pivot, row in reduced.items():
         assert row[pivot] == 1
         assert all(row.get(other, 0) == 0 for other in reduced if other != pivot)
+
+
+def _sparse_axpy(target, c, vec):
+    """target += c * vec, dropping entries that cancel to zero."""
+    for k, v in vec.items():
+        s = target.get(k)
+        if s is None:
+            target[k] = c * v
+        else:
+            s = s + c * v
+            if s:
+                target[k] = s
+            else:
+                del target[k]
+
+
+class _FractionRowSpace:
+    """The Fraction row space RowSpace replaced; kept as an oracle.
+    Pivot rows are normalized (pivot coefficient 1) and stored keyed by
+    their largest key."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, vec):
+        row = dict(vec)
+        while row:
+            top = max(row)
+            piv = self.pivots.get(top)
+            if piv is None:
+                return row
+            _sparse_axpy(row, -row[top], piv)
+        return row
+
+    def insert(self, vec):
+        row = self.reduce(vec)
+        if not row:
+            return False
+        top = max(row)
+        inv = Fraction(1) / row[top]
+        self.pivots[top] = {k: inv * v for k, v in row.items()}
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+
+def _fraction_sparse_rref(rows):
+    """The Fraction back-substitution sparse_rref replaced; an oracle."""
+    space = _FractionRowSpace()
+    for vec in rows:
+        space.insert(vec)
+    reduced = {}
+    for top in sorted(space.pivots):
+        row = dict(space.pivots[top])
+        for k in [k for k in row if k in reduced]:
+            _sparse_axpy(row, -row[k], reduced[k])
+        reduced[top] = row
+    return reduced
+
+
+@st.composite
+def _exponent_rows(draw):
+    """Sparse rows keyed by exponent tuples, as in the quadric check,
+    with int entries or Fractions of numerators up to 10**6 and
+    denominators up to 10**3; some rows are zero, duplicated (possibly
+    rescaled) or sums of other rows."""
+    nvars = draw(st.integers(1, 4))
+    keys = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=10,
+            unique=True,
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fractions = draw(st.booleans())
+
+    def entry():
+        v = rng.choice([rng.randint(-3, 3), rng.randint(-10**6, 10**6)]) or 1
+        if fractions and rng.random() < 0.5:
+            return Fraction(v, rng.randint(1, 10**3))
+        return v
+
+    rows = [
+        {k: entry() for k in rng.sample(keys, rng.randint(1, len(keys)))}
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    rows += [{} for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 6))):
+        if not rows:
+            break
+        kind = rng.choice(["duplicate", "scaled", "sum"])
+        if kind == "sum":
+            total = {}
+            for row in rng.sample(rows, rng.randint(1, len(rows))):
+                _sparse_axpy(total, Fraction(rng.randint(-2, 2) or 1), row)
+            rows.append(total)
+        else:
+            row = rng.choice(rows)
+            c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            rows.append(dict(row) if kind == "duplicate" else {k: c * v for k, v in row.items()})
+    rng.shuffle(rows)
+    probes = [{k: entry()} for k in keys] + [
+        {k: entry() for k in rng.sample(keys, rng.randint(1, len(keys)))}
+        for _ in range(3)
+    ]
+    return rows, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_rows())
+def test_row_space_matches_fraction_oracle(case):
+    rows, probes = case
+    space, oracle = RowSpace(), _FractionRowSpace()
+    for vec in rows:
+        assert space.contains(vec) == oracle.contains(vec)
+        assert space.insert(vec) == oracle.insert(vec)
+        assert space.rank == len(oracle.pivots)
+    for vec in rows + probes:
+        assert space.contains(vec) == oracle.contains(vec)
+    assert sparse_rref(rows) == _fraction_sparse_rref(rows)
 
 
 def test_row_space_incremental():
