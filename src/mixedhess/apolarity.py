@@ -27,10 +27,20 @@ monomials that divide some term of f, and N_j the other ones.
 - A monomial of N_k lies in G_k iff all its degree-(k-1) divisors lie
   in D_{k-1}.  So every coordinate kept is x_v*m with m in D_{k-1}, and
   the elimination never sees the rest of the degree-k monomial basis.
+- D_j is the column set of the degree-j catalecticant.  Row operations
+  keep a column zero exactly when it was zero, so D_j is also the set
+  of keys of the reduced catalecticant, and it is read off there.
 
-At k = d+1 the annihilator is all of Q_{d+1}, and the span condition
-dualizes to a tiny statement about linear forms (see
-``_socle_step_spanned``).
+At k = d+1 the annihilator is all of Q_{d+1}, and the step is decided
+by the number r of variables alone (given h_1 = r).  Dually, x*Ann_d
+misses part of Q_{d+1} iff some nonzero g of degree d+1 has every
+partial derivative in the annihilator's perp, the line spanned by f.
+By the Euler relation such a g is l*f/(d+1) for a linear form l, so a
+failure is a nonzero l with l*f_i = lambda_i*f for every first partial
+f_i.  The lambda_i are not all zero, since the f_i are not, so l
+divides f (Q[x] is a UFD).  Writing f = l*g gives f_i = lambda_i*g, so
+h_1 <= 1.  Hence the step is spanned for r >= 2, and for r = 1
+(f = c*x^d) the form l = x witnesses that it fails.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .linalg import RowSpace, invert, kernel_basis, sparse_rref
+from .linalg import RowSpace, invert, sparse_rref
 from .polyring import (
     Monomial,
     Polynomial,
@@ -117,6 +127,7 @@ class GradedAlgebra:
         self.warnings = warnings
         self.i1_zero = hilbert[1] == f.varset.size if self.socle_degree >= 1 else False
         self._ann_cache: dict[int, tuple[Polynomial, ...]] = {}
+        self._support_cache: dict[int, frozenset[tuple[int, ...]]] = {}
         self._pairing_cache: dict[int, list[list[Fraction]]] = {}
         self._pairing_inv_cache: dict[int, list[list[Fraction]]] = {}
 
@@ -135,6 +146,15 @@ class GradedAlgebra:
         if 0 <= k <= self.socle_degree:
             return self._quotient_bases[k]
         return ()
+
+    def _support(self, k: int) -> frozenset[tuple[int, ...]]:
+        """D_k, the degree-k monomials dividing some term of f, read off
+        the reduced catalecticant (0 <= k <= d)."""
+        cached = self._support_cache.get(k)
+        if cached is None:
+            cached = frozenset(e for row in self._reduced[k].values() for e in row)
+            self._support_cache[k] = cached
+        return cached
 
     def ann_basis(self, k: int) -> tuple[Polynomial, ...]:
         """Basis of the degree-k slice of the annihilator (lazy).
@@ -159,7 +179,7 @@ class GradedAlgebra:
                 yield Polynomial.from_monomial(self.varset, e)
             return
         red = self._reduced[k]
-        support = _support_divisors(self.f, k)
+        support = self._support(k)
         for e in all_exps:
             if e in red:
                 continue
@@ -290,7 +310,8 @@ def ann_generated_by_quadrics(alg: GradedAlgebra) -> QuadricsCheck:
     for k in range(3, d + 1):
         if not _degree_step_spanned(alg, k):
             failing.append(k)
-    if d + 1 >= 3 and not _socle_step_spanned(alg):
+    # Closed form of the degree-(d+1) step; the module docstring proves it.
+    if d + 1 >= 3 and r == 1:
         failing.append(d + 1)
     return QuadricsCheck(not failing, tuple(failing), dim_ann2)
 
@@ -305,8 +326,8 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
     the shifts span Ann_k iff they reach rank |D_k| + |G_k| - h_k.
     """
     r = alg.varset.size
-    below = _support_divisors(alg.f, k - 1)
-    here = _support_divisors(alg.f, k)
+    below = alg._support(k - 1)
+    here = alg._support(k)
     shifts = {
         m: [m[:v] + (m[v] + 1,) + m[v + 1 :] for v in range(r)] for m in below
     }
@@ -339,47 +360,6 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
                 if count == target:
                     return True
     return space.rank == target
-
-
-def _support_divisors(f: Polynomial, k: int) -> set[tuple[int, ...]]:
-    """D_k: the degree-k monomials dividing some term of f."""
-    return {a for b in f.terms for a in _divisors_of_degree(b, k)}
-
-
-def _socle_step_spanned(alg: GradedAlgebra) -> bool:
-    """Span condition at degree d+1, dualized.
-
-    variables * Ann_d fills all of Q_{d+1} unless some nonzero g of
-    degree d+1 has every partial derivative inside the annihilator's
-    perp, which is the line spanned by f.  By the Euler relation such a
-    g must be (linear form) * f / (d+1), so the failure is witnessed by
-    a nonzero linear form l with l * (each first partial of f) a scalar
-    multiple of f.  That is a small exact kernel computation.
-    """
-    f = alg.f
-    r = alg.varset.size
-    partials = [f.partial(v) for v in range(r)]
-    xs = [Polynomial.variable(alg.varset, name) for name in alg.varset.names]
-    # unknowns: l_0..l_{r-1}, lambda_0..lambda_{r-1}
-    rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
-    for i in range(r):
-        for v in range(r):
-            prod = xs[v] * partials[i]
-            for e, c in prod.terms.items():
-                rows.setdefault((i, e), {})[v] = c
-        for e, c in f.terms.items():
-            rows.setdefault((i, e), {})[r + i] = -c
-    dense = []
-    width = 2 * r
-    for key in sorted(rows):
-        row = [Fraction(0)] * width
-        for j, c in rows[key].items():
-            row[j] = c
-        dense.append(row)
-    for vec in kernel_basis(dense, width):
-        if any(vec[:r]):
-            return False
-    return True
 
 
 # -- bigraded structure ----------------------------------------------------

@@ -115,10 +115,11 @@ def _lifted_annihilator_spans(
     base: GradedAlgebra, lift_alg: GradedAlgebra
 ) -> bool:
     """Degree-by-degree span equality for the one-variable lift: the
-    base annihilators, the square of the new variable, and (first
-    degree past the base socle) the pure-base monomials generate an
-    ideal whose slice in every degree up to base-socle + 2 has exactly
-    the codimension the lift's Hilbert function dictates.
+    base annihilators up to the first degree past the base socle (where
+    they are all the pure-base monomials) and the square of the new
+    variable generate an ideal whose slice in every degree up to
+    base-socle + 2 has exactly the codimension the lift's Hilbert
+    function dictates.
 
     Together with the inclusion check (each generator annihilates the
     lift) this pins the lift's annihilator down completely in the
@@ -129,18 +130,6 @@ def _lifted_annihilator_spans(
     def shift(e: tuple[int, ...], t: int) -> tuple[int, ...]:
         return e[:t] + (e[t] + 1,) + e[t + 1 :]
 
-    def pure_monomials(k: int):
-        def rec(prefix: list[int], left: int, pos: int):
-            if pos == n - 2:
-                yield tuple(prefix + [left, 0])
-                return
-            for c in range(left, -1, -1):
-                yield from rec(prefix + [c], left - c, pos + 1)
-
-        if n == 1:
-            return
-        yield from rec([], k, 0)
-
     basis: list[dict] = []
     for k in range(1, d + 3):
         rows = [
@@ -148,12 +137,10 @@ def _lifted_annihilator_spans(
             for row in basis
             for t in range(n)
         ]
-        for a in base.ann_basis(k) if k <= d else ():
+        for a in base.ann_basis(k) if k <= d + 1 else ():
             rows.append({e + (0,): c for e, c in a.terms.items()})
         if k == 2:
             rows.append({(0,) * (n - 1) + (2,): Fraction(1)})
-        if k == d + 1:
-            rows.extend({e: Fraction(1)} for e in pure_monomials(k))
         reduced = sparse_rref(rows)
         basis = list(reduced.values())
         expected = math.comb(n + k - 1, k) - lift_alg.dim(k)

@@ -1,7 +1,7 @@
 """Exact rational linear algebra on one elimination loop.
 
 Everything verdict-bearing in this package reduces to ranks, spans,
-kernels and inverses of matrices over Q, and all of them run through
+echelon forms and inverses of matrices over Q, and all of them run through
 :class:`RowSpace`, a sparse fraction-free elimination over the integers.
 
 * Vectors are dicts keyed by totally-ordered keys (exponent tuples in
@@ -18,9 +18,8 @@ kernels and inverses of matrices over Q, and all of them run through
 * :func:`matrix_rank` runs dense rows through that loop, and
   :func:`sparse_rref` back-substitutes its pivot rows with the same
   update.  Fractions appear only in the output of :func:`sparse_rref`,
-  where each row is divided by its pivot entry; :func:`rref`,
-  :func:`kernel_basis` and :func:`invert` run dense matrices through it
-  with column j keyed -j.
+  where each row is divided by its pivot entry; :func:`rref` and
+  :func:`invert` run dense matrices through it with column j keyed -j.
 """
 
 from __future__ import annotations
@@ -141,23 +140,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return dense, pivots
 
 
-def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column (ascending)."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for r, p in enumerate(pivots):
-            if red[r][j]:
-                vec[p] = -red[r][j]
-        basis.append(vec)
-    return basis
-
-
 def invert(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(rows)
@@ -180,11 +162,14 @@ def sparse_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     through a :class:`RowSpace`, whose pivot keys are the leading keys of
     the span and so do not depend on the order rows arrive in; one
     integer back-substitution pass and a division by each pivot entry
-    then make the form unique.
+    then make the form unique.  As in :func:`matrix_rank`, each nonzero
+    remainder is stored as a pivot directly.
     """
     space = RowSpace()
     for vec in rows:
-        space.insert(vec)
+        rem = space.reduce(vec)
+        if rem:
+            space.pivots[max(rem)] = rem
     reduced: dict[Hashable, dict] = {}
     for top in sorted(space.pivots):
         row = space.pivots[top]

@@ -184,12 +184,6 @@ class Polynomial:
         return cls(varset, {(0,) * varset.size: Fraction(value)})
 
     @classmethod
-    def variable(cls, varset: VarSet, name: str) -> "Polynomial":
-        i = varset.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(varset.size))
-        return cls(varset, {exps: Fraction(1)})
-
-    @classmethod
     def from_monomial(cls, varset: VarSet, exps: tuple[int, ...], coeff=1) -> "Polynomial":
         return cls(varset, {tuple(exps): Fraction(coeff)})
 

@@ -23,7 +23,7 @@ from mixedhess import (
     unimodality_check,
 )
 from mixedhess import apolarity
-from mixedhess.apolarity import _degree_step_spanned
+from mixedhess.apolarity import _degree_step_spanned, _divisors_of_degree
 from mixedhess.linalg import RowSpace, matrix_rank
 
 from conftest import dense_random_form
@@ -120,7 +120,8 @@ def test_each_catalecticant_is_reduced_once(monkeypatch):
 def _full_enumeration_step_spanned(alg, k) -> bool:
     """Does variables * Ann_{k-1} span Ann_k?  (It is always contained.)
 
-    The oracle for ``_degree_step_spanned``: every shift of every
+    The oracle for ``_degree_step_spanned`` and, at k = d+1, for the
+    closed form in ``ann_generated_by_quadrics``: every shift of every
     annihilator basis vector, monomial ones included, eliminated in all
     degree-k coordinates against the full dimension of Ann_k.
     """
@@ -190,6 +191,65 @@ def sparse_forms(draw):
 @given(sparse_forms())
 def test_quadric_steps_match_oracle_on_sparse_forms(f):
     _assert_steps_match_oracle(f)
+
+
+def _assert_socle_step_matches_oracle(f):
+    """The closed form at degree d+1 against the span computed in full."""
+    alg = build_algebra(f)
+    if not alg.i1_zero:
+        return
+    d = alg.socle_degree
+    failing = ann_generated_by_quadrics(alg).failing_degrees
+    assert ((d + 1) in failing) == (not _full_enumeration_step_spanned(alg, d + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_forms())
+def test_socle_step_matches_oracle_on_sparse_forms(f):
+    _assert_socle_step_matches_oracle(f)
+
+
+@pytest.mark.parametrize(
+    "identifier",
+    [
+        entry.identifier
+        for entry in example_catalog()
+        if entry.polynomial.varset.size <= 14
+    ],
+)
+def test_socle_step_matches_oracle_on_catalog(catalog, identifier):
+    _assert_socle_step_matches_oracle(catalog[identifier].polynomial)
+
+
+@pytest.mark.parametrize(
+    "text, failing",
+    [("x^2", (3,)), ("x^3", (4,)), ("x^5", (6,)), ("x", ()), ("x*y", ())],
+)
+def test_socle_step_closed_form_cases(text, failing):
+    # One variable is the only case where the degree-(d+1) step fails.
+    check = ann_generated_by_quadrics(build_algebra(parse_polynomial(text)))
+    assert check.failing_degrees == failing
+    assert check.presented == (not failing)
+
+
+def _assert_support_matches_enumeration(f):
+    alg = build_algebra(f)
+    for k in range(alg.socle_degree + 1):
+        divisors = {a for b in alg.f.terms for a in _divisors_of_degree(b, k)}
+        assert alg._support(k) == divisors
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_forms())
+def test_support_matches_enumeration_on_sparse_forms(f):
+    _assert_support_matches_enumeration(f)
+
+
+@pytest.mark.parametrize(
+    "identifier", [entry.identifier for entry in example_catalog()]
+)
+def test_support_matches_enumeration_on_catalog(catalog, identifier):
+    _assert_support_matches_enumeration(catalog[identifier].polynomial)
 
 
 def test_nonzero_linear_slice_blocks_presentation():

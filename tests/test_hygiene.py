@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no unused imports, no dangling exports."""
+"""Source hygiene of the package: no unused imports, no dangling exports,
+no dead public definitions."""
 
 from __future__ import annotations
 
@@ -108,3 +109,50 @@ def test_unread_assignment_detector_flags_a_dead_alias():
         "c.py": "import a\ny = a._CACHE\nprint(x, y)\n",
     }
     assert _unread_assignments(modules) == {"a.py": ["Row (line 1)"]}
+
+
+# Public definitions kept without a reader in the package, with the reason.
+KEPT_UNREAD = {
+    "complexes.incidence_gradient_matrix": (
+        "the tests' graph-side oracle for the bigraded Hessian block"
+    ),
+}
+
+
+def _dead_definitions(modules: dict[str, str], exported: set[str]) -> dict[str, list[str]]:
+    """Public top-level functions and classes that are not exported and
+    that no module reads."""
+    read = _read_names(list(modules.values()))
+    dead = {}
+    for name, source in sorted(modules.items()):
+        found = [
+            f"{node.name} (line {node.lineno})"
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported
+            and node.name not in read
+            and f"{name.removesuffix('.py')}.{node.name}" not in KEPT_UNREAD
+        ]
+        if found:
+            dead[name] = found
+    return dead
+
+
+def test_public_definitions_are_exported_or_read():
+    modules = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _dead_definitions(modules, set(mixedhess.__all__)) == {}
+
+
+def test_dead_definition_detector_flags_an_unread_function():
+    modules = {
+        "a.py": (
+            "def used():\n    pass\n\n\ndef exported():\n    pass\n\n\n"
+            "def dead():\n    pass\n\n\ndef _private():\n    pass\n\n\n"
+            "class Dead:\n    pass\n"
+        ),
+        "b.py": "from .a import used\nused()\n",
+    }
+    assert _dead_definitions(modules, {"exported"}) == {
+        "a.py": ["dead (line 9)", "Dead (line 17)"]
+    }
