@@ -17,7 +17,8 @@ Subcommands:
   they agree.
 
 Reports are JSON by default (``--format text`` for a plain rendering)
-and are byte-stable for a fixed input, seed, and configuration.  The
+and are byte-stable for a fixed input, seed, and configuration.  Both
+renderings list the keys of every object in sorted order.  The
 seed defaults to entropy but is always echoed in the report.  Exit
 codes: 0 success, 1 property mismatch, 2 input error, 3 violated
 internal invariant.
@@ -31,13 +32,13 @@ import os
 import secrets
 import sys
 import tempfile
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .apolarity import (
     GradedAlgebra,
     InvariantViolation,
-    QuadricsCheck,
     ann_generated_by_quadrics,
     build_algebra,
     unimodality_check,
@@ -69,7 +70,6 @@ from .families import (
 )
 from .hessians import RankCertificate, generic_rank, mixed_hessian
 from .lefschetz import (
-    LefschetzVerdict,
     full_profile,
     generalization_check,
     mult_map_matrix,
@@ -100,55 +100,43 @@ EXIT_INVARIANT = 3
 # -- serialization helpers ---------------------------------------------------
 
 
-def _num(x: Fraction | int) -> int | str:
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+# JSON names that differ from the dataclass attribute they come from.
+_RENAMED = {
+    "property_name": "property",
+    "dim_ann2": "dim_ann_2",
+    "base_description": "base",
+    "base_rank": "base_criterion_rank",
+    "lift_rank": "lift_criterion_rank",
+}
 
 
-def _cert_dict(cert: RankCertificate) -> dict[str, Any]:
-    return {
-        "rank": cert.rank,
-        "mode": cert.mode,
-        "exact": cert.is_exact,
-        "trials": cert.trials,
-        "sample_bound": cert.sample_bound,
-        "failure_bound": None
-        if cert.failure_bound is None
-        else _num(cert.failure_bound),
-        "note": cert.note,
-    }
-
-
-def _verdict_dict(v: LefschetzVerdict) -> dict[str, Any]:
-    return {
-        "property": v.property_name,
-        "holds": v.holds,
-        "mode": v.mode,
-        "witness": None
-        if v.witness is None
-        else [_num(c) for c in v.witness.coeffs],
-        "profile": None if v.profile is None else list(v.profile),
-        "failing_step": None
-        if v.failing_step is None
-        else list(v.failing_step),
-        "trials": v.trials,
-        "seed": v.seed,
-        "evidence": [_cert_dict(c) for c in v.evidence],
-        "notes": list(v.notes),
-    }
-
-
-def _quadrics_dict(q: QuadricsCheck) -> dict[str, Any]:
-    return {
-        "presented": q.presented,
-        "failing_degrees": list(q.failing_degrees),
-        "dim_ann_2": q.dim_ann2,
-        "reason": q.reason,
-    }
-
-
-def _matrix_text(rows: Sequence[Sequence[Fraction]]) -> list[list[int | str]]:
-    return [[_num(x) for x in row] for row in rows]
+def _json(value: Any, skip: Sequence[str] = ()) -> Any:
+    """The JSON form of a report value: a Fraction as an integer or a
+    "p/q" string, a polynomial as text, a linear form as its coefficient
+    list, and a dataclass as the dict of its fields less ``skip`` (a
+    rank certificate also states whether it is exact)."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Polynomial):
+        return format_polynomial(value)
+    if isinstance(value, LinearForm):
+        return _json(value.coeffs)
+    if isinstance(value, (tuple, list)):
+        return [_json(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _json(sub) for key, sub in value.items()}
+    if is_dataclass(value):
+        out = {
+            _RENAMED.get(f.name, f.name): _json(getattr(value, f.name))
+            for f in fields(value)
+            if f.name not in skip
+        }
+        if isinstance(value, RankCertificate):
+            out["exact"] = value.is_exact
+        return out
+    return value
 
 
 # -- output plumbing ---------------------------------------------------------
@@ -158,7 +146,7 @@ def _render_text(value: Any, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
-        for key in value:
+        for key in sorted(value):
             sub = value[key]
             if isinstance(sub, (dict, list)) and sub:
                 lines.append(f"{pad}{key}:")
@@ -188,6 +176,7 @@ def _scalar_text(x: Any) -> str:
 
 
 def _emit(report: dict, fmt: str, output: str | None) -> None:
+    report = _json(report)
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
@@ -233,21 +222,12 @@ def _config_from_args(args: argparse.Namespace) -> SamplingConfig:
     )
 
 
-def _config_dict(config: SamplingConfig) -> dict[str, Any]:
-    return {
-        "seed": config.seed,
-        "trials": config.trials,
-        "sample_bound": config.sample_bound,
-        "symbolic_cap": config.symbolic_cap,
-    }
-
-
 def _base_report(command: str, config: SamplingConfig, source: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input": source,
-        "config": _config_dict(config),
+        "config": config,
     }
 
 
@@ -257,17 +237,17 @@ def _analysis_body(
     body: dict[str, Any] = {}
     warnings = list(alg.warnings)
     if "hilbert" in checks:
-        body["hilbert"] = list(alg.hilbert)
+        body["hilbert"] = alg.hilbert
         body["codimension"] = alg.codimension
         body["socle_degree"] = alg.socle_degree
         body["unimodal"] = unimodality_check(alg.hilbert)
     if "quadrics" in checks:
-        body["quadrics"] = _quadrics_dict(ann_generated_by_quadrics(alg))
+        body["quadrics"] = ann_generated_by_quadrics(alg)
     if "hessians" in checks:
         certs = {}
         for k in range(1, alg.socle_degree // 2 + 1):
             cert = generic_rank(mixed_hessian(alg, k, k), config)
-            certs[f"({k}, {k})"] = _cert_dict(cert)
+            certs[f"({k}, {k})"] = cert
             if not cert.is_exact:
                 warnings.append(
                     f"Hessian rank at degree ({k}, {k}) is probabilistic"
@@ -275,21 +255,21 @@ def _analysis_body(
         body["hessian_ranks"] = certs
     if "wlp" in checks:
         verdict = wlp_check(alg, config)
-        body["wlp"] = _verdict_dict(verdict)
+        body["wlp"] = verdict
         if verdict.mode != "exact":
             warnings.append("the WLP verdict is probabilistic")
     if "slp" in checks:
         verdict = slp_check(alg, config)
-        body["slp"] = _verdict_dict(verdict)
+        body["slp"] = verdict
         if verdict.mode != "exact":
             warnings.append("the SLP verdict is probabilistic")
     if "profile" in checks:
         # Rank profile at one seeded random linear form avoiding f = 0.
         points = sample_points(alg, config, "cli-profile")
-        profile = {"at_sampled_form": None, "maximal": list(full_profile(alg))}
+        profile = {"at_sampled_form": None, "maximal": full_profile(alg)}
         if points:
             L = LinearForm(alg.varset, points[0])
-            profile["at_sampled_form"] = list(rank_profile(alg, L))
+            profile["at_sampled_form"] = rank_profile(alg, L)
         else:
             profile["note"] = "no sampled form avoided the vanishing locus"
         body["profile"] = profile
@@ -318,7 +298,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("the input polynomial is not homogeneous")
     alg = build_algebra(f)
     report = _base_report("analyze", config, args.path)
-    report["checks"] = list(checks)
+    report["checks"] = checks
     body, warnings = _analysis_body(alg, config, checks)
     report["result"] = body
     report["warnings"] = warnings
@@ -358,14 +338,14 @@ def cmd_from_complex(args: argparse.Namespace) -> int:
     checks = _parse_checks(args.checks)
     comp = _complex_from_json(_read_input(args.path))
     report = _base_report("from-complex", config, args.path)
-    report["checks"] = list(checks)
+    report["checks"] = checks
 
     combo: dict[str, Any] = {
         "vertices": len(comp.vertices),
         "facets": len(comp.facets),
         "dimension": comp.dim,
         "pure": comp.is_pure(),
-        "face_counts": list(comp.face_counts()),
+        "face_counts": comp.face_counts(),
         "facet_connected": is_facet_connected(comp),
         "flag": is_flag(comp),
         "quadrics_combinatorial": presented_by_quadrics_combinatorial(comp),
@@ -383,9 +363,9 @@ def cmd_from_complex(args: argparse.Namespace) -> int:
             f"face-count Hilbert {oracle} disagrees with the "
             f"catalecticant ranks {alg.hilbert}"
         )
-    combo["hilbert_from_face_counts"] = list(oracle)
+    combo["hilbert_from_face_counts"] = oracle
     shifted = alternate_hilbert_closed_form(comp)
-    combo["hilbert_shifted_closed_form"] = list(shifted)
+    combo["hilbert_shifted_closed_form"] = shifted
     if shifted != oracle:
         warnings.append(
             "the shifted closed-form Hilbert values "
@@ -395,7 +375,7 @@ def cmd_from_complex(args: argparse.Namespace) -> int:
         )
 
     if "quadrics" in checks:
-        algebraic = body["quadrics"]["presented"]
+        algebraic = body["quadrics"].presented
         if algebraic != combo["quadrics_combinatorial"]:
             raise InvariantViolation(
                 "combinatorial and algebraic quadric-presentation "
@@ -407,7 +387,7 @@ def cmd_from_complex(args: argparse.Namespace) -> int:
         cls = classify_graph_algebra(graph)
         combo["graph_class"] = cls.value
         if "wlp" in checks and cls.predicts_wlp is not None:
-            if body["wlp"]["holds"] != cls.predicts_wlp:
+            if body["wlp"].holds != cls.predicts_wlp:
                 raise InvariantViolation(
                     f"graph classification {cls.value} disagrees with "
                     "the computed WLP verdict"
@@ -415,20 +395,14 @@ def cmd_from_complex(args: argparse.Namespace) -> int:
 
     groups = detect_complete_multipartite(comp)
     if groups is not None and comp.dim >= 1:
-        combo["multipartite_groups"] = [list(g) for g in groups]
+        combo["multipartite_groups"] = groups
         if all(len(g) >= 2 for g in groups):
             witness = grid_noninjectivity_witness(
                 comp, grid_pairs_for(groups), config, alg
             )
-            combo["noninjectivity_witness"] = {
-                "grid_pairs": [list(p) for p in witness.grid_pairs],
-                "block_rank": _cert_dict(witness.block_rank),
-                "step": list(witness.step),
-                "step_rank_bound": witness.step_rank_bound,
-                "step_full_rank": witness.step_full_rank,
-                "wlp_excluded": witness.wlp_excluded,
-                "notes": list(witness.notes),
-            }
+            combo["noninjectivity_witness"] = _json(
+                witness, skip=("block", "syzygy")
+            )
     else:
         combo["multipartite_groups"] = None
 
@@ -436,34 +410,6 @@ def cmd_from_complex(args: argparse.Namespace) -> int:
     report["warnings"] = warnings
     _emit(report, args.format, args.output)
     return EXIT_OK
-
-
-def _family_member_dict(member) -> dict[str, Any]:
-    out = {
-        "degree": member.degree,
-        "codimension": member.codimension,
-        "base": member.base_description,
-        "construction": list(member.construction),
-        "expected_wlp": member.expected_wlp,
-        "expected_slp": member.expected_slp,
-        "quadrics": member.quadrics,
-        "criterion_rank": None
-        if member.criterion_rank is None
-        else _cert_dict(member.criterion_rank),
-        "polynomial": format_polynomial(member.polynomial),
-    }
-    if member.witness is not None:
-        w = member.witness
-        out["noninjectivity_witness"] = {
-            "grid_pairs": [list(p) for p in w.grid_pairs],
-            "block_rank": _cert_dict(w.block_rank),
-            "step_rank_bound": w.step_rank_bound,
-            "step_full_rank": w.step_full_rank,
-            "wlp_excluded": w.wlp_excluded,
-        }
-    if member.notes:
-        out["notes"] = list(member.notes)
-    return out
 
 
 def _parse_form_list(text: str) -> list[Polynomial]:
@@ -490,12 +436,11 @@ def cmd_family(args: argparse.Namespace) -> int:
             raise ValueError("family boolean needs --n")
         f = boolean_form(args.n)
         alg = build_algebra(f)
-        verdict = slp_check(alg, config)
         result = {
             "parameters": {"n": args.n},
-            "hilbert": list(alg.hilbert),
-            "slp": _verdict_dict(verdict),
-            "polynomial": format_polynomial(f),
+            "hilbert": alg.hilbert,
+            "slp": slp_check(alg, config),
+            "polynomial": f,
         }
         poly = f
     elif args.kind in ("odd", "even"):
@@ -503,8 +448,14 @@ def cmd_family(args: argparse.Namespace) -> int:
             raise ValueError(f"family {args.kind} needs --d and --codim")
         make = odd_counterexample if args.kind == "odd" else even_counterexample
         member = make(args.d, args.codim, config, verify=args.verify)
-        result = {"parameters": {"d": args.d, "codim": args.codim}}
-        result.update(_family_member_dict(member))
+        result = {
+            "parameters": {"d": args.d, "codim": args.codim},
+            **_json(member, skip=("witness",)),
+        }
+        if member.witness is not None:
+            result["noninjectivity_witness"] = _json(
+                member.witness, skip=("block", "syzygy", "step", "notes")
+            )
         poly = member.polynomial
     elif args.kind in ("times-u", "times-uv"):
         if args.base is None:
@@ -512,32 +463,18 @@ def cmd_family(args: argparse.Namespace) -> int:
         base = parse_polynomial(_read_input(args.base))
         if args.kind == "times-u":
             rep = times_u(base, verify="counts", config=config)
-            result = {
-                "parameters": {"base": args.base},
-                "added": list(rep.added),
-                "hilbert_base": list(rep.hilbert_base),
-                "hilbert_lift": list(rep.hilbert_lift),
-                "hilbert_identity": rep.hilbert_identity,
-                "polynomial": format_polynomial(rep.polynomial),
-            }
-            poly = rep.polynomial
+            # Findings that only verify="full" computes, and the algebra.
+            skip = (
+                "annihilator_inclusion", "annihilator_identity",
+                "quadrics_inherited", "slp_inherited", "algebra",
+            )
         else:
             rep = times_uv(
                 base, verify="counts", config=config, deficiency_check=True
             )
-            result = {
-                "parameters": {"base": args.base},
-                "added": list(rep.added),
-                "hilbert_base": list(rep.hilbert_base),
-                "hilbert_lift": list(rep.hilbert_lift),
-                "base_criterion_rank": _cert_dict(rep.base_rank),
-                "lift_criterion_rank": _cert_dict(rep.lift_rank),
-                "base_deficiency": rep.base_deficiency,
-                "lift_deficiency": rep.lift_deficiency,
-                "deficiency_transported": rep.deficiency_transported,
-                "polynomial": format_polynomial(rep.polynomial),
-            }
-            poly = rep.polynomial
+            skip = ("algebra",)
+        result = {"parameters": {"base": args.base}, **_json(rep, skip)}
+        poly = rep.polynomial
     elif args.kind == "perazzo":
         if args.partials is None:
             raise ValueError("family perazzo needs --partials")
@@ -550,13 +487,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         rep = perazzo_form(forms, tail, config)
         result = {
             "parameters": {"partials": args.partials, "tail": args.tail},
-            "linearly_independent": rep.linearly_independent,
-            "jacobian_rank": _cert_dict(rep.jacobian_rank),
-            "algebraic_dependence_expected": rep.algebraic_dependence_expected,
-            "hessian_rank": _cert_dict(rep.hessian_rank),
-            "hessian_degenerate": rep.hessian_degenerate,
-            "notes": list(rep.notes),
-            "polynomial": format_polynomial(rep.polynomial),
+            **_json(rep),
         }
         poly = rep.polynomial
     else:  # pragma: no cover - argparse restricts choices
@@ -604,14 +535,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
             {
                 "id": entry.identifier,
                 "description": entry.description,
-                "expected": {
-                    k: list(v) if isinstance(v, tuple) else v
-                    for k, v in sorted(entry.expected.items())
-                },
-                "computed": {
-                    k: list(v) if isinstance(v, tuple) else v
-                    for k, v in sorted(computed.items())
-                },
+                "expected": entry.expected,
+                "computed": computed,
                 "pass": row_pass,
             }
         )
@@ -628,10 +553,14 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     f = parse_polynomial(_read_input(args.path))
     alg = build_algebra(f)
-    coeffs = tuple(
-        Fraction(part.strip())
-        for part in args.linear.replace(",", " ").split()
-    )
+    coeffs = []
+    for part in args.linear.replace(",", " ").split():
+        try:
+            coeffs.append(Fraction(part))
+        except ZeroDivisionError:
+            raise ValueError(
+                f"--linear coefficient {part!r} has a zero denominator"
+            ) from None
     if len(coeffs) != alg.varset.size:
         raise ValueError(
             f"--linear needs {alg.varset.size} coefficients (variables "
@@ -652,12 +581,12 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
     report["result"] = {
         "k": k,
         "l": l,
-        "linear": [_num(c) for c in coeffs],
+        "linear": coeffs,
         "factorial": check["factorial"],
-        "mult_map_matrix": _matrix_text(matrix),
+        "mult_map_matrix": matrix,
         "match": check["matches"],
-        "max_discrepancy": _num(check["max_discrepancy"]),
-        "shape": list(check["shape"]),
+        "max_discrepancy": check["max_discrepancy"],
+        "shape": check["shape"],
         "rank": rank,
     }
     report["warnings"] = warnings

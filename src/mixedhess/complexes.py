@@ -443,10 +443,6 @@ def dual_generator(comp: SimplicialComplex) -> Polynomial:
     return Polynomial(vs, terms)
 
 
-def complex_algebra(comp: SimplicialComplex) -> GradedAlgebra:
-    return build_algebra(dual_generator(comp))
-
-
 def hilbert_from_face_counts(comp: SimplicialComplex) -> tuple[int, ...]:
     """Hilbert function of the complex's algebra from face counts alone:
     in middle degrees k the dimension is (number of k-vertex faces) +
@@ -686,7 +682,7 @@ def grid_noninjectivity_witness(
                 f"grid transversal {choice!r} is not a facet"
             )
     if alg is None:
-        alg = complex_algebra(comp)
+        alg = build_algebra(dual_generator(comp))
     d = alg.socle_degree
     block = bigraded_hessian(alg, (1, 0), (0, d - 2))
 

@@ -95,7 +95,6 @@ class LiftReport:
     annihilator_identity: bool | None = None
     quadrics_inherited: tuple[bool, bool] | None = None
     slp_inherited: tuple[bool, bool] | None = None
-    notes: tuple[str, ...] = ()
     algebra: GradedAlgebra | None = None
 
 
@@ -270,7 +269,6 @@ class DoubleLiftReport:
     base_deficiency: int | None = None
     lift_deficiency: int | None = None
     deficiency_transported: bool | None = None
-    notes: tuple[str, ...] = ()
     algebra: GradedAlgebra | None = None
 
 
@@ -474,7 +472,6 @@ class FamilyMember:
     witness: NoninjectivityWitness | None = None
     quadrics: bool | None = None
     criterion_rank: RankCertificate | None = None
-    notes: tuple[str, ...] = ()
 
 
 _SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]

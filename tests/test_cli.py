@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mixedhess import InvariantViolation
-from mixedhess.cli import main
+from mixedhess.cli import _render_text, main
 
 FOUR_CYCLE = "x1*u1*u2 + x2*u2*u3 + x3*u3*u4 + x4*u4*u1\n"
 
@@ -174,6 +174,27 @@ GOLDEN = {
     "family_boolean_n7_seed1.json": [
         "family", "boolean", "--n", "7", "--seed", "1",
     ],
+    # A lift report without its verify="full" findings and its algebra.
+    "family_times_u_four_cycle_seed1.json": [
+        "family", "times-u", "--base", "samples/four_cycle.poly", "--seed", "1",
+    ],
+    # A family witness without its step and notes, and no criterion rank.
+    "family_even_d4_codim14_seed1.json": [
+        "family", "even", "--d", "4", "--codim", "14", "--seed", "1",
+    ],
+    # Null quadrics and criterion rank when nothing is verified.
+    "family_odd_d5_codim10_verify_none_seed1.json": [
+        "family", "odd", "--d", "5", "--codim", "10", "--verify", "none",
+        "--seed", "1",
+    ],
+    # A graph class next to the complex's own witness.
+    "from_complex_square_seed1.json": [
+        "from-complex", "samples/square.json", "--seed", "1",
+    ],
+    # A non-empty notes list: the partials are algebraically independent.
+    "family_perazzo_u2_v2_w2_seed1.json": [
+        "family", "perazzo", "--partials", "u^2; v^2; w^2", "--seed", "1",
+    ],
 }
 
 
@@ -185,6 +206,18 @@ def test_reports_match_golden_files(name, tmp_path, monkeypatch, capsys):
     assert main(GOLDEN[name] + ["--output", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (REPO / "tests" / "golden" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_text_report_renders_the_golden_json(name, tmp_path, monkeypatch, capsys):
+    # Both renderings list keys in sorted order, so the text report is
+    # the rendering of the JSON report line for line.
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "report.txt"
+    assert main(GOLDEN[name] + ["--format", "text", "--output", str(out)]) == 0
+    capsys.readouterr()
+    golden = json.loads((REPO / "tests" / "golden" / name).read_text())
+    assert out.read_text() == "\n".join(_render_text(golden)) + "\n"
 
 
 def test_analyze_input_errors(capsys, tmp_path):
@@ -363,6 +396,17 @@ def test_mult_map_coefficient_count(capsys, poly_file):
         ["mult-map", poly_file, "--from", "1", "--to", "2", "--linear", "1,2"],
     )
     assert code == 2
+
+
+def test_mult_map_zero_denominator_is_an_input_error(capsys, poly_file):
+    code = main([
+        "mult-map", poly_file, "--from", "1", "--to", "2",
+        "--linear", "1/0,1,1,1,1,1,1,1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --linear coefficient '1/0' has a zero denominator\n"
 
 
 def test_module_entry_point(tmp_path):
