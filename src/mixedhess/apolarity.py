@@ -41,6 +41,24 @@ f_i.  The lambda_i are not all zero, since the f_i are not, so l
 divides f (Q[x] is a UFD).  Writing f = l*g gives f_i = lambda_i*g, so
 h_1 <= 1.  Hence the step is spanned for r >= 2, and for r = 1
 (f = c*x^d) the form l = x witnesses that it fails.
+
+The lift check of `families.times_u` works modulo monomials the same
+way.  Let F = f*u with u a fresh variable, and J the ideal generated
+by Ann(f) and u^2; J lies in Ann(F) (checked directly).
+- The terms of F are b*u for the terms b of f, and x^a*u^j divides b*u
+  iff j <= 1 and x^a divides b.  So N(F) is exactly the set of monomials
+  of the ideal (N(f), u^2), and D_k(F) holds the x^a and x^a*u with x^a
+  in D(f).
+- J contains that monomial ideal, so J_k and Ann(F)_k both contain
+  span(N_k(F)), and J_k = Ann(F)_k iff their cuts to D_k(F) have the
+  same dimension.  The cut of Ann(F)_k is K_k(F), of dimension
+  |D_k(F)| - h'_k.
+- The monomial multiples of N(f) and u^2 lie in span(N(F)) and cut to
+  zero, so the cut of J_k is spanned by the monomial multiples of K(f),
+  whose vectors already lie in D(F).  A shift of a vector of span(N(F))
+  stays there, so the cut of J_k is spanned by the shifts of the cut of
+  J_{k-1}, cut to D_k(F), together with K_k(f).
+- Past the socle degree d+1 of F, D_k(F) is empty and the step holds.
 """
 
 from __future__ import annotations
@@ -57,7 +75,6 @@ from .polyring import (
     apolar_pairing,
     falling_product,
     grlex_key,
-    monomial_exponents,
 )
 
 
@@ -105,9 +122,11 @@ class GradedAlgebra:
 
     Carries, per degree k = 0..d: the Hilbert value h_k, a deterministic
     monomial quotient basis (catalecticant pivot columns), the reduced
-    catalecticant it was read from, and (lazily) a basis of the degree-k
-    annihilator.  Pairing matrices between complementary degrees and
-    their inverses are cached on first use.
+    catalecticant it was read from, and (lazily) a basis of K_k, the
+    annihilator vectors supported on D_k.  The monomials outside D_k,
+    which complete K_k to Ann_k, are never listed.  Pairing matrices
+    between complementary degrees and their inverses are cached on
+    first use.
     """
 
     def __init__(
@@ -157,41 +176,25 @@ class GradedAlgebra:
         return cached
 
     def ann_basis(self, k: int) -> tuple[Polynomial, ...]:
-        """Basis of the degree-k slice of the annihilator (lazy).
-
-        Kernel vectors of the restricted catalecticant are merged with
-        one singleton per monomial operator whose column is identically
-        zero; together they are an echelon basis of the full kernel.
-        """
-        if k < 0:
+        """K_k, the annihilator vectors supported on D_k (lazy; () outside
+        0..d): one per non-pivot column of the reduced catalecticant, in
+        graded-lex descending order of that column.  The rest of Ann_k is
+        span(N_k), the monomials outside D_k."""
+        if not 0 <= k <= self.socle_degree:
             return ()
         cached = self._ann_cache.get(k)
-        if cached is not None:
-            return cached
-        basis = tuple(self._compute_ann_basis(k))
-        self._ann_cache[k] = basis
-        return basis
-
-    def _compute_ann_basis(self, k: int) -> Iterator[Polynomial]:
-        all_exps = monomial_exponents(self.varset, k)
-        if k > self.socle_degree:
-            for e in all_exps:
-                yield Polynomial.from_monomial(self.varset, e)
-            return
-        red = self._reduced[k]
-        support = self._support(k)
-        for e in all_exps:
-            if e in red:
-                continue
-            if e not in support:
-                yield Polynomial.from_monomial(self.varset, e)
-                continue
-            terms = {e: Fraction(1)}
-            for p, prow in red.items():
-                c = prow.get(e)
-                if c:
-                    terms[p] = -c
-            yield Polynomial(self.varset, terms)
+        if cached is None:
+            red = self._reduced[k]
+            cached = tuple(
+                Polynomial(
+                    self.varset,
+                    {e: Fraction(1)}
+                    | {p: -prow[e] for p, prow in red.items() if prow.get(e)},
+                )
+                for e in sorted(self._support(k) - red.keys(), reverse=True)
+            )
+            self._ann_cache[k] = cached
+        return cached
 
     # -- pairing -------------------------------------------------------
 
@@ -320,10 +323,9 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
     """Does variables * Ann_{k-1} span Ann_k?  (It is always contained.)
 
     Decided with the M_k coordinates dropped, as the module docstring
-    proves.  The D_{k-1} part of an annihilator vector g is its K_{k-1}
-    part, because g minus it lies in span(N_{k-1}).  Those parts are
-    shifted by each variable and cut to the coordinates D_k and G_k;
-    the shifts span Ann_k iff they reach rank |D_k| + |G_k| - h_k.
+    proves.  The basis of K_{k-1} is shifted by each variable and cut
+    to the coordinates D_k and G_k; the shifts span Ann_k iff they
+    reach rank |D_k| + |G_k| - h_k.
     """
     r = alg.varset.size
     below = alg._support(k - 1)
@@ -346,12 +348,9 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
     space = RowSpace()
     count = 0
     for g in alg.ann_basis(k - 1):
-        kernel_part = {e: c for e, c in g.terms.items() if e in below}
-        if not kernel_part:
-            continue
         for v in range(r):
             shifted = {}
-            for e, c in kernel_part.items():
+            for e, c in g.terms.items():
                 s = shifts[e][v]
                 if s in kept:
                     shifted[s] = c

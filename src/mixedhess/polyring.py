@@ -183,10 +183,6 @@ class Polynomial:
     def constant(cls, varset: VarSet, value) -> "Polynomial":
         return cls(varset, {(0,) * varset.size: Fraction(value)})
 
-    @classmethod
-    def from_monomial(cls, varset: VarSet, exps: tuple[int, ...], coeff=1) -> "Polynomial":
-        return cls(varset, {tuple(exps): Fraction(coeff)})
-
     # -- queries -----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -76,7 +76,7 @@ def test_criterion_1_four_cycle_analysis(capsys):
     alg = build_algebra(entry.polynomial)
     assert alg.hilbert == (1, 8, 8, 1)
 
-    dim_ann2 = len(alg.ann_basis(2))
+    dim_ann2 = ann_generated_by_quadrics(alg).dim_ann2
     assert dim_ann2 == 28
     listed = [parse_polynomial(t, alg.varset) for t in FOUR_CYCLE_QUADRICS]
     for op in listed:

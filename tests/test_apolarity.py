@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from mixedhess import (
     build_algebra,
     even_counterexample,
     example_catalog,
+    monomial_exponents,
     odd_counterexample,
     parse_polynomial,
     unimodality_check,
@@ -65,13 +67,36 @@ def test_gorenstein_symmetry_generic(config):
             assert hk == expected
 
 
+def _monomial_part(alg, k):
+    """N_k: the degree-k monomials dividing no term of f."""
+    support = alg._support(k)
+    return [e for e in monomial_exponents(alg.varset, k) if e not in support]
+
+
+def _full_annihilator(alg, k):
+    """Ann_k in full, as term maps: K_k from ``ann_basis`` plus one
+    singleton per monomial of N_k (0 <= k <= d)."""
+    return [dict(op.terms) for op in alg.ann_basis(k)] + [
+        {e: Fraction(1)} for e in _monomial_part(alg, k)
+    ]
+
+
 def test_annihilator_kills_the_generator(four_cycle_alg):
     alg = four_cycle_alg
+    n = alg.varset.size
     for k in range(1, alg.socle_degree + 1):
-        for op in alg.ann_basis(k):
+        kernel = alg.ann_basis(k)
+        for op in kernel:
             assert apolar_apply(op, alg.f).is_zero()
-        n = alg.varset.size
-        assert len(alg.ann_basis(k)) == math.comb(n + k - 1, k) - alg.dim(k)
+            assert set(op.terms) <= alg._support(k)
+        assert len(kernel) == len(alg._support(k)) - alg.dim(k)
+        assert len(kernel) + len(_monomial_part(alg, k)) == (
+            math.comb(n + k - 1, k) - alg.dim(k)
+        )
+        rows = [[op.terms.get(e, 0) for e in alg._support(k)] for op in kernel]
+        assert matrix_rank(rows) == len(kernel)
+    assert alg.ann_basis(-1) == ()
+    assert alg.ann_basis(alg.socle_degree + 1) == ()
 
 
 def test_pairing_matrices_invertible(four_cycle_alg, boolean3_alg):
@@ -122,8 +147,8 @@ def _full_enumeration_step_spanned(alg, k) -> bool:
 
     The oracle for ``_degree_step_spanned`` and, at k = d+1, for the
     closed form in ``ann_generated_by_quadrics``: every shift of every
-    annihilator basis vector, monomial ones included, eliminated in all
-    degree-k coordinates against the full dimension of Ann_k.
+    vector of the full Ann_{k-1}, monomial ones included, eliminated in
+    all degree-k coordinates against the full dimension of Ann_k.
     """
     r = alg.varset.size
     target = math.comb(r + k - 1, k) - alg.dim(k)
@@ -131,10 +156,10 @@ def _full_enumeration_step_spanned(alg, k) -> bool:
         return True
     space = RowSpace()
     count = 0
-    for m in alg.ann_basis(k - 1):
+    for m in _full_annihilator(alg, k - 1):
         for v in range(r):
             shifted = {}
-            for e, c in m.terms.items():
+            for e, c in m.items():
                 shifted[e[:v] + (e[v] + 1,) + e[v + 1 :]] = c
             if space.insert(shifted):
                 count += 1

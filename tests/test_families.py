@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mixedhess import (
     InvariantViolation,
+    Polynomial,
+    VarSet,
     ann_generated_by_quadrics,
     boolean_form,
     build_algebra,
     even_counterexample,
     example_catalog,
+    monomial_exponents,
     odd_counterexample,
     parse_polynomial,
     perazzo_form,
@@ -22,6 +27,9 @@ from mixedhess import (
     times_uv,
     wlp_check,
 )
+from mixedhess import apolarity, families, polyring
+from mixedhess.families import _lifted_annihilator_spans
+from mixedhess.linalg import sparse_rref
 
 from conftest import dense_random_form
 
@@ -49,6 +57,177 @@ def test_times_u_full_verification(config):
     assert report.annihilator_identity
     assert report.quadrics_inherited is not None
     assert report.slp_inherited is not None
+
+
+def test_times_u_full_with_an_unused_variable(config):
+    # build_algebra drops w from both algebras; the inclusion check
+    # embeds the base annihilators into the lift's own variables.
+    f = parse_polynomial("x*y*z", VarSet(("x", "y", "z", "w")))
+    report = times_u(f, verify="full", config=config)
+    assert report.hilbert_lift == (1, 4, 6, 4, 1)
+    assert report.annihilator_inclusion
+    assert report.annihilator_identity
+
+
+def test_no_check_enumerates_monomials(catalog, config, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check enumerated all monomials of a degree")
+
+    for module in (apolarity, families, polyring):
+        monkeypatch.setattr(module, "monomial_exponents", refuse, raising=False)
+    for entry in catalog.values():
+        alg = build_algebra(entry.polynomial)
+        assert ann_generated_by_quadrics(alg).presented == entry.expected["quadrics"]
+    f = dense_random_form(random.Random(5), 3, 3)
+    report = times_u(f, verify="full", config=config)
+    assert report.annihilator_identity
+
+
+# -- the lift span check against the full-enumeration oracle ----------------
+
+
+def _oracle_lifted_annihilator_spans(base, lift_alg) -> bool:
+    """The span check as it stood when the base's ``ann_basis`` listed
+    all of Ann_k: every monomial of N_k as a singleton and, at k = d+1,
+    every monomial.  Kept unchanged as the oracle for the check that
+    works modulo monomials; ``_FakeBase(full=True)`` feeds it that basis.
+
+    Degree-by-degree span equality for the one-variable lift: the
+    base annihilators up to the first degree past the base socle (where
+    they are all the pure-base monomials) and the square of the new
+    variable generate an ideal whose slice in every degree up to
+    base-socle + 2 has exactly the codimension the lift's Hilbert
+    function dictates.
+
+    Together with the inclusion check (each generator annihilates the
+    lift) this pins the lift's annihilator down completely in the
+    inspected range."""
+    d = base.socle_degree
+    n = lift_alg.varset.size
+
+    def shift(e: tuple[int, ...], t: int) -> tuple[int, ...]:
+        return e[:t] + (e[t] + 1,) + e[t + 1 :]
+
+    basis: list[dict] = []
+    for k in range(1, d + 3):
+        rows = [
+            {shift(e, t): c for e, c in row.items()}
+            for row in basis
+            for t in range(n)
+        ]
+        for a in base.ann_basis(k) if k <= d + 1 else ():
+            rows.append({e + (0,): c for e, c in a.terms.items()})
+        if k == 2:
+            rows.append({(0,) * (n - 1) + (2,): Fraction(1)})
+        reduced = sparse_rref(rows)
+        basis = list(reduced.values())
+        expected = math.comb(n + k - 1, k) - lift_alg.dim(k)
+        if len(basis) != expected:
+            return False
+    return True
+
+
+class _FakeBase:
+    """A base algebra whose K_k basis lacks the vector ``drop`` = (k, i),
+    if given.  With ``full`` it lists all of Ann_k, as the oracle reads
+    it: K_k plus the singletons of N_k, and every monomial past the
+    socle degree."""
+
+    def __init__(self, alg, drop=None, full=False):
+        self.alg, self.drop, self.full = alg, drop, full
+        self.socle_degree = alg.socle_degree
+
+    def ann_basis(self, k):
+        alg = self.alg
+        kernel = [
+            op for i, op in enumerate(alg.ann_basis(k)) if (k, i) != self.drop
+        ]
+        if not self.full:
+            return tuple(kernel)
+        singles = [
+            Polynomial(alg.varset, {e: 1})
+            for e in monomial_exponents(alg.varset, k)
+            if k > self.socle_degree or e not in alg._support(k)
+        ]
+        return tuple(kernel + singles)
+
+
+def _kernel_vectors(alg):
+    return [
+        (k, i)
+        for k in range(1, alg.socle_degree + 1)
+        for i in range(len(alg.ann_basis(k)))
+    ]
+
+
+def _lift_span_verdicts(f, drop=None):
+    """The new check and the oracle on f's lift, with K vector ``drop``
+    left out of the base."""
+    base = build_algebra(f)
+    lift_alg = times_u(f).algebra
+    new = _lifted_annihilator_spans(_FakeBase(base, drop), lift_alg)
+    old = _oracle_lifted_annihilator_spans(_FakeBase(base, drop, True), lift_alg)
+    return new, old
+
+
+@st.composite
+def small_forms(draw):
+    """Forms in 1-5 variables of degree 1-5: sparse ones, pure powers
+    x1^d, and forms in fewer linear forms than variables, which have a
+    linear annihilator."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    vs = VarSet(tuple(f"x{i + 1}" for i in range(n)))
+    kind = draw(st.sampled_from(["sparse", "power", "linear"]))
+    if kind == "power" or n == 1:
+        return Polynomial(vs, {(d,) + (0,) * (n - 1): 1})
+    coeff = st.integers(-3, 3).filter(bool)
+    if kind == "sparse":
+        monomial = st.lists(
+            st.integers(0, n - 1), min_size=d, max_size=d
+        ).map(lambda picks: tuple(picks.count(i) for i in range(n)))
+        terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=6))
+        return Polynomial(vs, terms)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    forms = [
+        Polynomial(vs, dict(zip(units, draw(row))))
+        for _ in range(draw(st.integers(1, n - 1)))
+    ]
+    f = Polynomial.zero(vs)
+    for _ in range(draw(st.integers(1, 3))):
+        term = Polynomial.constant(vs, draw(coeff))
+        for _ in range(d):
+            term = term * draw(st.sampled_from(forms))
+        f = f + term
+    assume(not f.is_zero())
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms(), st.one_of(st.none(), st.integers(0, 10**6)))
+def test_lift_span_check_matches_oracle(f, pick):
+    base = build_algebra(f)
+    vectors = _kernel_vectors(base)
+    drop = vectors[pick % len(vectors)] if pick is not None and vectors else None
+    new, old = _lift_span_verdicts(f, drop)
+    assert new == old
+    if drop is None:
+        assert new  # Lemma A
+
+
+def test_lift_span_check_fails_without_a_needed_generator():
+    # Dropping a generator of Ann(f) breaks the span equality; dropping
+    # one that lower-degree shifts already give leaves it standing.
+    rng = random.Random(7)
+    verdicts = []
+    for n, d in [(2, 3), (3, 3), (3, 4), (4, 3), (2, 5)]:
+        f = dense_random_form(rng, n, d)
+        for drop in _kernel_vectors(build_algebra(f)):
+            new, old = _lift_span_verdicts(f, drop)
+            assert new == old
+            verdicts.append(new)
+    assert False in verdicts and True in verdicts
 
 
 def test_times_uv_transports_deficiency(catalog, config):
