@@ -82,24 +82,39 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-def _divisors_of_degree(exps: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-    """All exponent vectors a <= exps with |a| = k."""
-    n = len(exps)
+def _divisors_of_degree(exps: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """All exponent vectors a <= exps with |a| = k, in lexicographic
+    order.  Only the nonzero positions of exps branch, each into the
+    exponents that still leave |a| = k reachable."""
+    room = sum(exps)
+    if not 0 <= k <= room:
+        return []
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), k)]
+    gap: tuple[int, ...] = ()
+    for cap in exps:
+        if not cap:
+            gap += (0,)
+            continue
+        room -= cap
+        prefixes = [
+            (prefix + gap + (e,), left - e)
+            for prefix, left in prefixes
+            for e in range(max(0, left - room), min(cap, left) + 1)
+        ]
+        gap = ()
+    return [prefix + gap for prefix, _ in prefixes]
 
-    def rec(i: int, remaining: int, prefix: list[int]):
-        if i == n:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        tail = sum(exps[i:])
-        if remaining > tail:
-            return
-        for e in range(min(exps[i], remaining) + 1):
-            prefix.append(e)
-            yield from rec(i + 1, remaining - e, prefix)
-            prefix.pop()
 
-    yield from rec(0, k, [])
+def _apolar_terms(
+    f: Polynomial, k: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
+    """(b, a, value) for every term c*x^b of f and every degree-k
+    divisor x^a of x^b, in the order of f's terms: X^a sends that term
+    to value*x^(b-a), value = c*falling(b, a) != 0.  Every other pair
+    (b, a) of degree k acts as zero."""
+    for b, coeff in f.terms.items():
+        for a in _divisors_of_degree(b, k):
+            yield b, a, coeff * falling_product(b, a)
 
 
 def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
@@ -107,12 +122,8 @@ def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
     act nontrivially (divisors of the support of f).  Dropped columns
     are identically zero, so ranks and pivot columns are unaffected."""
     rows: dict = {}
-    for b, coeff in f.terms.items():
-        for a in _divisors_of_degree(b, k):
-            val = coeff * falling_product(b, a)
-            if val:
-                rkey = tuple(x - y for x, y in zip(b, a))
-                rows.setdefault(rkey, {})[a] = val
+    for b, a, val in _apolar_terms(f, k):
+        rows.setdefault(tuple(x - y for x, y in zip(b, a)), {})[a] = val
     return rows
 
 

@@ -15,6 +15,15 @@ Two variants matter alongside the plain matrix:
 * *bigraded* blocks, which restrict rows and columns to pieces of fixed
   bidegree when the variables split into two blocks.
 
+The matrices are sparse: an operator X^g kills f unless g divides a
+term of f, so most cells are zero, and more so as they grow.  So the
+work of building and evaluating one follows its nonzero entries, not
+its rows times its columns.  The entries are built from the terms of
+f, in one pass over the (term, divisor) pairs that `apolarity` also
+walks for the catalecticant, and every zero cell holds one shared zero
+polynomial.  Point evaluation (`rank_at`) walks only the nonzero cells,
+through an index built once per matrix.
+
 Rank questions about these matrices are answered by `generic_rank`,
 which is exact whenever it can be (constant entries, sampled rank
 meeting the dimension bound, symbolic determinants up to a size cap)
@@ -26,13 +35,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .apolarity import GradedAlgebra, bigraded_decomposition
+from .apolarity import (
+    GradedAlgebra,
+    _apolar_terms,
+    _divisors_of_degree,
+    bigraded_decomposition,
+)
 from .config import DEFAULT_CONFIG, SamplingConfig
 from .linalg import matrix_rank
-from .polyring import Monomial, Polynomial, VarSet, apolar_monomial
+from .polyring import Monomial, Polynomial, VarSet
+
+
+# A nonzero entry of a row scaled to integer coefficients: its terms
+# as (exponent vector, int coefficient) pairs.
+_IntEntry = tuple[tuple[tuple[int, ...], int], ...]
 
 
 class SymbolicCapExceeded(RuntimeError):
@@ -94,6 +114,23 @@ class MixedHessian:
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
 
+    @cached_property
+    def _int_rows(self) -> tuple[tuple[tuple[int, _IntEntry], ...], ...]:
+        """Each row's nonzero entries as (column, ((exps, n), ...)), the
+        row scaled by the lcm of its coefficient denominators so that
+        every n is an int.  Built once per matrix, for `rank_at`; it is
+        not a field, so reports never see it."""
+        out = []
+        for row in self.entries:
+            lcm = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+            out.append(tuple(
+                (j, tuple((e, c.numerator * (lcm // c.denominator))
+                          for e, c in p.terms.items()))
+                for j, p in enumerate(row)
+                if p.terms
+            ))
+        return tuple(out)
+
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
@@ -121,19 +158,38 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
 def _entries(
     f: Polynomial, rows_b: Sequence[Monomial], cols_b: Sequence[Monomial]
 ) -> tuple[tuple[Polynomial, ...], ...]:
-    """Entry (i, j) is the product of the i-th row and j-th column
-    monomials acting on f; each distinct product acts once, and the
-    (immutable) result is shared by every entry with that product."""
-    cache: dict[tuple[int, ...], Polynomial] = {}
+    """Entry (i, j) is X^g f, g the product of the i-th row and j-th
+    column monomials.  The rows share one degree k and the columns one
+    degree l, so g has degree m = k + l.
 
-    def entry(alpha: Monomial, beta: Monomial) -> Polynomial:
-        key = tuple(a + b for a, b in zip(alpha.exps, beta.exps))
-        poly = cache.get(key)
-        if poly is None:
-            poly = cache[key] = apolar_monomial(key, f)
-        return poly
-
-    return tuple(tuple(entry(alpha, beta) for beta in cols_b) for alpha in rows_b)
+    Built from the terms of f in one pass: each term c*x^b adds
+    c*falling(b, g)*x^(b-g) to X^g f for every degree-m divisor g of b,
+    and every other X^g kills f.  Then each nonzero X^g f fills the
+    cells (a, g - a) with a a row monomial dividing g and g - a a column
+    monomial.  Every other cell holds one shared zero polynomial, so the
+    work follows the nonzero entries, not the rows times the columns.
+    Each distinct X^g f is one (immutable) polynomial shared by its
+    cells."""
+    zero = Polynomial.zero(f.varset)
+    table = [[zero] * len(cols_b) for _ in rows_b]
+    if not rows_b or not cols_b:
+        return tuple(map(tuple, table))
+    k = rows_b[0].degree
+    row_of = {alpha.exps: i for i, alpha in enumerate(rows_b)}
+    col_of = {beta.exps: j for j, beta in enumerate(cols_b)}
+    acted: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    for b, g, value in _apolar_terms(f, k + cols_b[0].degree):
+        acted.setdefault(g, {})[tuple(x - y for x, y in zip(b, g))] = value
+    for g, terms in acted.items():
+        poly = Polynomial(f.varset, terms)
+        for alpha in _divisors_of_degree(g, k):
+            i = row_of.get(alpha)
+            if i is None:
+                continue
+            j = col_of.get(tuple(x - y for x, y in zip(g, alpha)))
+            if j is not None:
+                table[i][j] = poly
+    return tuple(map(tuple, table))
 
 
 def dual_basis(alg: GradedAlgebra, l: int) -> tuple[Polynomial, ...]:
@@ -250,11 +306,14 @@ def evaluate_matrix(
 def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
     """Exact rank of the matrix evaluated at one point.
 
-    The matrix is evaluated in ints, scaled in ways that keep the rank.
-    A point with Fraction coordinates is scaled by their common
-    denominator D, and a monomial of degree k is weighted by D^(top - k),
-    top the largest entry degree: together they multiply the matrix by
-    D^top.  Each row is scaled by the lcm of its coefficient denominators.
+    Only the nonzero entries are evaluated: each row is filled from the
+    matrix's `_int_rows` index, built on the first call, and every other
+    cell stays 0.  The matrix is evaluated in ints, scaled in ways that
+    keep the rank.  A point with Fraction coordinates is scaled by their
+    common denominator D, and a monomial of degree k is weighted by
+    D^(top - k), top the largest entry degree: together they multiply
+    the matrix by D^top.  Each row is scaled by the lcm of its
+    coefficient denominators.
     """
     if h.nrows == 0 or h.ncols == 0:
         return 0
@@ -276,17 +335,16 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
         return v
 
     rows = []
-    for row in h.entries:
-        lcm = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
-        out = []
-        for p in row:
+    for row in h._int_rows:
+        out = [0] * h.ncols
+        for j, terms in row:
             acc = 0
-            for e, c in p.terms.items():
+            for e, n in terms:
                 m = cache.get(e)
                 if m is None:
                     m = mono(e)
-                acc += c.numerator * (lcm // c.denominator) * m
-            out.append(acc)
+                acc += n * m
+            out[j] = acc
         rows.append(out)
     return matrix_rank(rows)
 

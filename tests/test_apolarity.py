@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -255,6 +256,17 @@ def test_socle_step_closed_form_cases(text, failing):
     check = ann_generated_by_quadrics(build_algebra(parse_polynomial(text)))
     assert check.failing_degrees == failing
     assert check.presented == (not failing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    st.integers(-1, 10),
+)
+def test_divisors_of_degree_match_brute_force(exps, k):
+    exps = tuple(exps)
+    every = itertools.product(*(range(e + 1) for e in exps))
+    assert _divisors_of_degree(exps, k) == [a for a in every if sum(a) == k]
 
 
 def _assert_support_matches_enumeration(f):

@@ -4,29 +4,41 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedhess import (
     MixedHessian,
     Monomial,
+    Polynomial,
     SamplingConfig,
     SymbolicCapExceeded,
     VarSet,
+    apolar_monomial,
     apolar_pairing,
+    bigraded_decomposition,
+    bigraded_hessian,
     build_algebra,
     dual_basis,
+    dual_generator,
     dual_mixed_hessian,
     evaluate_matrix,
     generic_rank,
     mixed_hessian,
     parse_polynomial,
     rank_at,
+    perazzo_form,
     symbolic_det,
 )
+from mixedhess.cli import _complex_from_json
+from mixedhess.hessians import _entries
 from mixedhess.linalg import matrix_rank
 
 from conftest import dense_random_form
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_middle_hessian_of_four_cycle_vanishes(four_cycle_alg):
@@ -178,3 +190,87 @@ def test_evaluate_matrix_shape(four_cycle_alg):
     m = evaluate_matrix(h, point)
     assert (len(m), len(m[0])) == h.shape
     assert matrix_rank(m) <= min(h.shape)
+
+
+# -- the term-driven build against the per-cell oracle -----------------------
+
+
+def _oracle_entries(f, rows_b, cols_b):
+    """The per-cell build: entry (i, j) is the product of the i-th row and
+    j-th column monomials acting on f, each distinct product once."""
+    cache = {}
+
+    def entry(alpha, beta):
+        key = tuple(a + b for a, b in zip(alpha.exps, beta.exps))
+        poly = cache.get(key)
+        if poly is None:
+            poly = cache[key] = apolar_monomial(key, f)
+        return poly
+
+    return tuple(tuple(entry(alpha, beta) for beta in cols_b) for alpha in rows_b)
+
+
+def _assert_entries_match_oracle(entries, f, rows_b, cols_b):
+    oracle = _oracle_entries(f, rows_b, cols_b)
+    assert len(entries) == len(oracle)
+    for row, expected_row in zip(entries, oracle):
+        assert len(row) == len(expected_row)
+        for p, q in zip(row, expected_row):
+            assert p == q
+            # Same terms in the same order, so reports print the same.
+            assert list(p.terms.items()) == list(q.terms.items())
+
+
+@st.composite
+def _sparse_forms(draw):
+    """Forms in 1-6 variables of degree 1-5 with 1-7 terms."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    monomial = st.lists(
+        st.integers(0, n - 1), min_size=d, max_size=d
+    ).map(lambda picks: tuple(picks.count(i) for i in range(n)))
+    coeff = st.fractions(-9, 9, max_denominator=4).filter(bool)
+    terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=7))
+    return Polynomial(VarSet(tuple(f"x{i + 1}" for i in range(n))), terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_forms())
+def test_entries_match_oracle_on_sparse_forms(f):
+    alg = build_algebra(f)
+    d = alg.socle_degree
+    for k in range(d + 1):
+        for l in range(d + 1 - k):
+            h = mixed_hessian(alg, k, l)
+            _assert_entries_match_oracle(
+                h.entries, alg.f, alg.quotient_basis(k), alg.quotient_basis(l)
+            )
+    basis = alg.quotient_basis(1)
+    assert _entries(alg.f, basis, ()) == ((),) * len(basis)
+    assert _entries(alg.f, (), basis) == ()
+
+
+@pytest.mark.parametrize("sample", ["square.json", "tk222.json"])
+def test_bigraded_entries_match_oracle(sample):
+    comp = _complex_from_json((SAMPLES / sample).read_text())
+    alg = build_algebra(dual_generator(comp))
+    pieces = bigraded_decomposition(alg).pieces
+    for r, rows_b in pieces.items():
+        for c, cols_b in pieces.items():
+            block = bigraded_hessian(alg, r, c)
+            _assert_entries_match_oracle(block.entries, alg.f, rows_b, cols_b)
+
+
+@pytest.mark.parametrize(
+    "names, partials", [("uv", "u^2; u*v; v^2"), ("uvw", "u^2; v^2; w^2")]
+)
+def test_perazzo_hessian_entries_match_oracle(config, names, partials):
+    # perazzo_form builds its (1, 1) Hessian with _entries on these units.
+    vs = VarSet(tuple(names))
+    forms = [parse_polynomial(t, vs) for t in partials.split("; ")]
+    f = perazzo_form(forms, config=config).polynomial
+    n = f.varset.size
+    units = tuple(
+        Monomial(tuple(int(t == i) for t in range(n))) for i in range(n)
+    )
+    _assert_entries_match_oracle(_entries(f, units, units), f, units, units)

@@ -12,10 +12,14 @@ from hypothesis import given, settings, strategies as st
 from mixedhess import (
     MixedHessian,
     Monomial,
+    Polynomial,
     VarSet,
+    bigraded_decomposition,
+    bigraded_hessian,
     build_algebra,
     dual_mixed_hessian,
     evaluate_matrix,
+    mixed_hessian,
     parse_polynomial,
     rank_at,
 )
@@ -144,11 +148,14 @@ def test_rank_matches_bareiss_oracle(rows):
     assert matrix_rank(transposed) == _bareiss_rank(rows)
 
 
-@pytest.mark.parametrize(
+_ORACLE_POINTS = pytest.mark.parametrize(
     "point",
     [(3, -1, 0, 2), (Fraction(1, 2), Fraction(-3, 7), 0, Fraction(5, 3))],
     ids=["int-point", "fraction-point"],
 )
+
+
+@_ORACLE_POINTS
 def test_rank_at_matches_oracle_on_dual_hessians(point):
     rng = random.Random(6)
     alg = build_algebra(dense_random_form(rng, 4, 4))
@@ -163,6 +170,54 @@ def test_rank_at_matches_oracle_on_dual_hessians(point):
             )
             assert rank_at(h, point) == _bareiss_rank(evaluate_matrix(h, point))
     assert fractional
+
+
+def _bihomogeneous_form(rng):
+    """Every monomial of bidegree (2, 2) in x1, x2 | u1, u2, with nonzero
+    single-digit coefficients."""
+    vs = VarSet(("x1", "x2", "u1", "u2"), (0, 0, 1, 1))
+    terms = {
+        (a, 2 - a, b, 2 - b): rng.choice([1, -1]) * rng.randint(1, 9)
+        for a in range(3)
+        for b in range(3)
+    }
+    return Polynomial(vs, terms)
+
+
+def _shared_entry_matrix():
+    """A hand-built matrix in which one Fraction-coefficient polynomial
+    object fills cells of all three rows, and one zero object the rest.
+    The third row is the sum of the first two, so the rank is 2, and
+    only a scaling by whole rows keeps that: p has denominators 2 and
+    3, q has 5."""
+    vs = VarSet(("x1", "x2", "x3", "x4"))
+    p = Polynomial(vs, {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 1, 0): Fraction(-2, 3)})
+    q = Polynomial(vs, {(0, 0, 0, 2): Fraction(1, 5), (1, 1, 0, 0): 1})
+    zero = Polynomial.zero(vs)
+    entries = ((p, q, zero, p), (zero, p, p, q), (p, p + q, p, p + q))
+    m = Monomial((1, 0, 0, 0))
+    return MixedHessian(vs, entries, (m,) * 3, (m,) * 4, "hessian", (1, 1))
+
+
+@_ORACLE_POINTS
+def test_rank_at_matches_oracle_on_plain_bigraded_and_shared_entries(point):
+    rng = random.Random(6)
+    alg = build_algebra(dense_random_form(rng, 4, 4))
+    d = alg.socle_degree
+    matrices = [
+        mixed_hessian(alg, k, l)
+        for k in range(d + 1)
+        for l in range(d + 1 - k)
+    ]
+    bialg = build_algebra(_bihomogeneous_form(rng))
+    pieces = bigraded_decomposition(bialg).pieces
+    matrices += [bigraded_hessian(bialg, r, c) for r in pieces for c in pieces]
+    matrices.append(_shared_entry_matrix())
+    for h in matrices:
+        assert rank_at(h, point) == _bareiss_rank(evaluate_matrix(h, point))
+    shared = matrices[-1]
+    assert shared.entries[0][0] is shared.entries[1][2] is shared.entries[2][0]
+    assert rank_at(shared, point) == 2
 
 
 def test_rank_at_scales_exactly():
