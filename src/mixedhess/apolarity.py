@@ -107,23 +107,29 @@ def _divisors_of_degree(exps: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 
 def _apolar_terms(
     f: Polynomial, k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]:
-    """(b, a, value) for every term c*x^b of f and every degree-k
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(b, a, falling) for every term c*x^b of f and every degree-k
     divisor x^a of x^b, in the order of f's terms: X^a sends that term
-    to value*x^(b-a), value = c*falling(b, a) != 0.  Every other pair
-    (b, a) of degree k acts as zero."""
-    for b, coeff in f.terms.items():
+    to c*falling*x^(b-a), falling = falling(b, a) a positive int.
+    Every other pair (b, a) of degree k acts as zero."""
+    for b in f.terms:
         for a in _divisors_of_degree(b, k):
-            yield b, a, coeff * falling_product(b, a)
+            yield b, a, falling_product(b, a)
 
 
 def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
     """Rows of the degree-k catalecticant restricted to columns that can
     act nontrivially (divisors of the support of f).  Dropped columns
-    are identically zero, so ranks and pivot columns are unaffected."""
+    are identically zero, so ranks and pivot columns are unaffected.
+    The coefficients of f are scaled once by the lcm of their
+    denominators, so every entry is an int; that scales every row by
+    the same nonzero number and keeps the reduced echelon form."""
+    lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+    coeffs = {b: c.numerator * (lcm // c.denominator) for b, c in f.terms.items()}
     rows: dict = {}
-    for b, a, val in _apolar_terms(f, k):
-        rows.setdefault(tuple(x - y for x, y in zip(b, a)), {})[a] = val
+    for b, a, falling in _apolar_terms(f, k):
+        key = tuple(x - y for x, y in zip(b, a))
+        rows.setdefault(key, {})[a] = coeffs[b] * falling
     return rows
 
 

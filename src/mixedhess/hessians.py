@@ -22,7 +22,9 @@ its rows times its columns.  The entries are built from the terms of
 f, in one pass over the (term, divisor) pairs that `apolarity` also
 walks for the catalecticant, and every zero cell holds one shared zero
 polynomial.  Point evaluation (`rank_at`) walks only the nonzero cells,
-through an index built once per matrix.
+through an index built once per matrix, and hands the rank loop only
+the cells that are nonzero at the point.  The dual matrix adds up only
+the nonzero cells of the plain one.
 
 Rank questions about these matrices are answered by `generic_rank`,
 which is exact whenever it can be (constant entries, sampled rank
@@ -178,7 +180,8 @@ def _entries(
     row_of = {alpha.exps: i for i, alpha in enumerate(rows_b)}
     col_of = {beta.exps: j for j, beta in enumerate(cols_b)}
     acted: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for b, g, value in _apolar_terms(f, k + cols_b[0].degree):
+    for b, g, falling in _apolar_terms(f, k + cols_b[0].degree):
+        value = f.terms[b] * falling
         acted.setdefault(g, {})[tuple(x - y for x, y in zip(b, g))] = value
     for g, terms in acted.items():
         poly = Polynomial(f.varset, terms)
@@ -218,26 +221,28 @@ def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
 
     Row i is the linear combination of the rows of the plain order
     (d - l, k) Hessian given by the i-th column of the inverse pairing
-    matrix in degree l.  Entries are polynomials of degree l - k.
+    matrix in degree l.  Entries are polynomials of degree l - k.  Only
+    the rows t with a nonzero coefficient, and only their nonzero
+    cells, are added; every other cell holds one shared zero
+    polynomial.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
         raise ValueError(f"need 0 <= k <= l <= socle degree, got ({l}, {k})")
     inner = mixed_hessian(alg, d - l, k)
     inv = alg.pairing_inverse(l)
-    s = len(alg.quotient_basis(l))
-    r = inner.ncols
+    cells = [
+        [(j, p) for j, p in enumerate(row) if p.terms] for row in inner.entries
+    ]
     zero = Polynomial.zero(alg.f.varset)
     entries = []
-    for i in range(s):
-        row = []
-        for j in range(r):
-            acc = zero
-            for t in range(len(inner.row_basis)):
-                c = inv[t][i]
-                if c:
-                    acc = acc + inner.entries[t][j].scale(c)
-            row.append(acc)
+    for i in range(len(alg.quotient_basis(l))):
+        row = [zero] * inner.ncols
+        for t, inner_row in enumerate(cells):
+            c = inv[t][i]
+            if c:
+                for j, p in inner_row:
+                    row[j] = row[j] + p.scale(c)
         entries.append(tuple(row))
     return MixedHessian(
         alg.f.varset,
@@ -306,11 +311,13 @@ def evaluate_matrix(
 def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
     """Exact rank of the matrix evaluated at one point.
 
-    Only the nonzero entries are evaluated: each row is filled from the
-    matrix's `_int_rows` index, built on the first call, and every other
-    cell stays 0.  The matrix is evaluated in ints, scaled in ways that
-    keep the rank.  A point with Fraction coordinates is scaled by their
-    common denominator D, and a monomial of degree k is weighted by
+    Only the nonzero entries are evaluated, through the matrix's
+    `_int_rows` index, built on the first call.  Each row goes to
+    `matrix_rank` as a ``{column: value}`` mapping of the cells that are
+    nonzero at the point, so no zero cell is written or scanned.  The
+    matrix is evaluated in ints, scaled in ways that keep the rank.  A
+    point with Fraction coordinates is scaled by their common
+    denominator D, and a monomial of degree k is weighted by
     D^(top - k), top the largest entry degree: together they multiply
     the matrix by D^top.  Each row is scaled by the lcm of its
     coefficient denominators.
@@ -336,7 +343,7 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
 
     rows = []
     for row in h._int_rows:
-        out = [0] * h.ncols
+        out = {}
         for j, terms in row:
             acc = 0
             for e, n in terms:
@@ -344,7 +351,8 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
                 if m is None:
                     m = mono(e)
                 acc += n * m
-            out[j] = acc
+            if acc:
+                out[j] = acc
         rows.append(out)
     return matrix_rank(rows)
 

@@ -15,11 +15,14 @@ echelon forms and inverses of matrices over Q, and all of them run through
   subtracts a multiple of a stored row, so the row lies in the span
   before the step exactly when it does after it; the top key strictly
   decreases, so reduction terminates.
-* :func:`matrix_rank` runs dense rows through that loop, and
-  :func:`sparse_rref` back-substitutes its pivot rows with the same
-  update.  Fractions appear only in the output of :func:`sparse_rref`,
-  where each row is divided by its pivot entry; :func:`rref` and
-  :func:`invert` run dense matrices through it with column j keyed -j.
+* :func:`matrix_rank` runs rows through that loop, each given either
+  as a ``{column: value}`` mapping of its nonzero cells or as a dense
+  sequence, and :func:`sparse_rref` back-substitutes its pivot rows
+  with the same update.  A row whose entries are all ints enters the
+  loop without a denominator pass.  Fractions appear only in the
+  output of :func:`sparse_rref`, where each row is divided by its pivot
+  entry; :func:`rref` and :func:`invert` run dense matrices through it
+  with column j keyed -j.
 """
 
 from __future__ import annotations
@@ -30,9 +33,13 @@ from typing import Hashable, Iterable, Sequence
 
 
 def _primitive(vec: dict) -> dict:
-    """The integer vector on the line of ``vec`` with content 1."""
-    lcm = math.lcm(*(c.denominator for c in vec.values()))
-    row = {k: c.numerator * (lcm // c.denominator) for k, c in vec.items() if c}
+    """The integer vector on the line of ``vec`` with content 1.  An
+    all-int vector skips the pass that clears denominators."""
+    if all(type(c) is int for c in vec.values()):
+        row = {k: c for k, c in vec.items() if c}
+    else:
+        lcm = math.lcm(*(c.denominator for c in vec.values()))
+        row = {k: c.numerator * (lcm // c.denominator) for k, c in vec.items() if c}
     content = math.gcd(*row.values())
     if content > 1:
         row = {k: c // content for k, c in row.items()}
@@ -100,23 +107,32 @@ class RowSpace:
         return not self.reduce(vec)
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank of a dense matrix of ints or Fractions.
+def matrix_rank(rows: Iterable[dict | Sequence]) -> int:
+    """Exact rank of a matrix of ints or Fractions.
 
-    The sparsest column gets the largest key, so rows pivot on their
-    sparsest columns, and the sparsest rows enter first; both keep the
-    pivot rows short.
+    A row is either a ``{column: value}`` mapping or a dense sequence,
+    whose column j is keyed j; zero values are dropped either way, so a
+    sparse producer hands over its nonzero cells and nothing else.
+    The sparsest column gets the largest key, ties going to the column
+    that appears first, so rows pivot on their sparsest columns, and
+    the sparsest rows enter first; both keep the pivot rows short.
     The rows go through :meth:`RowSpace.reduce` and each nonzero
     remainder is stored as a pivot directly, so that
     :meth:`RowSpace.insert` counts only span inserts.
     """
-    counts = [sum(1 for c in col if c) for col in zip(*rows)]
-    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+    cells = (
+        row.items() if isinstance(row, dict) else enumerate(row) for row in rows
+    )
+    vecs = [{j: c for j, c in row if c} for row in cells]
+    counts: dict = {}
+    for vec in vecs:
+        for j in vec:
+            counts[j] = counts.get(j, 0) + 1
+    order = sorted(counts, key=counts.__getitem__, reverse=True)
     key = {j: k for k, j in enumerate(order)}
-    vecs = [{key[j]: c for j, c in enumerate(row) if c} for row in rows]
     space = RowSpace()
     for vec in sorted(vecs, key=len):
-        rem = space.reduce(vec)
+        rem = space.reduce({key[j]: c for j, c in vec.items()})
         if rem:
             space.pivots[max(rem)] = rem
     return space.rank

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mixedhess import (
     InvariantViolation,
@@ -20,6 +20,7 @@ from mixedhess import (
     build_algebra,
     even_counterexample,
     example_catalog,
+    grlex_key,
     monomial_exponents,
     odd_counterexample,
     parse_polynomial,
@@ -27,7 +28,8 @@ from mixedhess import (
 )
 from mixedhess import apolarity
 from mixedhess.apolarity import _degree_step_spanned, _divisors_of_degree
-from mixedhess.linalg import RowSpace, matrix_rank
+from mixedhess.linalg import RowSpace, matrix_rank, sparse_rref
+from mixedhess.polyring import falling_product
 
 from conftest import dense_random_form
 
@@ -287,6 +289,60 @@ def test_support_matches_enumeration_on_sparse_forms(f):
 )
 def test_support_matches_enumeration_on_catalog(catalog, identifier):
     _assert_support_matches_enumeration(catalog[identifier].polynomial)
+
+
+def _fraction_catalecticant_rows(f, k):
+    """The degree-k catalecticant rows with Fraction entries
+    c*falling(b, a), built from f's coefficients as they stand; an
+    oracle for the integer rows, which scale f once by an lcm."""
+    rows = {}
+    for b, c in f.terms.items():
+        for a in _divisors_of_degree(b, k):
+            rows.setdefault(tuple(x - y for x, y in zip(b, a)), {})[a] = (
+                c * falling_product(b, a)
+            )
+    return rows
+
+
+@st.composite
+def fraction_forms(draw):
+    """Forms in 1-5 variables of degree 1-5 with 2-7 terms whose
+    Fraction coefficients have at least two distinct denominators."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    monomial = st.lists(
+        st.integers(0, n - 1), min_size=d, max_size=d
+    ).map(lambda picks: tuple(picks.count(i) for i in range(n)))
+    coeff = st.builds(
+        Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 36)
+    )
+    terms = draw(st.dictionaries(monomial, coeff, min_size=2, max_size=7))
+    assume(len({c.denominator for c in terms.values()}) >= 2)
+    return Polynomial(VarSet(tuple(f"x{i + 1}" for i in range(n))), terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_forms())
+def test_int_catalecticant_matches_fraction_oracle(f):
+    alg = build_algebra(f)
+    g = alg.f
+    lcm = math.lcm(*(c.denominator for c in g.terms.values()))
+    for k in range(alg.socle_degree + 1):
+        rows = apolarity._sparse_catalecticant_rows(g, k)
+        oracle_rows = _fraction_catalecticant_rows(g, k)
+        assert rows.keys() == oracle_rows.keys()
+        for key, row in rows.items():
+            assert all(type(v) is int for v in row.values())
+            assert row == {a: lcm * v for a, v in oracle_rows[key].items()}
+        reduced = sparse_rref(oracle_rows.values())
+        assert alg._reduced[k] == reduced
+        assert all(
+            type(v) is Fraction for row in alg._reduced[k].values() for v in row.values()
+        )
+        assert alg.hilbert[k] == len(reduced)
+        assert [m.exps for m in alg.quotient_basis(k)] == sorted(
+            reduced, key=grlex_key, reverse=True
+        )
 
 
 def test_nonzero_linear_slice_blocks_presentation():

@@ -99,3 +99,14 @@ def test_quadric_layers_record_calls(argv, layers):
     spans = child["spans"]
     idle = [s for s in layers if spans.get(s, {}).get("calls", 0) < 1]
     assert idle == []
+
+
+def test_perfbench_self_tests_pass():
+    # The benchmark's own tests (tracer, timing, oracle) sit outside the
+    # test paths; run them here so a change to the package that breaks
+    # the harness fails the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -20,6 +20,7 @@ from mixedhess import (
     apolar_pairing,
     bigraded_decomposition,
     bigraded_hessian,
+    boolean_form,
     build_algebra,
     dual_basis,
     dual_generator,
@@ -27,6 +28,7 @@ from mixedhess import (
     evaluate_matrix,
     generic_rank,
     mixed_hessian,
+    odd_counterexample,
     parse_polynomial,
     rank_at,
     perazzo_form,
@@ -274,3 +276,47 @@ def test_perazzo_hessian_entries_match_oracle(config, names, partials):
         Monomial(tuple(int(t == i) for t in range(n))) for i in range(n)
     )
     _assert_entries_match_oracle(_entries(f, units, units), f, units, units)
+
+
+# -- the sparse dual build against the per-cell oracle ------------------------
+
+
+def _oracle_dual_entries(alg, l, k):
+    """The per-cell dual build: cell (i, j) adds inv[t][i] times the
+    inner cell (t, j) over every inner row t, zero cells included."""
+    d = alg.socle_degree
+    inner = mixed_hessian(alg, d - l, k)
+    inv = alg.pairing_inverse(l)
+    zero = Polynomial.zero(alg.f.varset)
+    entries = []
+    for i in range(len(alg.quotient_basis(l))):
+        row = []
+        for j in range(inner.ncols):
+            acc = zero
+            for t in range(inner.nrows):
+                c = inv[t][i]
+                if c:
+                    acc = acc + inner.entries[t][j].scale(c)
+            row.append(acc)
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("name", ["four-cycle", "odd-5-14", "boolean-5"])
+def test_dual_entries_match_per_cell_oracle(catalog, name):
+    f = {
+        "four-cycle": lambda: catalog["four-cycle"].polynomial,
+        "odd-5-14": lambda: odd_counterexample(5, 14, verify="none").polynomial,
+        "boolean-5": lambda: boolean_form(5),
+    }[name]()
+    alg = build_algebra(f)
+    d = alg.socle_degree
+    for l in range(d + 1):
+        for k in range(l + 1):
+            entries = dual_mixed_hessian(alg, l, k).entries
+            oracle = _oracle_dual_entries(alg, l, k)
+            assert len(entries) == len(oracle)
+            for row, expected_row in zip(entries, oracle):
+                assert len(row) == len(expected_row)
+                for p, q in zip(row, expected_row):
+                    assert list(p.terms.items()) == list(q.terms.items())

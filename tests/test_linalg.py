@@ -23,6 +23,7 @@ from mixedhess import (
     parse_polynomial,
     rank_at,
 )
+from mixedhess import hessians
 from mixedhess.linalg import (
     RowSpace,
     invert,
@@ -148,6 +149,47 @@ def test_rank_matches_bareiss_oracle(rows):
     assert matrix_rank(transposed) == _bareiss_rank(rows)
 
 
+@st.composite
+def _keyed_rows(draw):
+    """A matrix from ``_rank_matrices`` and the same matrix as
+    ``{column: value}`` rows.  Columns are keyed by negative ints, by
+    tuples or by both, in shuffled order; some rows keep explicit zero
+    values, and zero rows may come as empty mappings."""
+    rows = draw(_rank_matrices())
+    ncols = len(rows[0])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    style = draw(st.sampled_from(["negative", "tuple", "mixed"]))
+    keys = [
+        -1 - j if style == "negative" or (style == "mixed" and j % 2)
+        else (j % 3, -j)
+        for j in range(ncols)
+    ]
+    rng.shuffle(keys)
+    mapped = []
+    for row in rows:
+        keep_zeros = rng.random() < 0.3
+        cells = [(keys[j], c) for j, c in enumerate(row) if c or keep_zeros]
+        rng.shuffle(cells)
+        mapped.append(dict(cells))
+    return rows, mapped
+
+
+@settings(max_examples=300, deadline=None)
+@given(_keyed_rows())
+def test_rank_of_mapping_rows_matches_dense(case):
+    rows, mapped = case
+    assert matrix_rank(mapped) == matrix_rank(rows) == _bareiss_rank(rows)
+
+
+def test_rank_of_mapping_rows_edge_cases():
+    assert matrix_rank([{}, {}]) == 0
+    assert matrix_rank([{-2: 0, (1, 0): 0}]) == 0
+    rows = [{(0, 1): 0, -3: 2}, {-3: Fraction(4, 3)}, {}, {(0, 1): Fraction(1, 2), -3: 1}]
+    assert matrix_rank(rows) == 2
+    # A dense row and a mapping row in one matrix share column keys.
+    assert matrix_rank([[0, 5], {1: Fraction(10)}]) == 1
+
+
 _ORACLE_POINTS = pytest.mark.parametrize(
     "point",
     [(3, -1, 0, 2), (Fraction(1, 2), Fraction(-3, 7), 0, Fraction(5, 3))],
@@ -238,6 +280,48 @@ def test_rank_at_scales_exactly():
     half, third = Fraction(1, 2), Fraction(1, 3)
     h = hessian(((x.scale(half), y.scale(third)), (x, y.scale(2 * third))))
     assert rank_at(h, (5, 7)) == 1
+
+
+def _vanishing_cells_matrix():
+    """[[x - y, 1, 0], [z, x - y, 1], [x - y, x - y, 0]]: the cells
+    x - y are structurally nonzero, so they are in ``_int_rows``, but
+    they evaluate to 0 wherever x = y, and there the third row is 0."""
+    vs = VarSet(("x", "y", "z"))
+    x, y, z, one = (parse_polynomial(t, vs) for t in ("x", "y", "z", "1"))
+    zero = Polynomial.zero(vs)
+    m = Monomial((1, 0, 0))
+    entries = ((x - y, one, zero), (z, x - y, one), (x - y, x - y, zero))
+    return MixedHessian(vs, entries, (m,) * 3, (m,) * 3, "hessian", (1, 1))
+
+
+@pytest.mark.parametrize(
+    "point, rank",
+    [
+        ((2, 2, 5), 2),
+        ((Fraction(1, 3), Fraction(1, 3), Fraction(-4, 7)), 2),
+        ((0, 0, 0), 2),
+        ((3, 1, 5), 3),
+    ],
+    ids=["x=y", "x=y-fractions", "origin", "x!=y"],
+)
+def test_rank_at_with_cells_that_vanish_at_the_point(monkeypatch, point, rank):
+    h = _vanishing_cells_matrix()
+    assert all(p.terms for row in h.entries for p in row[:2])
+    seen = []
+
+    def recording(rows):
+        seen.extend(rows)
+        return matrix_rank(rows)
+
+    monkeypatch.setattr(hessians, "matrix_rank", recording)
+    assert rank_at(h, point) == rank
+    assert rank == _bareiss_rank(evaluate_matrix(h, point))
+    # rank_at hands over only the cells that are nonzero at the point.
+    dense = evaluate_matrix(h, point)
+    assert [sorted(row) for row in seen] == [
+        [j for j, c in enumerate(row) if c] for row in dense
+    ]
+    assert all(isinstance(c, int) and c for row in seen for c in row.values())
 
 
 def test_rref_pivots():
