@@ -72,6 +72,7 @@ from .linalg import RowSpace, invert, sparse_rref
 from .polyring import (
     Monomial,
     Polynomial,
+    _int_scaled,
     apolar_pairing,
     falling_product,
     grlex_key,
@@ -124,8 +125,7 @@ def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
     The coefficients of f are scaled once by the lcm of their
     denominators, so every entry is an int; that scales every row by
     the same nonzero number and keeps the reduced echelon form."""
-    lcm = math.lcm(*(c.denominator for c in f.terms.values()))
-    coeffs = {b: c.numerator * (lcm // c.denominator) for b, c in f.terms.items()}
+    coeffs = dict(zip(f.terms, _int_scaled(f.terms.values())[1]))
     rows: dict = {}
     for b, a, falling in _apolar_terms(f, k):
         key = tuple(x - y for x, y in zip(b, a))
@@ -217,16 +217,24 @@ class GradedAlgebra:
 
     def pairing_matrix(self, k: int) -> list[list[Fraction]]:
         """Matrix of the perfect pairing A_k x A_{d-k} -> K in the chosen
-        quotient bases: entry (i, j) = (alpha_i * gamma_j)(f)."""
+        quotient bases: entry (i, j) = (alpha_i * gamma_j)(f).
+
+        An entry is nonzero only when alpha_i * gamma_j is a term x^b of
+        f, so only the pairs (b, a) of `_apolar_terms` are paired, a
+        against b - a; every other cell is zero."""
         cached = self._pairing_cache.get(k)
         if cached is not None:
             return cached
-        rows_b = self.quotient_basis(k)
+        pairs: dict = {}
+        for b, a, _ in _apolar_terms(self.f, k):
+            g = tuple(x - y for x, y in zip(b, a))
+            pairs.setdefault(a, {})[g] = apolar_pairing(a, g, self.f)
+        zero = Fraction(0)
         cols_b = self.quotient_basis(self.socle_degree - k)
-        mat = [
-            [apolar_pairing(a.exps, g.exps, self.f) for g in cols_b]
-            for a in rows_b
-        ]
+        mat = []
+        for a in self.quotient_basis(k):
+            row = pairs.get(a.exps, {})
+            mat.append([row.get(g.exps, zero) for g in cols_b])
         self._pairing_cache[k] = mat
         return mat
 

@@ -5,7 +5,9 @@ The decision procedures here rest on two routes to the same rank:
 * the *multiplication route* builds the matrix of mu : A_k -> A_l,
   v |-> (power of a linear form) * v, directly from the algebra: apply
   the linear operator repeatedly to each basis monomial's action on the
-  dual generator, then read coordinates off the socle pairing;
+  dual generator, then read coordinates off the socle pairing.  It
+  works on integer term maps (f and the form each scaled by the lcm of
+  their denominators) and divides each nonzero entry once at the end;
 * the *Hessian route* evaluates a dual mixed Hessian at the point of
   coefficients of the linear form and scales by a factorial.
 
@@ -29,10 +31,11 @@ the attached certificates carry failure bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .apolarity import GradedAlgebra, InvariantViolation
+from .apolarity import GradedAlgebra, InvariantViolation, _apolar_terms
 from .config import DEFAULT_CONFIG, SamplingConfig
 from .hessians import (
     MixedHessian,
@@ -44,12 +47,7 @@ from .hessians import (
     rank_at,
 )
 from .linalg import matrix_rank
-from .polyring import (
-    LinearForm,
-    apolar_monomial,
-    apolar_pairing,
-    linear_power_apply,
-)
+from .polyring import LinearForm, _int_scaled, _linear_power_terms
 
 
 @dataclass(frozen=True)
@@ -85,37 +83,49 @@ def mult_map_matrix(
     """Matrix of multiplication by L^(l-k) from A_k to A_l in the chosen
     quotient bases (rows indexed by B_l, columns by B_k).
 
-    Built without Hessians: the operator power is never expanded;
-    instead the linear operator is applied l-k times to each basis
-    monomial's action on the dual generator, and coordinates in degree
-    l are read off the inverse socle pairing.  Coordinates are
-    accumulated only from the nonzero pairings, each against the
-    nonzero entries of its row of the cached inverse; Fraction sums are
-    exact, so skipping zero terms leaves every entry unchanged.
+    Built without Hessians, in integers from the terms of f: the
+    coefficients of f are scaled once by the lcm of their denominators
+    and those of L by theirs.  Each column is X^beta f, read off
+    `_apolar_terms`, with the linear operator applied l-k times to its
+    term map; the power is never expanded.  Coordinates in degree l are
+    read off the inverse socle pairing: a term c*x^e of the result pairs
+    to c*e! when x^e lies in B_(d-l), and only against the nonzero
+    entries of that row of `alg.pairing_inverse(l)`.  Each nonzero cell
+    is divided once by lcm_f * lcm_L^(l-k); the sums are exact, so every
+    entry equals the one the Fraction route gives.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
         raise ValueError(f"need 0 <= k <= l <= {d}, got ({k}, {l})")
     if L.varset != alg.f.varset:
         raise ValueError("linear form lives in a different variable set")
+    f = alg.f
+    lcm_f, f_ints = _int_scaled(f.terms.values())
+    f_coeffs = dict(zip(f.terms, f_ints))
+    lcm_l, l_coeffs = _int_scaled(L.coeffs)
     cols_b = alg.quotient_basis(k)
-    comp_b = alg.quotient_basis(d - l)
-    inv_rows = [
-        [(i, v) for i, v in enumerate(row) if v] for row in alg.pairing_inverse(l)
-    ]
-    s = len(alg.quotient_basis(l))
-    zero_exps = (0,) * alg.f.varset.size
-    columns = []
-    for beta in cols_b:
-        g = linear_power_apply(L, apolar_monomial(beta.exps, alg.f), l - k)
-        col = [Fraction(0)] * s
-        for c, row in zip(comp_b, inv_rows):
-            p = apolar_pairing(c.exps, zero_exps, g)
-            if p:
-                for i, v in row:
-                    col[i] += p * v
-        columns.append(col)
-    return [[columns[j][i] for j in range(len(cols_b))] for i in range(s)]
+    actions: dict = {beta.exps: {} for beta in cols_b}
+    for b, a, falling in _apolar_terms(f, k):
+        g = actions.get(a)
+        if g is not None:
+            g[tuple(x - y for x, y in zip(b, a))] = f_coeffs[b] * falling
+    inverse = {}
+    for gamma, row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
+        fact = math.prod(map(math.factorial, gamma.exps))
+        inverse[gamma.exps] = [(i, v * fact) for i, v in enumerate(row) if v]
+    scale = lcm_f * lcm_l ** (l - k)
+    zero = Fraction(0)
+    matrix = [[zero] * len(cols_b) for _ in range(alg.dim(l))]
+    for j, beta in enumerate(cols_b):
+        col: dict = {}
+        for e, c in _linear_power_terms(l_coeffs, actions[beta.exps], l - k).items():
+            for i, v in inverse.get(e, ()):
+                prev = col.get(i)
+                col[i] = v * c if prev is None else prev + v * c
+        for i, v in col.items():
+            if v:
+                matrix[i][j] = v / scale
+    return matrix
 
 
 def rank_profile(alg: GradedAlgebra, L: LinearForm) -> tuple[int, ...]:

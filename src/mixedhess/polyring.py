@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 
 class VarSetMismatch(ValueError):
@@ -307,16 +307,18 @@ class Polynomial:
         return _raw(self.varset, {e: c for e, c in out.items() if c})
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """Value at the point, as a Fraction.  Int coordinates stay ints,
+        so at an integer point each term costs one Fraction multiply."""
         if len(point) != self.varset.size:
             raise VarSetMismatch("point length does not match VarSet")
-        pt = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
+        pt = [p if isinstance(p, (int, Fraction)) else Fraction(p) for p in point]
         total = Fraction(0)
         for e, c in self.terms.items():
-            val = c
+            val = 1
             for p, k in zip(pt, e):
                 if k:
                     val *= p**k
-            total += val
+            total += c * val
         return total
 
     # -- text ----------------------------------------------------------
@@ -449,29 +451,43 @@ def apolar_pairing(a: tuple[int, ...], g: tuple[int, ...], f: Polynomial) -> Fra
     return c * fact
 
 
+def _linear_power_terms(coeffs: Sequence, terms: dict, power: int) -> dict:
+    """The operator sum(a_v * X_v) applied power times to a term map
+    {exponents: coefficient}; ints in give ints out, and zero
+    coefficients are dropped after each application."""
+    nonzero = [(v, a) for v, a in enumerate(coeffs) if a]
+    for _ in range(power):
+        if not terms:
+            break
+        out: dict = {}
+        for b, c in terms.items():
+            for v, a in nonzero:
+                if b[v]:
+                    key = b[:v] + (b[v] - 1,) + b[v + 1 :]
+                    val = c * a * b[v]
+                    prev = out.get(key)
+                    out[key] = val if prev is None else prev + val
+        terms = {e: c for e, c in out.items() if c}
+    return terms
+
+
+def _int_scaled(values: Collection[Fraction]) -> tuple[int, list[int]]:
+    """(m, [m*v for v in values]) for m the lcm of the denominators:
+    the values scaled by one positive int into ints."""
+    m = math.lcm(*(v.denominator for v in values))
+    return m, [v.numerator * (m // v.denominator) for v in values]
+
+
 def linear_apply(coeffs: Sequence[Fraction], f: Polynomial) -> Polynomial:
     """One application of the operator sum(a_v * X_v) to f."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for b, c in f.terms.items():
-        for v, a in enumerate(coeffs):
-            if a and b[v]:
-                key = b[:v] + (b[v] - 1,) + b[v + 1 :]
-                val = c * a * b[v]
-                prev = out.get(key)
-                out[key] = val if prev is None else prev + val
-    return _raw(f.varset, {e: c for e, c in out.items() if c})
+    return _raw(f.varset, _linear_power_terms(coeffs, f.terms, 1))
 
 
 def linear_power_apply(L: LinearForm, f: Polynomial, power: int) -> Polynomial:
     """L^power applied to f, by iterated first-order application."""
     if L.varset != f.varset:
         raise VarSetMismatch("linear form and polynomial over different VarSets")
-    g = f
-    for _ in range(power):
-        if g.is_zero():
-            break
-        g = linear_apply(L.coeffs, g)
-    return g
+    return _raw(f.varset, _linear_power_terms(L.coeffs, f.terms, power))
 
 
 def power_apply_identity_check(L: LinearForm, g: Polynomial, h: int) -> bool:

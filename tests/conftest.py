@@ -12,6 +12,7 @@ import pytest
 from mixedhess import (
     Graph,
     LinearForm,
+    Polynomial,
     SamplingConfig,
     VarSet,
     build_algebra,
@@ -69,6 +70,22 @@ def dense_random_form(rng: random.Random, nvars: int, degree: int):
         else:
             text += f" + {coeff}*{mono}" if coeff > 0 else f" - {abs(coeff)}*{mono}"
     return parse_polynomial(text, vs)
+
+
+def rational_random_form(rng: random.Random, nvars: int, degree: int):
+    """Homogeneous polynomial on a random nonempty subset of the
+    degree-`degree` monomials, with coefficients of mixed denominators."""
+    vs = VarSet(tuple(f"x{i + 1}" for i in range(nvars)))
+    monomials = list(itertools.combinations_with_replacement(range(nvars), degree))
+    terms = {}
+    for combo in rng.sample(monomials, rng.randint(1, len(monomials))):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        terms[tuple(exps)] = Fraction(
+            rng.choice([1, 2, 3, 5, 7]) * rng.choice([1, -1]), rng.choice([1, 2, 3, 4, 9])
+        )
+    return Polynomial(vs, terms)
 
 
 def random_linear_avoiding(alg, rng: random.Random, bound: int = 50):

@@ -29,9 +29,9 @@ from mixedhess import (
 from mixedhess import apolarity
 from mixedhess.apolarity import _degree_step_spanned, _divisors_of_degree
 from mixedhess.linalg import RowSpace, matrix_rank, sparse_rref
-from mixedhess.polyring import falling_product
+from mixedhess.polyring import apolar_pairing, falling_product
 
-from conftest import dense_random_form
+from conftest import dense_random_form, rational_random_form
 
 
 def test_four_cycle_dimensions(four_cycle_alg):
@@ -109,6 +109,24 @@ def test_pairing_matrices_invertible(four_cycle_alg, boolean3_alg):
             m = alg.pairing_matrix(k)
             assert len(m) == alg.dim(k)
             assert matrix_rank(m) == len(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pairing_matrix_matches_dense_pairing(seed):
+    # Every cell through apolar_pairing, on forms with a random support
+    # and mixed-denominator coefficients.
+    rng = random.Random(seed)
+    alg = build_algebra(rational_random_form(rng, rng.randint(1, 4), rng.randint(1, 5)))
+    for k in range(alg.socle_degree + 1):
+        dense = [
+            [apolar_pairing(a.exps, g.exps, alg.f)
+             for g in alg.quotient_basis(alg.socle_degree - k)]
+            for a in alg.quotient_basis(k)
+        ]
+        m = alg.pairing_matrix(k)
+        assert m == dense, k
+        assert all(type(v) is Fraction for row in m for v in row)
 
 
 def test_quadrics_presented_for_four_cycle(four_cycle_alg):

@@ -136,6 +136,16 @@ GOLDEN = {
         "mult-map", "samples/four_cycle.poly", "--from", "1", "--to", "2",
         "--linear", "3,-1,4,1,-5,9,2,-6", "--seed", "1",
     ],
+    # A rational linear form and l - k = 3 and 2: the multiplication map
+    # is scaled by the lcm of the form's denominators to those powers.
+    "mult_map_four_cycle_0_3_rational_seed1.json": [
+        "mult-map", "samples/four_cycle.poly", "--from", "0", "--to", "3",
+        "--linear", "1/2,-2/3,1/5,3,5/4,-1,2/7,7/3", "--seed", "1",
+    ],
+    "mult_map_four_cycle_1_3_rational_seed1.json": [
+        "mult-map", "samples/four_cycle.poly", "--from", "1", "--to", "3",
+        "--linear", "1/2,-2/3,1/5,3,5/4,-1,2/7,7/3", "--seed", "1",
+    ],
     "family_odd_d5_codim10_seed1.json": [
         "family", "odd", "--d", "5", "--codim", "10", "--seed", "1",
     ],

@@ -22,11 +22,18 @@ from mixedhess import (
     wlp_check,
     unimodality_check,
 )
+from mixedhess.apolarity import GradedAlgebra
 from mixedhess.hessians import mixed_hessian, rank_at
 from mixedhess.linalg import matrix_rank
-from mixedhess.polyring import apolar_monomial, apolar_pairing, linear_apply
+from mixedhess.polyring import (
+    Monomial,
+    Polynomial,
+    apolar_monomial,
+    apolar_pairing,
+    linear_apply,
+)
 
-from conftest import dense_random_form, random_linear_avoiding
+from conftest import dense_random_form, random_linear_avoiding, rational_random_form
 
 
 def _ones(alg):
@@ -94,6 +101,91 @@ def test_sparse_mult_map_matches_dense_on_catalog(catalog, name):
         coeffs = [rng.choice([0, 0, 1, -2, 3]) for _ in range(alg.varset.size)]
         L = LinearForm(alg.varset, tuple(Fraction(c) for c in coeffs))
         _assert_mult_maps_match_dense(alg, L)
+
+
+def _oracle_linear_apply(coeffs, f):
+    """One application of sum(a_v * X_v) to f, on Fraction terms."""
+    out = {}
+    for b, c in f.terms.items():
+        for v, a in enumerate(coeffs):
+            if a and b[v]:
+                key = b[:v] + (b[v] - 1,) + b[v + 1 :]
+                out[key] = out.get(key, Fraction(0)) + c * a * b[v]
+    return Polynomial(f.varset, out)
+
+
+def _oracle_mult_map_matrix(alg, k, l, L):
+    """The Fraction route: X^beta f and each power of L as Polynomials,
+    every element of B_(d-l) paired against the result."""
+    d = alg.socle_degree
+    cols_b = alg.quotient_basis(k)
+    comp_b = alg.quotient_basis(d - l)
+    inv_rows = [
+        [(i, v) for i, v in enumerate(row) if v] for row in alg.pairing_inverse(l)
+    ]
+    s = len(alg.quotient_basis(l))
+    zero_exps = (0,) * alg.f.varset.size
+    columns = []
+    for beta in cols_b:
+        g = apolar_monomial(beta.exps, alg.f)
+        for _ in range(l - k):
+            g = _oracle_linear_apply(L.coeffs, g)
+        col = [Fraction(0)] * s
+        for c, row in zip(comp_b, inv_rows):
+            p = apolar_pairing(c.exps, zero_exps, g)
+            if p:
+                for i, v in row:
+                    col[i] += p * v
+        columns.append(col)
+    return [[columns[j][i] for j in range(len(cols_b))] for i in range(s)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mult_map_matches_fraction_oracle(seed):
+    rng = random.Random(seed)
+    alg = build_algebra(rational_random_form(rng, rng.randint(1, 4), rng.randint(1, 4)))
+    n = alg.varset.size
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+    coeffs[rng.randrange(n)] = Fraction(rng.choice([1, -1]), rng.randint(1, 6))
+    if n > 1:
+        coeffs[rng.randrange(n)] = Fraction(0)
+    if not any(coeffs):
+        coeffs[0] = Fraction(2, 3)
+    L = LinearForm(alg.varset, tuple(coeffs))
+    d = alg.socle_degree
+    for k in range(d + 1):
+        for l in range(k, d + 1):
+            M = mult_map_matrix(alg, k, l, L)
+            assert M == _oracle_mult_map_matrix(alg, k, l, L), (k, l)
+            assert all(type(v) is Fraction for row in M for v in row)
+
+
+def _corrupt_basis(alg, k, basis):
+    """A copy of alg whose degree-k quotient basis is replaced."""
+    bases = list(alg._quotient_bases)
+    bases[k] = tuple(Monomial(e) for e in basis)
+    return GradedAlgebra(
+        alg.f, alg.hilbert, tuple(bases), alg._reduced, alg.warnings
+    )
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ((1, 0, 0), (1, 0, 0), (0, 0, 1)),  # a repeated element
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1)),  # x1^2 kills f
+    ],
+)
+def test_rank_profile_raises_on_a_singular_pairing(boolean3_alg, basis):
+    alg = _corrupt_basis(boolean3_alg, 1, basis)
+    L = _ones(alg)
+    with pytest.raises(InvariantViolation, match="singular"):
+        rank_profile(alg, L)
+    with pytest.raises(InvariantViolation, match="singular"):
+        mult_map_matrix(alg, 0, 1, L)
+    # The socle pairing does not see B_1, so this map is still defined.
+    assert mult_map_matrix(alg, 1, 3, L) == _oracle_mult_map_matrix(alg, 1, 3, L)
 
 
 def test_mult_map_validates_input(boolean3_alg):

@@ -69,6 +69,32 @@ def test_evaluate_and_partial():
     assert fx == parse_polynomial("3*x^2 - 2*y^2", f.varset)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluate_at_int_and_rational_points(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    vs = VarSet(tuple(f"x{i}" for i in range(n)))
+    terms = {
+        tuple(rng.randint(0, 3) for _ in range(n)):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        for _ in range(rng.randint(0, 6))
+    }
+    f = Polynomial(vs, terms)
+    point = tuple(rng.randint(-5, 5) for _ in range(n))
+    rational = tuple(Fraction(p, rng.randint(1, 4)) for p in point)
+    mixed = tuple(q if i % 2 else p for i, (p, q) in enumerate(zip(point, rational)))
+    for pt in (point, mixed, rational):
+        oracle = sum(
+            (c * math.prod(Fraction(p) ** k for p, k in zip(pt, e))
+             for e, c in f.terms.items()),
+            Fraction(0),
+        )
+        value = f.evaluate(pt)
+        assert type(value) is Fraction
+        assert value == oracle
+
+
 def test_homogeneous_degree_none_for_mixed():
     f = parse_polynomial("x^2 + x")
     assert f.homogeneous_degree() is None
