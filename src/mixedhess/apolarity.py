@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .linalg import RowSpace, invert, sparse_rref
+from .linalg import RowSpace, sparse_rref
 from .polyring import (
     Monomial,
     Polynomial,
@@ -141,9 +141,9 @@ class GradedAlgebra:
     monomial quotient basis (catalecticant pivot columns), the reduced
     catalecticant it was read from, and (lazily) a basis of K_k, the
     annihilator vectors supported on D_k.  The monomials outside D_k,
-    which complete K_k to Ann_k, are never listed.  Pairing matrices
-    between complementary degrees and their inverses are cached on
-    first use.
+    which complete K_k to Ann_k, are never listed.  The inverse of the
+    pairing between complementary degrees is cached on first use, as
+    sparse rows; the pairing itself is rebuilt from the terms of f.
     """
 
     def __init__(
@@ -164,8 +164,7 @@ class GradedAlgebra:
         self.i1_zero = hilbert[1] == f.varset.size if self.socle_degree >= 1 else False
         self._ann_cache: dict[int, tuple[Polynomial, ...]] = {}
         self._support_cache: dict[int, frozenset[tuple[int, ...]]] = {}
-        self._pairing_cache: dict[int, list[list[Fraction]]] = {}
-        self._pairing_inv_cache: dict[int, list[list[Fraction]]] = {}
+        self._pairing_inv_cache: dict[int, list[dict[int, Fraction]]] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -215,39 +214,47 @@ class GradedAlgebra:
 
     # -- pairing -------------------------------------------------------
 
-    def pairing_matrix(self, k: int) -> list[list[Fraction]]:
-        """Matrix of the perfect pairing A_k x A_{d-k} -> K in the chosen
-        quotient bases: entry (i, j) = (alpha_i * gamma_j)(f).
+    def pairing_matrix(self, k: int) -> list[dict[int, Fraction]]:
+        """Sparse rows of the perfect pairing A_k x A_{d-k} -> K in the
+        chosen quotient bases: row i maps j to (alpha_i * gamma_j)(f)
+        wherever that is nonzero.
 
         An entry is nonzero only when alpha_i * gamma_j is a term x^b of
         f, so only the pairs (b, a) of `_apolar_terms` are paired, a
-        against b - a; every other cell is zero."""
-        cached = self._pairing_cache.get(k)
-        if cached is not None:
-            return cached
-        pairs: dict = {}
+        against b - a."""
+        col_of = {
+            g.exps: j for j, g in enumerate(self.quotient_basis(self.socle_degree - k))
+        }
+        rows: dict = {}
         for b, a, _ in _apolar_terms(self.f, k):
             g = tuple(x - y for x, y in zip(b, a))
-            pairs.setdefault(a, {})[g] = apolar_pairing(a, g, self.f)
-        zero = Fraction(0)
-        cols_b = self.quotient_basis(self.socle_degree - k)
-        mat = []
-        for a in self.quotient_basis(k):
-            row = pairs.get(a.exps, {})
-            mat.append([row.get(g.exps, zero) for g in cols_b])
-        self._pairing_cache[k] = mat
-        return mat
+            j = col_of.get(g)
+            if j is not None:
+                rows.setdefault(a, {})[j] = apolar_pairing(a, g, self.f)
+        return [rows.get(a.exps, {}) for a in self.quotient_basis(k)]
 
-    def pairing_inverse(self, k: int) -> list[list[Fraction]]:
+    def pairing_inverse(self, k: int) -> list[dict[int, Fraction]]:
+        """Sparse rows of the inverse of `pairing_matrix(k)`, one per
+        element of B_{d-k}: row t maps i to entry (t, i) wherever that
+        is nonzero.
+
+        Read off the reduced echelon form of the rows [P | I], with
+        column j of P keyed h + j above column i of I keyed i.  P is
+        invertible iff it takes every pivot, and then the row with
+        pivot h + t is the unit vector t followed by row t of the
+        inverse."""
         cached = self._pairing_inv_cache.get(k)
         if cached is not None:
             return cached
-        try:
-            inv = invert(self.pairing_matrix(k))
-        except ValueError:
-            raise InvariantViolation(
-                f"pairing matrix in degree {k} is singular"
-            ) from None
+        pairing = self.pairing_matrix(k)
+        h = len(pairing)
+        reduced = sparse_rref(
+            {h + j: v for j, v in row.items()} | {i: 1}
+            for i, row in enumerate(pairing)
+        )
+        if any(top < h for top in reduced):
+            raise InvariantViolation(f"pairing matrix in degree {k} is singular")
+        inv = [{i: v for i, v in row.items() if i < h} for row in reduced.values()]
         self._pairing_inv_cache[k] = inv
         return inv
 

@@ -200,20 +200,16 @@ def dual_basis(alg: GradedAlgebra, l: int) -> tuple[Polynomial, ...]:
 
     The i-th element pairs to 1 against the i-th monomial of B_l and to
     0 against every other one; its coefficients in B_{d-l} form the
-    i-th column of the inverse pairing matrix.
+    i-th column of the inverse pairing matrix.  Each row t of that
+    inverse is read once, adding the t-th monomial of B_{d-l} to every
+    element it has an entry for.
     """
     d = alg.socle_degree
-    inv = alg.pairing_inverse(l)
-    comp = alg.quotient_basis(d - l)
-    out = []
-    for i in range(len(inv)):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for t, c in enumerate(comp):
-            coeff = inv[t][i]
-            if coeff:
-                terms[c.exps] = coeff
-        out.append(Polynomial(alg.f.varset, terms))
-    return tuple(out)
+    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in alg.quotient_basis(l)]
+    for c, inv_row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
+        for i, coeff in inv_row.items():
+            terms[i][c.exps] = coeff
+    return tuple(Polynomial(alg.f.varset, t) for t in terms)
 
 
 def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
@@ -221,32 +217,27 @@ def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
 
     Row i is the linear combination of the rows of the plain order
     (d - l, k) Hessian given by the i-th column of the inverse pairing
-    matrix in degree l.  Entries are polynomials of degree l - k.  Only
-    the rows t with a nonzero coefficient, and only their nonzero
-    cells, are added; every other cell holds one shared zero
+    matrix in degree l.  Entries are polynomials of degree l - k.  Each
+    row t of the inverse is read once, and only the nonzero cells of
+    inner row t are added into the rows it has an entry for, in
+    ascending t per cell; every other cell holds one shared zero
     polynomial.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
         raise ValueError(f"need 0 <= k <= l <= socle degree, got ({l}, {k})")
     inner = mixed_hessian(alg, d - l, k)
-    inv = alg.pairing_inverse(l)
-    cells = [
-        [(j, p) for j, p in enumerate(row) if p.terms] for row in inner.entries
-    ]
     zero = Polynomial.zero(alg.f.varset)
-    entries = []
-    for i in range(len(alg.quotient_basis(l))):
-        row = [zero] * inner.ncols
-        for t, inner_row in enumerate(cells):
-            c = inv[t][i]
-            if c:
-                for j, p in inner_row:
-                    row[j] = row[j] + p.scale(c)
-        entries.append(tuple(row))
+    rows = [[zero] * inner.ncols for _ in alg.quotient_basis(l)]
+    for inv_row, inner_row in zip(alg.pairing_inverse(l), inner.entries):
+        cells = [(j, p) for j, p in enumerate(inner_row) if p.terms]
+        for i, c in inv_row.items():
+            row = rows[i]
+            for j, p in cells:
+                row[j] = row[j] + p.scale(c)
     return MixedHessian(
         alg.f.varset,
-        tuple(entries),
+        tuple(map(tuple, rows)),
         alg.quotient_basis(l),
         inner.col_basis,
         "dual",

@@ -112,7 +112,7 @@ def mult_map_matrix(
     inverse = {}
     for gamma, row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
         fact = math.prod(map(math.factorial, gamma.exps))
-        inverse[gamma.exps] = [(i, v * fact) for i, v in enumerate(row) if v]
+        inverse[gamma.exps] = [(i, v * fact) for i, v in row.items()]
     scale = lcm_f * lcm_l ** (l - k)
     zero = Fraction(0)
     matrix = [[zero] * len(cols_b) for _ in range(alg.dim(l))]
@@ -163,9 +163,7 @@ def generalization_check(
     by (l-k)!.  Exact arithmetic; returns a small report dict."""
     m = mult_map_matrix(alg, k, l, L)
     dual = dual_mixed_hessian(alg, l, k)
-    factor = 1
-    for t in range(2, l - k + 1):
-        factor *= t
+    factor = math.factorial(l - k)
     evaluated = evaluate_matrix(dual, L.perp())
     worst = Fraction(0)
     for i in range(len(m)):

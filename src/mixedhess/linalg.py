@@ -1,8 +1,10 @@
 """Exact rational linear algebra on one elimination loop.
 
-Everything verdict-bearing in this package reduces to ranks, spans,
-echelon forms and inverses of matrices over Q, and all of them run through
+Everything verdict-bearing in this package reduces to ranks, spans and
+echelon forms of matrices over Q, and all of them run through
 :class:`RowSpace`, a sparse fraction-free elimination over the integers.
+The one inverse, of the socle pairing, is read off :func:`sparse_rref`
+by `apolarity`.
 
 * Vectors are dicts keyed by totally-ordered keys (exponent tuples in
   practice).  A vector entering the loop is scaled once by the lcm of
@@ -21,8 +23,8 @@ echelon forms and inverses of matrices over Q, and all of them run through
   with the same update.  A row whose entries are all ints enters the
   loop without a denominator pass.  Fractions appear only in the
   output of :func:`sparse_rref`, where each row is divided by its pivot
-  entry; :func:`rref` and :func:`invert` run dense matrices through it
-  with column j keyed -j.
+  entry; :func:`rref` runs dense matrices through it with column j
+  keyed -j.
 """
 
 from __future__ import annotations
@@ -154,20 +156,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
             row[-key] = v
         dense.append(row)
     return dense, pivots
-
-
-def invert(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix; raises ValueError if singular."""
-    n = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("inverse of a non-square matrix")
-        aug.append(list(row) + [int(j == i) for j in range(n)])
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
 
 
 def sparse_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:

@@ -88,6 +88,52 @@ def rational_random_form(rng: random.Random, nvars: int, degree: int):
     return Polynomial(vs, terms)
 
 
+def densify(rows, ncols: int) -> list[list[Fraction]]:
+    """Dense Fraction rows of sparse ``{column: value}`` rows."""
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
+
+
+def dense_rref(rows):
+    """The dense Gauss-Jordan elimination rref replaced; kept as an oracle."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        m[rank] = [c / p for c in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return m[:rank], pivots
+
+
+def dense_inverse(rows):
+    """Inverse of an invertible square matrix by dense Gauss-Jordan
+    elimination of [rows | I]; an oracle for the sparse pairing inverse."""
+    n = len(rows)
+    reduced, pivots = dense_rref(
+        [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(rows)]
+    )
+    assert pivots[:n] == list(range(n)), "singular matrix"
+    return [row[n:] for row in reduced]
+
+
 def random_linear_avoiding(alg, rng: random.Random, bound: int = 50):
     """Seeded linear form whose coefficient point misses the zero locus
     of the algebra's generator."""

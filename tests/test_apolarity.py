@@ -31,7 +31,7 @@ from mixedhess.apolarity import _degree_step_spanned, _divisors_of_degree
 from mixedhess.linalg import RowSpace, matrix_rank, sparse_rref
 from mixedhess.polyring import apolar_pairing, falling_product
 
-from conftest import dense_random_form, rational_random_form
+from conftest import dense_inverse, dense_random_form, densify, rational_random_form
 
 
 def test_four_cycle_dimensions(four_cycle_alg):
@@ -125,8 +125,27 @@ def test_pairing_matrix_matches_dense_pairing(seed):
             for a in alg.quotient_basis(k)
         ]
         m = alg.pairing_matrix(k)
-        assert m == dense, k
-        assert all(type(v) is Fraction for row in m for v in row)
+        assert densify(m, alg.dim(alg.socle_degree - k)) == dense, k
+        assert all(type(v) is Fraction and v for row in m for v in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pairing_inverse_matches_dense_inverse(seed):
+    rng = random.Random(seed)
+    alg = build_algebra(rational_random_form(rng, rng.randint(1, 4), rng.randint(1, 5)))
+    for k in range(alg.socle_degree + 1):
+        h = alg.dim(k)
+        pairing = alg.pairing_matrix(k)
+        inv = alg.pairing_inverse(k)
+        assert all(v for row in inv for v in row.values()), k
+        assert densify(inv, h) == dense_inverse(densify(pairing, h)), k
+        for t, row in enumerate(inv):
+            product: dict = {}
+            for i, v in row.items():
+                for j, w in pairing[i].items():
+                    product[j] = product.get(j, 0) + v * w
+            assert {j: v for j, v in product.items() if v} == {t: 1}, (k, t)
 
 
 def test_quadrics_presented_for_four_cycle(four_cycle_alg):

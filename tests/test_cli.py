@@ -179,8 +179,8 @@ GOLDEN = {
     "analyze_cubic_relations_seed1.json": [
         "analyze", "samples/cubic_relations.poly", "--seed", "1",
     ],
-    # A positive SLP verdict: multiplication maps and the pairing
-    # inverse through invert.
+    # A positive SLP verdict: multiplication maps read off the sparse
+    # pairing inverse.
     "family_boolean_n7_seed1.json": [
         "family", "boolean", "--n", "7", "--seed", "1",
     ],

@@ -38,7 +38,7 @@ from mixedhess.cli import _complex_from_json
 from mixedhess.hessians import _entries
 from mixedhess.linalg import matrix_rank
 
-from conftest import dense_random_form
+from conftest import dense_random_form, densify
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -286,7 +286,7 @@ def _oracle_dual_entries(alg, l, k):
     inner cell (t, j) over every inner row t, zero cells included."""
     d = alg.socle_degree
     inner = mixed_hessian(alg, d - l, k)
-    inv = alg.pairing_inverse(l)
+    inv = densify(alg.pairing_inverse(l), alg.dim(l))
     zero = Polynomial.zero(alg.f.varset)
     entries = []
     for i in range(len(alg.quotient_basis(l))):

@@ -116,6 +116,9 @@ KEPT_UNREAD = {
     "complexes.incidence_gradient_matrix": (
         "the tests' graph-side oracle for the bigraded Hessian block"
     ),
+    "linalg.rref": (
+        "declared as `linalg.rref.self_s` in BENCHMARK.json; goes with benchmark v2"
+    ),
 }
 
 

@@ -33,7 +33,12 @@ from mixedhess.polyring import (
     linear_apply,
 )
 
-from conftest import dense_random_form, random_linear_avoiding, rational_random_form
+from conftest import (
+    dense_random_form,
+    densify,
+    random_linear_avoiding,
+    rational_random_form,
+)
 
 
 def _ones(alg):
@@ -55,7 +60,7 @@ def test_boolean_mult_map_frozen_matrix(boolean3_alg):
 def _dense_mult_map(alg, k, l, L):
     """Multiplication map by the dense formula sum_t inv[t][i] * pair[t]."""
     d = alg.socle_degree
-    inv = alg.pairing_inverse(l)
+    inv = densify(alg.pairing_inverse(l), alg.dim(l))
     s = len(inv)
     zero = (0,) * alg.varset.size
     columns = []
@@ -121,7 +126,8 @@ def _oracle_mult_map_matrix(alg, k, l, L):
     cols_b = alg.quotient_basis(k)
     comp_b = alg.quotient_basis(d - l)
     inv_rows = [
-        [(i, v) for i, v in enumerate(row) if v] for row in alg.pairing_inverse(l)
+        [(i, v) for i, v in enumerate(row) if v]
+        for row in densify(alg.pairing_inverse(l), alg.dim(l))
     ]
     s = len(alg.quotient_basis(l))
     zero_exps = (0,) * alg.f.varset.size

@@ -26,13 +26,12 @@ from mixedhess import (
 from mixedhess import hessians
 from mixedhess.linalg import (
     RowSpace,
-    invert,
     matrix_rank,
     rref,
     sparse_rref,
 )
 
-from conftest import dense_random_form
+from conftest import dense_inverse, dense_random_form, dense_rref
 
 
 def _random_matrix(rng, nrows, ncols, bound=9):
@@ -335,46 +334,22 @@ def test_rref_pivots():
     assert reduced[1][1] == 1
 
 
-def test_invert_roundtrip():
-    rng = random.Random(5)
-    while True:
-        rows = _random_matrix(rng, 4, 4)
-        if matrix_rank(rows) == len(rows):
-            break
-    inv = invert(rows)
-    prod = _product(rows, inv)
-    for i in range(4):
-        for j in range(4):
-            assert prod[i][j] == (1 if i == j else 0)
-
-
-def _dense_rref(rows):
-    """The dense Gauss-Jordan elimination rref replaced; kept as an oracle."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        m[rank] = [c / p for c in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m[:rank], pivots
+def _sparse_inverse(rows):
+    """Inverse of a square matrix read off one `sparse_rref` of [A | I],
+    the route `GradedAlgebra.pairing_inverse` takes: column j of A is
+    keyed n + j above column i of I keyed i, so A takes every pivot iff
+    it is invertible, and the row with pivot n + t ends in row t of the
+    inverse.  None when A is singular."""
+    n = len(rows)
+    reduced = sparse_rref(
+        {n + j: v for j, v in enumerate(row) if v} | {i: 1}
+        for i, row in enumerate(rows)
+    )
+    if any(top < n for top in reduced):
+        return None
+    return [
+        [reduced[n + t].get(i, Fraction(0)) for i in range(n)] for t in range(n)
+    ]
 
 
 def _product(a, b):
@@ -382,6 +357,19 @@ def _product(a, b):
         [sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))]
         for row in a
     ]
+
+
+def test_invert_roundtrip():
+    rng = random.Random(5)
+    while True:
+        rows = _random_matrix(rng, 4, 4)
+        if matrix_rank(rows) == len(rows):
+            break
+    inv = _sparse_inverse(rows)
+    prod = _product(rows, inv)
+    for i in range(4):
+        for j in range(4):
+            assert prod[i][j] == (1 if i == j else 0)
 
 
 # Mostly zeros, so pivot rows are sparse and many rows skip an update.
@@ -412,24 +400,20 @@ def _sparse_matrices(draw, square=False):
 @given(_sparse_matrices())
 def test_sparse_rref_matches_dense_oracle(rows):
     reduced, pivots = rref(rows)
-    assert (reduced, pivots) == _dense_rref(rows)
+    assert (reduced, pivots) == dense_rref(rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_sparse_matrices(square=True))
 def test_sparse_invert_is_an_inverse(rows):
     n = len(rows)
+    inv = _sparse_inverse(rows)
     if matrix_rank(rows) < n:
-        with pytest.raises(ValueError):
-            invert(rows)
+        assert inv is None
         return
     eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    assert _product(invert(rows), rows) == eye
-
-
-def test_invert_rejects_singular():
-    with pytest.raises(ValueError):
-        invert([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    assert _product(inv, rows) == eye
+    assert inv == dense_inverse(rows)
 
 
 def test_sparse_rref_matches_dense_rank():
