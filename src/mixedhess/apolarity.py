@@ -144,6 +144,9 @@ class GradedAlgebra:
     which complete K_k to Ann_k, are never listed.  The inverse of the
     pairing between complementary degrees is cached on first use, as
     sparse rows; the pairing itself is rebuilt from the terms of f.
+    `hessians.mixed_hessian` caches each order-(k, l) Hessian here too,
+    so every check of one report reads the same matrix and with it the
+    rank facts memoized on that matrix.
     """
 
     def __init__(
@@ -165,6 +168,7 @@ class GradedAlgebra:
         self._ann_cache: dict[int, tuple[Polynomial, ...]] = {}
         self._support_cache: dict[int, frozenset[tuple[int, ...]]] = {}
         self._pairing_inv_cache: dict[int, list[dict[int, Fraction]]] = {}
+        self._hessian_cache: dict = {}
 
     # -- basic queries -------------------------------------------------
 

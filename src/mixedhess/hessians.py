@@ -31,6 +31,17 @@ which is exact whenever it can be (constant entries, sampled rank
 meeting the dimension bound, symbolic determinants up to a size cap)
 and otherwise reports a sampled rank together with a Schwartz-Zippel
 failure bound.
+
+Each matrix and each answer about it is computed once per algebra.
+`mixed_hessian` caches the order-(k, l) matrix on the algebra, so the
+Hessian ranks of a report, its WLP and SLP checks and the dual Hessians
+all read one object.  That object memoizes its rank at each point, its
+`generic_rank` certificate per `SamplingConfig`, and whether its
+symbolic determinant vanishes.  Each is a pure function of the matrix
+and its key (the sampled points come from an RNG seeded by the config
+and the matrix's kind, orders and shape), so a memoized answer is the
+one a fresh computation would give.  The caches live on per-report
+objects: nothing is shared between algebras.
 """
 
 from __future__ import annotations
@@ -117,6 +128,14 @@ class MixedHessian:
         return self.entries[i][j]
 
     @cached_property
+    def _memo(self) -> dict:
+        """Rank facts computed once per matrix: the rank at a point,
+        keyed by the point's tuple; the `generic_rank` certificate, keyed
+        by ("generic", config); whether the symbolic determinant
+        vanishes, keyed by "det".  Like `_int_rows` it is not a field."""
+        return {}
+
+    @cached_property
     def _int_rows(self) -> tuple[tuple[tuple[int, _IntEntry], ...], ...]:
         """Each row's nonzero entries as (column, ((exps, n), ...)), the
         row scaled by the lcm of its coefficient denominators so that
@@ -147,14 +166,19 @@ class MixedHessian:
 
 def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
     """The order-(k, l) Hessian: rows B_k, columns B_l, entries of
-    degree d - k - l where d is the socle degree."""
+    degree d - k - l where d is the socle degree.  Built once per
+    algebra: later calls return the same cached object."""
     d = alg.socle_degree
     if not (0 <= k and 0 <= l and k + l <= d):
         raise ValueError(f"orders ({k}, {l}) out of range for socle degree {d}")
-    rows_b = alg.quotient_basis(k)
-    cols_b = alg.quotient_basis(l)
-    entries = _entries(alg.f, rows_b, cols_b)
-    return MixedHessian(alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l))
+    h = alg._hessian_cache.get((k, l))
+    if h is None:
+        rows_b = alg.quotient_basis(k)
+        cols_b = alg.quotient_basis(l)
+        entries = _entries(alg.f, rows_b, cols_b)
+        h = MixedHessian(alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l))
+        alg._hessian_cache[(k, l)] = h
+    return h
 
 
 def _entries(
@@ -311,7 +335,8 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
     denominator D, and a monomial of degree k is weighted by
     D^(top - k), top the largest entry degree: together they multiply
     the matrix by D^top.  Each row is scaled by the lcm of its
-    coefficient denominators.
+    coefficient denominators.  The rank is memoized on the matrix,
+    keyed by the point.
     """
     if h.nrows == 0 or h.ncols == 0:
         return 0
@@ -319,6 +344,10 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
         raise ValueError(
             f"point has {len(point)} coordinates, expected {h.varset.size}"
         )
+    key = tuple(point)
+    rank = h._memo.get(key)
+    if rank is not None:
+        return rank
     denom = math.lcm(*(c.denominator for c in point))
     pt = [c.numerator * (denom // c.denominator) for c in point]
     top = h.max_entry_degree() if denom != 1 else 0
@@ -345,7 +374,8 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
             if acc:
                 out[j] = acc
         rows.append(out)
-    return matrix_rank(rows)
+    rank = h._memo[key] = matrix_rank(rows)
+    return rank
 
 
 def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
@@ -408,6 +438,18 @@ def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
     return det.scale(Fraction(sign)) if sign < 0 else det
 
 
+def _det_vanishes(h: MixedHessian, cap: int) -> bool | None:
+    """Whether the symbolic determinant of h vanishes identically, or
+    None when h is not square or larger than the cap.  Memoized on the
+    matrix: the answer does not depend on the cap once it is computed."""
+    if h.nrows != h.ncols or h.nrows > cap:
+        return None
+    vanishes = h._memo.get("det")
+    if vanishes is None:
+        vanishes = h._memo["det"] = symbolic_det(h, cap).is_zero()
+    return vanishes
+
+
 def generic_rank(
     h: MixedHessian, config: SamplingConfig = DEFAULT_CONFIG
 ) -> RankCertificate:
@@ -420,7 +462,18 @@ def generic_rank(
     rank sits there).  Anything else is reported as probabilistic with
     a Schwartz-Zippel bound on the chance the sampled maximum missed
     the true generic rank.
+
+    The certificate is memoized on the matrix, keyed by the whole
+    config: every rung reads only the matrix and the config.
     """
+    key = ("generic", config)
+    cert = h._memo.get(key)
+    if cert is None:
+        cert = h._memo[key] = _generic_rank(h, config)
+    return cert
+
+
+def _generic_rank(h: MixedHessian, config: SamplingConfig) -> RankCertificate:
     n, m = h.shape
     bound = min(n, m)
     if bound == 0:
@@ -452,9 +505,9 @@ def generic_rank(
                 note="sampled rank reached the dimension bound",
             )
 
-    if n == m and n <= config.symbolic_cap:
-        det = symbolic_det(h, config.symbolic_cap)
-        if not det.is_zero():
+    vanishes = _det_vanishes(h, config.symbolic_cap)
+    if vanishes is not None:
+        if not vanishes:
             return RankCertificate(
                 n, "exact", note="nonzero symbolic determinant"
             )

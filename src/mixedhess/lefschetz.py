@@ -40,6 +40,7 @@ from .config import DEFAULT_CONFIG, SamplingConfig
 from .hessians import (
     MixedHessian,
     RankCertificate,
+    _det_vanishes,
     dual_mixed_hessian,
     evaluate_matrix,
     generic_rank,
@@ -247,7 +248,15 @@ def _decide(
     confirmation note with {} for the rank).  A point where every cell
     has full rank is a witness; otherwise the first cell whose generic
     rank falls short names its step in a negative verdict, and when none
-    does the property holds without a witness."""
+    does the property holds without a witness.
+
+    The witness search stops at the first point where a cell loses rank
+    if that cell is square, within the symbolic cap, and its symbolic
+    determinant vanishes identically: then it is singular at every point
+    and no later point can be a witness.  The stop is exact, so the
+    verdict is the one the full search gives.  A cell with a nonzero
+    determinant never stops it, and the negative branch reads the same
+    memoized determinant through `generic_rank`."""
     mats = [_cell_hessian(alg, i, j) for i, j, *_ in cells]
     notes: list[str] = []
     points = sample_points(alg, config, f"{name.lower()}-witness")
@@ -256,7 +265,8 @@ def _decide(
             "no sample point avoided the vanishing locus of the generator"
         )
     for pt in points:
-        if all(rank_at(m, pt) == min(m.shape) for m in mats):
+        short = next((m for m in mats if rank_at(m, pt) != min(m.shape)), None)
+        if short is None:
             witness = _linear_form(alg, pt)
             profile = rank_profile(alg, witness)
             if profile != full_profile(alg):
@@ -273,6 +283,8 @@ def _decide(
                 name, True, witness, evidence, "exact", profile, None,
                 config.trials, config.seed, tuple(notes),
             )
+        if _det_vanishes(short, config.symbolic_cap):
+            break
 
     evidence = []
     for (_, _, step, _, confirm_note), m in zip(cells, mats):

@@ -230,6 +230,32 @@ def test_text_report_renders_the_golden_json(name, tmp_path, monkeypatch, capsys
     assert out.read_text() == "\n".join(_render_text(golden)) + "\n"
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "samples/four_cycle.poly"],
+        ["analyze", "samples/cubic_relations.poly"],
+        ["from-complex", "samples/tk222.json"],
+    ],
+    ids=["four_cycle", "cubic_relations", "tk222"],
+)
+def test_checks_alone_match_the_full_report(argv, seed, monkeypatch, capsys):
+    # The checks of one report share its Hessians and their memoized
+    # ranks, so a check run alone must read what it reads after others.
+    monkeypatch.chdir(REPO)
+
+    def result(*checks):
+        code, out = _run(capsys, argv + ["--seed", seed, *checks])
+        assert code == 0
+        body = json.loads(out)["result"]
+        return body.get("algebra", body)
+
+    full = result()
+    for section, check in [("hessian_ranks", "hessians"), ("wlp", "wlp"), ("slp", "slp")]:
+        assert result("--checks", check)[section] == full[section], section
+
+
 def test_analyze_input_errors(capsys, tmp_path):
     code, _ = _run(capsys, ["analyze", str(tmp_path / "missing.poly")])
     assert code == 2

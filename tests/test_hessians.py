@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ from mixedhess.cli import _complex_from_json
 from mixedhess.hessians import _entries
 from mixedhess.linalg import matrix_rank
 
-from conftest import dense_random_form, densify
+from conftest import dense_random_form, densify, rational_random_form
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -179,6 +180,39 @@ def test_rank_at_never_exceeds_generic(config):
     for trial in range(5):
         point = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
         assert rank_at(h, point) <= cert.rank
+
+
+# -- memoized matrices and certificates ----------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.permutations(range(3)))
+def test_memoized_certificates_match_fresh_ones(seed, order):
+    # Trials 1 and sample bound 1 leave many sampled ranks short, so the
+    # certificates of the three configs differ in their trials or in
+    # their symbolic rung: a memo that ignored the config would hand one
+    # config the certificate of another.
+    rng = random.Random(seed)
+    f = rational_random_form(rng, rng.randint(2, 4), rng.randint(3, 4))
+    alg = build_algebra(f)
+    base = SamplingConfig(seed=seed, trials=1, sample_bound=1)
+    configs = [
+        base,
+        dataclasses.replace(base, trials=3),
+        dataclasses.replace(base, symbolic_cap=0),
+    ]
+    d = alg.socle_degree
+    for k in range(1, d // 2 + 1):
+        for l in range(k, d - k + 1):
+            h = mixed_hessian(alg, k, l)
+            assert mixed_hessian(alg, k, l) is h
+            for i in order:
+                cert = generic_rank(h, configs[i])
+                fresh = generic_rank(
+                    mixed_hessian(build_algebra(f), k, l), configs[i]
+                )
+                assert cert == fresh, (k, l, configs[i])
+                assert generic_rank(h, configs[i]) is cert
 
 
 def test_mixed_hessian_validates_degrees(boolean3_alg):

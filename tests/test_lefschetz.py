@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mixedhess import (
     InvariantViolation,
     LinearForm,
+    SamplingConfig,
     boolean_form,
     build_algebra,
     full_profile,
@@ -22,6 +23,7 @@ from mixedhess import (
     wlp_check,
     unimodality_check,
 )
+import mixedhess.lefschetz as lefschetz
 from mixedhess.apolarity import GradedAlgebra
 from mixedhess.hessians import mixed_hessian, rank_at
 from mixedhess.linalg import matrix_rank
@@ -339,3 +341,69 @@ def test_verdicts_are_deterministic(four_cycle_alg, config):
     a = wlp_check(four_cycle_alg, config)
     b = wlp_check(four_cycle_alg, config)
     assert a == b
+
+
+# -- the witness search stops on a provably singular cell --------------------
+
+
+def _ranked_points(monkeypatch):
+    """Points at which `lefschetz` ranks a Hessian from here on."""
+    seen = set()
+
+    def counting(h, point):
+        seen.add(tuple(point))
+        return rank_at(h, point)
+
+    monkeypatch.setattr(lefschetz, "rank_at", counting)
+    return seen
+
+
+@pytest.mark.parametrize("check", [wlp_check, slp_check])
+def test_vanishing_determinant_stops_the_witness_search(check, catalog, monkeypatch):
+    # The (1, 1) Hessian of the four-cycle cubic has a vanishing
+    # determinant, so the first sampled point is the last one ranked: the
+    # confirmation reuses it.
+    f = catalog["four-cycle"].polynomial
+    seen = _ranked_points(monkeypatch)
+    verdict = check(build_algebra(f), SamplingConfig(seed=0))
+    assert not verdict.holds and verdict.failing_step == (1, 2)
+    assert verdict.mode == "exact"
+    assert len(seen) == 1
+
+    # With no symbolic determinant the search ranks every point, and
+    # reaches the same verdict.
+    seen.clear()
+    no_det = check(build_algebra(f), SamplingConfig(seed=0, symbolic_cap=0))
+    assert len(seen) == SamplingConfig().trials
+    assert (no_det.holds, no_det.witness, no_det.failing_step, no_det.profile) == (
+        verdict.holds, verdict.witness, verdict.failing_step, verdict.profile
+    )
+
+
+def test_nonvanishing_determinant_keeps_searching(monkeypatch):
+    # At sample bound 1 the first point of this WLP search loses rank on
+    # a cell whose determinant is nonzero; a later point is the witness.
+    f = parse_polynomial("2*x*x*y + 3*x*y*y + 2*x*x*w + y*y*y")
+    seen = _ranked_points(monkeypatch)
+    verdict = wlp_check(build_algebra(f), SamplingConfig(seed=0, sample_bound=1))
+    assert verdict.holds and verdict.witness is not None
+    assert len(seen) > 1
+
+
+def test_witness_stop_changes_no_verdict(monkeypatch):
+    # Every verdict equals the one of a search that never stops, and
+    # some of them find their witness after a point that lost rank.
+    config = SamplingConfig(seed=0, sample_bound=1)
+    seen = _ranked_points(monkeypatch)
+    late_witnesses = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        f = rational_random_form(rng, rng.randint(2, 4), 3)
+        for check in (wlp_check, slp_check):
+            seen.clear()
+            verdict = check(build_algebra(f), config)
+            late_witnesses += verdict.witness is not None and len(seen) > 1
+            with monkeypatch.context() as m:
+                m.setattr(lefschetz, "_det_vanishes", lambda h, cap: None)
+                assert check(build_algebra(f), config) == verdict, (f, check)
+    assert late_witnesses > 0
