@@ -44,7 +44,6 @@ from .apolarity import (
     unimodality_check,
 )
 from .complexes import (
-    Graph,
     SimplicialComplex,
     classify_graph_algebra,
     detect_complete_multipartite,
@@ -72,7 +71,6 @@ from .hessians import RankCertificate, generic_rank, mixed_hessian
 from .lefschetz import (
     full_profile,
     generalization_check,
-    mult_map_matrix,
     rank_profile,
     sample_points,
     slp_check,
@@ -316,6 +314,8 @@ def _complex_from_json(text: str) -> SimplicialComplex:
         for f in facets
     ):
         raise ValueError('"facets" must be a list of lists of vertex names')
+    if not facets:
+        raise ValueError('"facets" is empty: a complex needs a facet')
     if "vertices" in data:
         vertices = data["vertices"]
         if not isinstance(vertices, list) or not all(
@@ -383,8 +383,7 @@ def cmd_from_complex(args: argparse.Namespace) -> int:
             )
 
     if comp.dim == 1:
-        graph = Graph(comp.vertices, comp.facets)
-        cls = classify_graph_algebra(graph)
+        cls = classify_graph_algebra(comp)
         combo["graph_class"] = cls.value
         if "wlp" in checks and cls.predicts_wlp is not None:
             if body["wlp"].holds != cls.predicts_wlp:
@@ -575,7 +574,7 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
         )
     k, l = args.source_degree, args.target_degree
     check = generalization_check(alg, k, l, L)
-    matrix = mult_map_matrix(alg, k, l, L)
+    matrix = check["matrix"]
     rank = matrix_rank(matrix)
     report = _base_report("mult-map", config, args.path)
     report["result"] = {

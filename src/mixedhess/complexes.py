@@ -1,4 +1,4 @@
-"""Simplicial complexes, graphs, and the algebras their facets generate.
+"""Simplicial complexes and the algebras their facets generate.
 
 A pure simplicial complex with every vertex covered determines a dual
 generator in two blocks of variables: one x-variable per facet, one
@@ -14,10 +14,11 @@ dual-route checks:
   catalecticant ranks;
 * presentation by quadrics read off flagness and facet connectivity,
   to compare with the algebraic annihilator test;
-* a vertex-edge incidence matrix built straight from a graph, to
-  compare with the bigraded Hessian block of the algebra;
-* for graphs, a full combinatorial prediction of the weak Lefschetz
-  property, to compare with the rank-based verdict;
+* for graphs, which are the pure 1-dimensional complexes, a
+  vertex-edge incidence matrix built without the algebra, to compare
+  with its bigraded Hessian block, and a full combinatorial prediction
+  of the weak Lefschetz property, to compare with the rank-based
+  verdict;
 * for Turán complexes, an explicit syzygy of the facet rows of the
   degree (1, 2) multiplication, certifying failure of injectivity at
   every linear form at once.
@@ -162,122 +163,33 @@ class GraphAlgebraClass(str, Enum):
         return None
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A finite simple graph with named vertices."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex names")
-        index = {v: i for i, v in enumerate(self.vertices)}
-        seen = set()
-        for a, b in self.edges:
-            if a not in index or b not in index:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses unknown vertex")
-            if a == b:
-                raise ValueError(f"loop at {a!r}")
-            if index[a] > index[b]:
-                raise ValueError(
-                    f"edge ({a!r}, {b!r}) not in vertex order"
-                )
-            key = frozenset((a, b))
-            if key in seen:
-                raise ValueError(f"repeated edge ({a!r}, {b!r})")
-            seen.add(key)
-
-    @staticmethod
-    def on_vertices(n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Graph on vertices v1..vn from 0-based index pairs."""
-        names = tuple(f"v{i + 1}" for i in range(n))
-        edges = tuple(
-            sorted(
-                (
-                    tuple(sorted((names[a], names[b]), key=names.index))
-                    for a, b in pairs
-                ),
-                key=lambda e: (names.index(e[0]), names.index(e[1])),
-            )
-        )
-        return Graph(names, edges)
-
-    def neighbors(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-    def is_connected(self) -> bool:
-        return self._components() == 1
-
-    def is_triangle_free(self) -> bool:
-        adj = self.neighbors()
-        return not any(adj[a] & adj[b] for a, b in self.edges)
-
-    def cycle_rank(self) -> int:
-        """Number of independent cycles (assumes the graph is connected
-        when used for classification; computed via components here)."""
-        return len(self.edges) - len(self.vertices) + self._components()
-
-    def _components(self) -> int:
-        adj = self.neighbors()
-        seen: set[str] = set()
-        count = 0
-        for v in self.vertices:
-            if v in seen:
-                continue
-            count += 1
-            seen.add(v)
-            stack = [v]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return count
-
-    def two_core(self) -> "Graph":
-        """Iteratively strip degree-at-most-one vertices."""
-        adj = {v: set(n) for v, n in self.neighbors().items()}
-        changed = True
-        while changed:
-            changed = False
-            for v in list(adj):
-                if len(adj[v]) <= 1:
-                    for w in adj[v]:
-                        adj[w].discard(v)
-                    del adj[v]
-                    changed = True
-        verts = tuple(v for v in self.vertices if v in adj)
-        edges = tuple(
-            (a, b) for a, b in self.edges if a in adj and b in adj
-        )
-        return Graph(verts, edges)
-
-    def as_complex(self) -> SimplicialComplex:
-        if not self.edges:
-            raise ValueError("a graph without edges has no facets")
-        return SimplicialComplex(self.vertices, self.edges)
-
-
-def classify_graph_algebra(graph: Graph) -> GraphAlgebraClass:
-    """Predict, from the graph alone, how the algebra of its edges
-    behaves: outside connected triangle-free graphs the annihilator
-    needs generators beyond the quadrics; inside, the weak Lefschetz
-    property is decided by the cycle structure (trees and a single odd
-    cycle pass, a single even cycle or several cycles fail)."""
-    if not graph.is_connected() or not graph.is_triangle_free():
+def classify_graph_algebra(comp: SimplicialComplex) -> GraphAlgebraClass:
+    """Predict, from a graph alone, how the algebra of its edges
+    behaves.  A graph is a pure 1-dimensional complex; for one, flag
+    means triangle-free with every vertex covered, and facet-connected
+    means connected.  Outside those graphs the annihilator needs
+    generators beyond the quadrics; inside, the weak Lefschetz property
+    is decided by the cycle structure (trees and a single odd cycle
+    pass, a single even cycle or several cycles fail)."""
+    if comp.dim != 1 or not comp.is_pure():
+        raise ValueError("a graph is a pure 1-dimensional complex")
+    if not presented_by_quadrics_combinatorial(comp):
         return GraphAlgebraClass.NOT_PRESENTED_BY_QUADRICS
-    rank = graph.cycle_rank()
+    rank = len(comp.facets) - len(comp.vertices) + 1
     if rank == 0:
         return GraphAlgebraClass.TREE_WLP
     if rank > 1:
         return GraphAlgebraClass.MULTI_CYCLE_NO_WLP
-    core = graph.two_core()
-    if len(core.edges) % 2 == 0:
+    # Strip leaves until only the cycle is left.
+    adj = _skeleton_adjacency(comp)
+    leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
+    while leaves:
+        v = leaves.pop()
+        (w,) = adj.pop(v)
+        adj[w].remove(v)
+        if len(adj[w]) == 1:
+            leaves.append(w)
+    if len(adj) % 2 == 0:
         return GraphAlgebraClass.UNI_EVEN_NO_WLP
     return GraphAlgebraClass.UNI_ODD_WLP
 
@@ -474,14 +386,16 @@ def _face_count_hilbert(comp: SimplicialComplex, shift: int) -> tuple[int, ...]:
     return (1, *(count(k) + count(d - k) for k in range(1, d)), 1)
 
 
-def incidence_gradient_matrix(graph: Graph) -> MixedHessian:
-    """Vertex-by-edge matrix read off the graph: the (v, e) entry is
-    the variable of the other endpoint when v lies on e, else zero.
+def incidence_gradient_matrix(comp: SimplicialComplex) -> MixedHessian:
+    """Vertex-by-edge matrix read off a graph, a pure 1-dimensional
+    complex: the (v, e) entry is the variable of the other endpoint
+    when v lies on e, else zero.
 
     Built without the algebra, it must coincide with the bigraded
     Hessian block of bidegrees ((0, 1), (1, 0)) of the edge algebra,
     which is the dual-route check the tests perform."""
-    comp = graph.as_complex()
+    if comp.dim != 1:
+        raise ValueError("a graph is a pure 1-dimensional complex")
     f = dual_generator(comp)
     vs = f.varset
     m = len(comp.facets)

@@ -30,7 +30,6 @@ from .apolarity import (
     build_algebra,
 )
 from .complexes import (
-    Graph,
     NoninjectivityWitness,
     SimplicialComplex,
     dual_generator,
@@ -365,9 +364,7 @@ def perazzo_form(
             )
 
     s = len(partials)
-    monos = sorted({m for g in partials for m in g.terms})
-    coeff_rows = [[g.terms.get(m, Fraction(0)) for m in monos] for g in partials]
-    independent = matrix_rank(coeff_rows) == s
+    independent = matrix_rank([g.terms for g in partials]) == s
     if not independent:
         raise ValueError("the forms are linearly dependent")
 
@@ -465,8 +462,9 @@ class FamilyMember:
     criterion_rank: RankCertificate | None = None
 
 
-_SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
-_THETA_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]
+# Edges (a, b) stand for (va, vb), listed in vertex order.
+_SQUARE_EDGES = ((1, 2), (1, 4), (2, 3), (3, 4))
+_THETA_EDGES = ((1, 2), (1, 4), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6))
 
 
 def _cubic_base(r: int) -> tuple[Polynomial, str, list[str]]:
@@ -485,14 +483,15 @@ def _cubic_base(r: int) -> tuple[Polynomial, str, list[str]]:
         steps.append(f"parsed augmented four-cycle form in {r} variables")
         return parse_polynomial(text), desc, steps
     if r % 2 == 0:
-        graph = Graph.on_vertices(4, _SQUARE_EDGES)
-        leaves = (r - 8) // 2
+        n, edges, leaves = 4, _SQUARE_EDGES, (r - 8) // 2
         desc = "four-cycle graph"
     else:
-        graph = Graph.on_vertices(6, _THETA_EDGES)
-        leaves = (r - 13) // 2
+        n, edges, leaves = 6, _THETA_EDGES, (r - 13) // 2
         desc = "hexagon with a long diagonal"
-    comp = graph.as_complex()
+    comp = SimplicialComplex(
+        tuple(f"v{i}" for i in range(1, n + 1)),
+        tuple((f"v{a}", f"v{b}") for a, b in edges),
+    )
     steps.append(f"built the {desc} ({len(comp.facets)} edges)")
     if leaves:
         comp = grow_with_leaves(comp, leaves)

@@ -60,7 +60,7 @@ from .apolarity import (
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
 from .linalg import matrix_rank
-from .polyring import Monomial, Polynomial, VarSet
+from .polyring import Monomial, Polynomial, VarSet, _int_scaled
 
 
 # A nonzero entry of a row scaled to integer coefficients: its terms
@@ -348,8 +348,7 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
     rank = h._memo.get(key)
     if rank is not None:
         return rank
-    denom = math.lcm(*(c.denominator for c in point))
-    pt = [c.numerator * (denom // c.denominator) for c in point]
+    denom, pt = _int_scaled(point)
     top = h.max_entry_degree() if denom != 1 else 0
     cache: dict[tuple[int, ...], int] = {}
 
@@ -480,13 +479,8 @@ def _generic_rank(h: MixedHessian, config: SamplingConfig) -> RankCertificate:
         return RankCertificate(0, "exact", note="empty matrix")
     deg = h.max_entry_degree()
     if deg == 0:
-        rows = [
-            [p.coefficient((0,) * h.varset.size) for p in row]
-            for row in h.entries
-        ]
-        return RankCertificate(
-            matrix_rank(rows), "exact", note="constant entries"
-        )
+        rank = rank_at(h, (0,) * h.varset.size)
+        return RankCertificate(rank, "exact", note="constant entries")
 
     rng = config.rng("generic-rank", h.kind, h.orders, n, m)
     best = 0

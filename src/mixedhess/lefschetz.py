@@ -161,22 +161,22 @@ def generalization_check(
     """Entrywise comparison of the two routes to the matrix of
     multiplication by L^(l-k): the multiplication route against the
     dual mixed Hessian evaluated at the coefficient point and scaled
-    by (l-k)!.  Exact arithmetic; returns a small report dict."""
+    by (l-k)!.  Exact arithmetic; returns a report dict with the matrix."""
     m = mult_map_matrix(alg, k, l, L)
     dual = dual_mixed_hessian(alg, l, k)
     factor = math.factorial(l - k)
     evaluated = evaluate_matrix(dual, L.perp())
-    worst = Fraction(0)
-    for i in range(len(m)):
-        for j in range(len(m[0]) if m else 0):
-            diff = abs(m[i][j] - factor * evaluated[i][j])
-            if diff > worst:
-                worst = diff
+    rows = zip(m, evaluated, strict=True)
+    worst = max(
+        (abs(a - factor * b) for mr, er in rows for a, b in zip(mr, er, strict=True)),
+        default=Fraction(0),
+    )
     return {
         "matches": worst == 0,
         "factorial": factor,
         "shape": (len(m), len(m[0]) if m else 0),
         "max_discrepancy": worst,
+        "matrix": m,
     }
 
 

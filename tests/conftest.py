@@ -1,5 +1,6 @@
 """Shared fixtures: reference algebras, sampling configurations, and a
-graph-enumeration oracle used by the combinatorial suites."""
+graph-enumeration oracle used by the combinatorial suites.  A graph is
+a 1-dimensional `SimplicialComplex`, built by `graph_complex`."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from mixedhess import (
-    Graph,
     LinearForm,
     Polynomial,
     SamplingConfig,
+    SimplicialComplex,
     VarSet,
     build_algebra,
     example_catalog,
@@ -144,7 +145,25 @@ def random_linear_avoiding(alg, rng: random.Random, bound: int = 50):
             return LinearForm(alg.varset, coeffs)
 
 
-def connected_triangle_free_graphs(max_vertices: int) -> list[Graph]:
+def graph_complex(n: int, pairs) -> SimplicialComplex:
+    """The graph on vertices v1..vn whose edges are the 0-based index
+    pairs, as a 1-dimensional complex with its edges in vertex order.
+    A vertex on no edge stays uncovered."""
+    names = tuple(f"v{i + 1}" for i in range(n))
+    edges = sorted(tuple(sorted(pair)) for pair in pairs)
+    return SimplicialComplex(names, tuple((names[a], names[b]) for a, b in edges))
+
+
+def atlas_graph_complex(g) -> SimplicialComplex:
+    """A networkx graph as `graph_complex`, its nodes relabeled in
+    sorted order."""
+    relabel = {node: i for i, node in enumerate(sorted(g.nodes()))}
+    return graph_complex(
+        g.number_of_nodes(), [(relabel[a], relabel[b]) for a, b in g.edges()]
+    )
+
+
+def connected_triangle_free_graphs(max_vertices: int) -> list[SimplicialComplex]:
     """All connected triangle-free graphs on 2..max_vertices vertices, one
     per isomorphism class, via the published atlas of small graphs."""
     import networkx as nx
@@ -158,12 +177,7 @@ def connected_triangle_free_graphs(max_vertices: int) -> list[Graph]:
             continue
         if any(t > 0 for t in nx.triangles(g).values()):
             continue
-        relabel = {node: i for i, node in enumerate(sorted(g.nodes()))}
-        out.append(
-            Graph.on_vertices(
-                n, [(relabel[a], relabel[b]) for a, b in g.edges()]
-            )
-        )
+        out.append(atlas_graph_complex(g))
     return out
 
 
@@ -218,4 +232,4 @@ def random_unicyclic_graph(rng: random.Random, nvertices: int):
     chord = rng.choice(non_edges)
     cycle_length = tree_distance(*chord) + 1
     edges = sorted(tree_edges + [chord])
-    return Graph.on_vertices(n, edges), cycle_length
+    return graph_complex(n, edges), cycle_length

@@ -52,6 +52,7 @@ from mixedhess.linalg import matrix_rank
 from conftest import (
     connected_triangle_free_graphs,
     dense_random_form,
+    graph_complex,
     random_linear_avoiding,
     random_unicyclic_graph,
 )
@@ -162,9 +163,9 @@ def test_criterion_4_classifier_cross_check(capsys):
         cls = classify_graph_algebra(graph)
         predicted = cls.predicts_wlp
         assert predicted is not None
-        alg = build_algebra(dual_generator(graph.as_complex()))
+        alg = build_algebra(dual_generator(graph))
         verdict = wlp_check(alg, CONFIG)
-        assert verdict.holds == predicted, graph.edges
+        assert verdict.holds == predicted, graph.facets
         agreements += 1
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
@@ -187,9 +188,7 @@ def test_criterion_5_unicyclic_determinant_dichotomy(capsys):
         det = symbolic_det(h, cap=12)
         assert det.is_zero() == (cycle_length % 2 == 0), (i, n, cycle_length)
 
-    from mixedhess import Graph
-
-    triangle = Graph.on_vertices(3, [(0, 1), (1, 2), (0, 2)])
+    triangle = graph_complex(3, [(0, 1), (1, 2), (0, 2)])
     det = symbolic_det(incidence_gradient_matrix(triangle), cap=3)
     target = parse_polynomial("2*uv1*uv2*uv3", det.varset)
     assert det == target or det == target * Fraction(-1)

@@ -205,6 +205,17 @@ GOLDEN = {
     "family_perazzo_u2_v2_w2_seed1.json": [
         "family", "perazzo", "--partials", "u^2; v^2; w^2", "--seed", "1",
     ],
+    # With the square and the pentagon, one graph of every class: a
+    # triangle, a tree and two cycles.
+    "from_complex_triangle_pendant_seed1.json": [
+        "from-complex", "samples/triangle_pendant.json", "--seed", "1",
+    ],
+    "from_complex_path3_seed1.json": [
+        "from-complex", "samples/path3.json", "--seed", "1",
+    ],
+    "from_complex_two_squares_seed1.json": [
+        "from-complex", "samples/two_squares.json", "--seed", "1",
+    ],
 }
 
 
@@ -299,6 +310,14 @@ def test_from_complex_bad_json(capsys, tmp_path):
     empty.write_text(json.dumps({"vertices": ["a"]}))
     code, _ = _run(capsys, ["from-complex", str(empty)])
     assert code == 2
+
+
+@pytest.mark.parametrize("data", [{"facets": []}, {"vertices": ["a"], "facets": []}])
+def test_from_complex_without_facets(capsys, tmp_path, data):
+    path = tmp_path / "nofacets.json"
+    path.write_text(json.dumps(data))
+    assert main(["from-complex", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == 'error: "facets" is empty: a complex needs a facet'
 
 
 def test_family_boolean(capsys, tmp_path):

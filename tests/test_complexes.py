@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from mixedhess import (
-    Graph,
     GraphAlgebraClass,
     InvariantViolation,
     SimplicialComplex,
@@ -38,19 +37,24 @@ from mixedhess.complexes import incidence_gradient_matrix
 from mixedhess.hessians import bigraded_hessian
 from mixedhess.linalg import matrix_rank
 
-from conftest import connected_triangle_free_graphs, random_unicyclic_graph
+from conftest import (
+    atlas_graph_complex,
+    connected_triangle_free_graphs,
+    graph_complex,
+    random_unicyclic_graph,
+)
 
 
 def _square_graph():
-    return Graph.on_vertices(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    return graph_complex(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def _cycle_graph(n):
-    return Graph.on_vertices(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_complex(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def _path_graph(n):
-    return Graph.on_vertices(n, [(i, i + 1) for i in range(n - 1)])
+    return graph_complex(n, [(i, i + 1) for i in range(n - 1)])
 
 
 # -- complexes and face counts ------------------------------------------------
@@ -121,7 +125,7 @@ def test_without_face_keeps_lower_faces():
 
 
 def test_dual_generator_square_matches_catalog(catalog):
-    comp = _square_graph().as_complex()
+    comp = _square_graph()
     f = dual_generator(comp)
     alg = build_algebra(f)
     assert alg.hilbert == (1, 8, 8, 1)
@@ -161,7 +165,7 @@ def test_turan_223_hilbert():
 def test_flag_and_connectivity():
     assert is_flag(turan_complex((2, 2, 2)))
     assert is_facet_connected(turan_complex((2, 2, 2)))
-    hollow = _cycle_graph(3).as_complex()
+    hollow = _cycle_graph(3)
     assert not is_flag(hollow)
     two_parts = SimplicialComplex.from_facets([("a", "b"), ("c", "d")])
     assert not is_facet_connected(two_parts)
@@ -169,10 +173,10 @@ def test_flag_and_connectivity():
 
 def test_combinatorial_equals_algebraic_quadrics():
     cases = [
-        _square_graph().as_complex(),
-        _cycle_graph(3).as_complex(),  # not flag
-        _cycle_graph(5).as_complex(),
-        _path_graph(4).as_complex(),
+        _square_graph(),
+        _cycle_graph(3),  # not flag
+        _cycle_graph(5),
+        _path_graph(4),
         SimplicialComplex.from_facets([("a", "b"), ("c", "d")]),  # split
         turan_complex((2, 2, 2)),
         delete_vertex(turan_complex((2, 2, 3)), "c3"),
@@ -201,7 +205,7 @@ def test_classification_outcomes():
         classify_graph_algebra(_square_graph())
         is GraphAlgebraClass.UNI_EVEN_NO_WLP
     )
-    two_squares = Graph.on_vertices(
+    two_squares = graph_complex(
         7,
         [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6)],
     )
@@ -209,6 +213,47 @@ def test_classification_outcomes():
         classify_graph_algebra(two_squares)
         is GraphAlgebraClass.MULTI_CYCLE_NO_WLP
     )
+
+
+def test_graph_functions_need_a_graph():
+    with pytest.raises(ValueError):
+        classify_graph_algebra(turan_complex((2, 2, 2)))
+    with pytest.raises(ValueError):
+        incidence_gradient_matrix(turan_complex((2, 2, 2)))
+    with pytest.raises(ValueError):
+        classify_graph_algebra(SimplicialComplex.from_facets([("a", "b"), ("c",)]))
+
+
+def _networkx_class(g) -> GraphAlgebraClass:
+    """The class of a graph read with networkx alone."""
+    import networkx as nx
+
+    if not nx.is_connected(g) or any(nx.triangles(g).values()):
+        return GraphAlgebraClass.NOT_PRESENTED_BY_QUADRICS
+    rank = g.number_of_edges() - g.number_of_nodes() + 1
+    if rank == 0:
+        return GraphAlgebraClass.TREE_WLP
+    if rank > 1:
+        return GraphAlgebraClass.MULTI_CYCLE_NO_WLP
+    (cycle,) = nx.cycle_basis(g)
+    if len(cycle) % 2 == 0:
+        return GraphAlgebraClass.UNI_EVEN_NO_WLP
+    return GraphAlgebraClass.UNI_ODD_WLP
+
+
+def test_classifier_matches_networkx_on_the_atlas():
+    # Every graph with an edge on at most 7 vertices, the disconnected
+    # ones, those with triangles and those with isolated vertices included.
+    import networkx as nx
+
+    graphs = [g for g in nx.graph_atlas_g() if g.number_of_edges()]
+    assert len(graphs) == 1245
+    seen = set()
+    for g in graphs:
+        cls = classify_graph_algebra(atlas_graph_complex(g))
+        assert cls is _networkx_class(g), sorted(g.edges())
+        seen.add(cls)
+    assert seen == set(GraphAlgebraClass)
 
 
 def test_class_predictions():
@@ -225,9 +270,9 @@ def test_classifier_agrees_with_wlp_on_small_sample(config):
     for graph in graphs:
         cls = classify_graph_algebra(graph)
         assert cls.predicts_wlp is not None  # all are triangle-free
-        alg = build_algebra(dual_generator(graph.as_complex()))
+        alg = build_algebra(dual_generator(graph))
         verdict = wlp_check(alg, config)
-        assert verdict.holds == cls.predicts_wlp, graph.edges
+        assert verdict.holds == cls.predicts_wlp, graph.facets
 
 
 # -- incidence matrices -------------------------------------------------------
@@ -236,7 +281,7 @@ def test_classifier_agrees_with_wlp_on_small_sample(config):
 def test_incidence_matches_bigraded_block():
     for graph in (_square_graph(), _path_graph(3), _cycle_graph(5)):
         direct = incidence_gradient_matrix(graph)
-        alg = build_algebra(dual_generator(graph.as_complex()))
+        alg = build_algebra(dual_generator(graph))
         block = bigraded_hessian(alg, (0, 1), (1, 0))
         assert direct.shape == block.shape
         assert direct.entries == block.entries
@@ -267,12 +312,19 @@ def test_unicyclic_determinant_dichotomy():
 def test_tree_incidence_full_edge_rank(config):
     rng = random.Random(43)
     for n in (3, 5, 7):
-        tree, _ = random_unicyclic_graph(rng, n)
-        # strip the chord: remove one cycle edge to get a spanning tree
-        two_core_edges = set(tree.two_core().edges)
-        chord = next(iter(two_core_edges))
-        edges = [e for e in tree.edges if e != chord]
-        spanning = Graph(tree.vertices, tuple(edges))
+        graph, _ = random_unicyclic_graph(rng, n)
+        # strip the chord: the first edge whose removal leaves the graph
+        # covered and connected lies on the cycle, so a spanning tree is left
+        spanning = next(
+            tree
+            for tree in (
+                SimplicialComplex(
+                    graph.vertices, tuple(e for e in graph.facets if e != chord)
+                )
+                for chord in graph.facets
+            )
+            if tree.is_covered() and is_facet_connected(tree)
+        )
         h = incidence_gradient_matrix(spanning)
         # n vertices x (n - 1) edges; the edge columns stay independent
         from mixedhess import generic_rank
@@ -285,7 +337,7 @@ def test_tree_incidence_full_edge_rank(config):
 
 
 def test_square_grid_witness(config):
-    comp = _square_graph().as_complex()
+    comp = _square_graph()
     groups = detect_complete_multipartite(comp)
     assert groups is not None
     witness = grid_noninjectivity_witness(comp, grid_pairs_for(groups), config)
@@ -335,7 +387,7 @@ def test_detect_on_vertex_deleted_turan():
 
 
 def test_detect_complete_multipartite_negatives():
-    assert detect_complete_multipartite(_cycle_graph(5).as_complex()) is None
+    assert detect_complete_multipartite(_cycle_graph(5)) is None
     grown = attach_leaf(turan_complex((2, 2)))
     assert detect_complete_multipartite(grown) is None
 
