@@ -24,9 +24,12 @@ monomials that divide some term of f, and N_j the other ones.
   (the shifts of N_{k-1} vanish), and Ann_k is span(G_k) (+) K_k, where
   G_k holds the monomials of N_k outside M_k.  Its dimension is
   |D_k| - h_k + |G_k|.
-- A monomial of N_k lies in G_k iff all its degree-(k-1) divisors lie
-  in D_{k-1}.  So every coordinate kept is x_v*m with m in D_{k-1}, and
-  the elimination never sees the rest of the degree-k monomial basis.
+- A monomial e of N_k lies in G_k iff all its degree-(k-1) divisors
+  e/x_w, one for each of the |supp e| variables w dividing e, lie in
+  D_{k-1}: iff exactly |supp e| pairs (m, w) with m in D_{k-1} have
+  m*x_w = e.  So counting the shifts of D_{k-1} decides G_k, every
+  coordinate kept is x_v*m with m in D_{k-1}, and the elimination never
+  sees the rest of the degree-k monomial basis.
 - D_j is the column set of the degree-j catalecticant.  Row operations
   keep a column zero exactly when it was zero, so D_j is also the set
   of keys of the reduced catalecticant, and it is read off there.
@@ -64,6 +67,7 @@ by Ann(f) and u^2; J lies in Ann(F) (checked directly).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -74,7 +78,6 @@ from .polyring import (
     Polynomial,
     _int_scaled,
     apolar_pairing,
-    falling_product,
     grlex_key,
 )
 
@@ -83,39 +86,38 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-def _divisors_of_degree(exps: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """All exponent vectors a <= exps with |a| = k, in lexicographic
-    order.  Only the nonzero positions of exps branch, each into the
-    exponents that still leave |a| = k reachable."""
+def _splits(exps: tuple[int, ...], k: int) -> list[tuple]:
+    """(a, exps - a, falling(exps, a)) for every exponent vector a <= exps
+    with |a| = k, in lexicographic order of a.  Only the nonzero positions
+    of exps branch, each into the exponents that still leave |a| = k
+    reachable; the zero runs between them are copied into both halves."""
     room = sum(exps)
     if not 0 <= k <= room:
         return []
-    prefixes: list[tuple[tuple[int, ...], int]] = [((), k)]
+    parts: list = [((), (), k, 1)]
     gap: tuple[int, ...] = ()
     for cap in exps:
         if not cap:
             gap += (0,)
             continue
         room -= cap
-        prefixes = [
-            (prefix + gap + (e,), left - e)
-            for prefix, left in prefixes
+        parts = [
+            (a + gap + (e,), b + gap + (cap - e,), left - e, fall * math.perm(cap, e))
+            for a, b, left, fall in parts
             for e in range(max(0, left - room), min(cap, left) + 1)
         ]
         gap = ()
-    return [prefix + gap for prefix, _ in prefixes]
+    return [(a + gap, b + gap, fall) for a, b, _, fall in parts]
 
 
-def _apolar_terms(
-    f: Polynomial, k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """(b, a, falling) for every term c*x^b of f and every degree-k
-    divisor x^a of x^b, in the order of f's terms: X^a sends that term
-    to c*falling*x^(b-a), falling = falling(b, a) a positive int.
-    Every other pair (b, a) of degree k acts as zero."""
+def _apolar_terms(f: Polynomial, k: int) -> Iterator[tuple]:
+    """(b, a, b - a, falling) for every term c*x^b of f and every
+    degree-k divisor x^a of x^b, in the order of f's terms: X^a sends
+    that term to c*falling*x^(b-a), falling = falling(b, a) a positive
+    int.  Every other pair (b, a) of degree k acts as zero."""
     for b in f.terms:
-        for a in _divisors_of_degree(b, k):
-            yield b, a, falling_product(b, a)
+        for a, rest, falling in _splits(b, k):
+            yield b, a, rest, falling
 
 
 def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
@@ -127,9 +129,8 @@ def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
     the same nonzero number and keeps the reduced echelon form."""
     coeffs = dict(zip(f.terms, _int_scaled(f.terms.values())[1]))
     rows: dict = {}
-    for b, a, falling in _apolar_terms(f, k):
-        key = tuple(x - y for x, y in zip(b, a))
-        rows.setdefault(key, {})[a] = coeffs[b] * falling
+    for b, a, rest, falling in _apolar_terms(f, k):
+        rows.setdefault(rest, {})[a] = coeffs[b] * falling
     return rows
 
 
@@ -230,8 +231,7 @@ class GradedAlgebra:
             g.exps: j for j, g in enumerate(self.quotient_basis(self.socle_degree - k))
         }
         rows: dict = {}
-        for b, a, _ in _apolar_terms(self.f, k):
-            g = tuple(x - y for x, y in zip(b, a))
+        for _, a, g, _ in _apolar_terms(self.f, k):
             j = col_of.get(g)
             if j is not None:
                 rows.setdefault(a, {})[j] = apolar_pairing(a, g, self.f)
@@ -355,6 +355,20 @@ def ann_generated_by_quadrics(alg: GradedAlgebra) -> QuadricsCheck:
     return QuadricsCheck(not failing, tuple(failing), dim_ann2)
 
 
+def _step_coordinates(alg: GradedAlgebra, k: int) -> tuple[dict, set]:
+    """The shifts x_v*m of each m in D_{k-1} (a list indexed by v, keyed
+    by m) and the coordinates D_k and G_k that the degree-k step keeps,
+    G_k found by counting the shifts as the module docstring proves."""
+    r = alg.varset.size
+    here = alg._support(k)
+    shifts = {
+        m: [m[:v] + (m[v] + 1,) + m[v + 1 :] for v in range(r)]
+        for m in alg._support(k - 1)
+    }
+    hits = Counter(e for row in shifts.values() for e in row)
+    return shifts, {e for e, n in hits.items() if e in here or n == len(e) - e.count(0)}
+
+
 def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
     """Does variables * Ann_{k-1} span Ann_k?  (It is always contained.)
 
@@ -363,28 +377,14 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
     to the coordinates D_k and G_k; the shifts span Ann_k iff they
     reach rank |D_k| + |G_k| - h_k.
     """
-    r = alg.varset.size
-    below = alg._support(k - 1)
-    here = alg._support(k)
-    shifts = {
-        m: [m[:v] + (m[v] + 1,) + m[v + 1 :] for v in range(r)] for m in below
-    }
-    # D_k and G_k; every monomial of D_k is a shift of one in D_{k-1},
-    # and the shifts left out lie in M_k.
-    kept = {
-        e
-        for row in shifts.values()
-        for e in row
-        if e in here
-        or all(e[:w] + (e[w] - 1,) + e[w + 1 :] in below for w in range(r) if e[w])
-    }
+    shifts, kept = _step_coordinates(alg, k)
     target = len(kept) - alg.dim(k)
     if target == 0:
         return True
     space = RowSpace()
     count = 0
     for g in alg.ann_basis(k - 1):
-        for v in range(r):
+        for v in range(alg.varset.size):
             shifted = {}
             for e, c in g.terms.items():
                 s = shifts[e][v]

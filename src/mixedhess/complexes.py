@@ -441,17 +441,16 @@ def incidence_gradient_matrix(comp: SimplicialComplex) -> MixedHessian:
 
 def is_facet_connected(comp: SimplicialComplex) -> bool:
     """Whether any two facets are linked by a chain of facets in which
-    consecutive ones share all but one vertex."""
+    consecutive ones each have exactly one vertex outside the other."""
     sets = [frozenset(f) for f in comp.facets]
     if not sets:
         return False
-    size = len(comp.facets[0])
     seen = {0}
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(len(sets)):
-            if j not in seen and len(sets[i] & sets[j]) == size - 1:
+            if j not in seen and len(sets[i] - sets[j]) == 1 == len(sets[j] - sets[i]):
                 seen.add(j)
                 stack.append(j)
     return len(seen) == len(sets)

@@ -55,7 +55,7 @@ from typing import Sequence
 from .apolarity import (
     GradedAlgebra,
     _apolar_terms,
-    _divisors_of_degree,
+    _splits,
     bigraded_decomposition,
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
@@ -156,12 +156,12 @@ class MixedHessian:
         return all(p.is_zero() for row in self.entries for p in row)
 
     def max_entry_degree(self) -> int:
-        deg = 0
-        for row in self.entries:
-            for p in row:
-                if not p.is_zero():
-                    deg = max(deg, p.degree())
-        return deg
+        """The largest degree of a nonzero entry (0 when there is none),
+        read off the nonzero cells of `_int_rows`."""
+        return max(
+            (sum(e) for row in self._int_rows for _, terms in row for e, _ in terms),
+            default=0,
+        )
 
 
 def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
@@ -204,16 +204,15 @@ def _entries(
     row_of = {alpha.exps: i for i, alpha in enumerate(rows_b)}
     col_of = {beta.exps: j for j, beta in enumerate(cols_b)}
     acted: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for b, g, falling in _apolar_terms(f, k + cols_b[0].degree):
-        value = f.terms[b] * falling
-        acted.setdefault(g, {})[tuple(x - y for x, y in zip(b, g))] = value
+    for b, g, rest, falling in _apolar_terms(f, k + cols_b[0].degree):
+        acted.setdefault(g, {})[rest] = f.terms[b] * falling
     for g, terms in acted.items():
         poly = Polynomial(f.varset, terms)
-        for alpha in _divisors_of_degree(g, k):
+        for alpha, beta, _ in _splits(g, k):
             i = row_of.get(alpha)
             if i is None:
                 continue
-            j = col_of.get(tuple(x - y for x, y in zip(g, alpha)))
+            j = col_of.get(beta)
             if j is not None:
                 table[i][j] = poly
     return tuple(map(tuple, table))

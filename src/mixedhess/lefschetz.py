@@ -106,10 +106,10 @@ def mult_map_matrix(
     lcm_l, l_coeffs = _int_scaled(L.coeffs)
     cols_b = alg.quotient_basis(k)
     actions: dict = {beta.exps: {} for beta in cols_b}
-    for b, a, falling in _apolar_terms(f, k):
+    for b, a, rest, falling in _apolar_terms(f, k):
         g = actions.get(a)
         if g is not None:
-            g[tuple(x - y for x, y in zip(b, a))] = f_coeffs[b] * falling
+            g[rest] = f_coeffs[b] * falling
     inverse = {}
     for gamma, row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
         fact = math.prod(map(math.factorial, gamma.exps))

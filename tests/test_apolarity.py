@@ -27,7 +27,7 @@ from mixedhess import (
     unimodality_check,
 )
 from mixedhess import apolarity
-from mixedhess.apolarity import _degree_step_spanned, _divisors_of_degree
+from mixedhess.apolarity import _degree_step_spanned, _splits, _step_coordinates
 from mixedhess.linalg import RowSpace, matrix_rank, sparse_rref
 from mixedhess.polyring import apolar_pairing, falling_product
 
@@ -258,6 +258,38 @@ def test_quadric_steps_match_oracle_on_sparse_forms(f):
     _assert_steps_match_oracle(f)
 
 
+def _assert_kept_coordinates_match_definition(f):
+    """The coordinates each quadric step keeps are D_k and G_k: every
+    degree-k monomial that divides a term of f or whose down-shifts all
+    do, each of its r down-shifts probed."""
+    alg = build_algebra(f)
+    r = alg.varset.size
+    for k in range(1, alg.socle_degree + 1):
+        below, here = alg._support(k - 1), alg._support(k)
+        expected = {
+            e
+            for e in monomial_exponents(alg.varset, k)
+            if e in here
+            or all(e[:w] + (e[w] - 1,) + e[w + 1 :] in below for w in range(r) if e[w])
+        }
+        shifts, kept = _step_coordinates(alg, k)
+        assert kept == expected, k
+        assert shifts.keys() == below
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_forms())
+def test_kept_coordinates_match_definition_on_sparse_forms(f):
+    _assert_kept_coordinates_match_definition(f)
+
+
+@pytest.mark.parametrize(
+    "identifier", [entry.identifier for entry in example_catalog()]
+)
+def test_kept_coordinates_match_definition_on_catalog(catalog, identifier):
+    _assert_kept_coordinates_match_definition(catalog[identifier].polynomial)
+
+
 def _assert_socle_step_matches_oracle(f):
     """The closed form at degree d+1 against the span computed in full."""
     alg = build_algebra(f)
@@ -297,21 +329,30 @@ def test_socle_step_closed_form_cases(text, failing):
     assert check.presented == (not failing)
 
 
+def _brute_divisors(exps, k):
+    """Every a <= exps with |a| = k, in lexicographic order, from the
+    whole box of exponent vectors below exps."""
+    every = itertools.product(*(range(e + 1) for e in exps))
+    return [a for a in every if sum(a) == k]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(0, 3), min_size=1, max_size=6),
     st.integers(-1, 10),
 )
-def test_divisors_of_degree_match_brute_force(exps, k):
+def test_splits_match_brute_force(exps, k):
     exps = tuple(exps)
-    every = itertools.product(*(range(e + 1) for e in exps))
-    assert _divisors_of_degree(exps, k) == [a for a in every if sum(a) == k]
+    assert _splits(exps, k) == [
+        (a, tuple(x - y for x, y in zip(exps, a)), falling_product(exps, a))
+        for a in _brute_divisors(exps, k)
+    ]
 
 
 def _assert_support_matches_enumeration(f):
     alg = build_algebra(f)
     for k in range(alg.socle_degree + 1):
-        divisors = {a for b in alg.f.terms for a in _divisors_of_degree(b, k)}
+        divisors = {a for b in alg.f.terms for a in _brute_divisors(b, k)}
         assert alg._support(k) == divisors
 
 
@@ -334,7 +375,7 @@ def _fraction_catalecticant_rows(f, k):
     oracle for the integer rows, which scale f once by an lcm."""
     rows = {}
     for b, c in f.terms.items():
-        for a in _divisors_of_degree(b, k):
+        for a in _brute_divisors(b, k):
             rows.setdefault(tuple(x - y for x, y in zip(b, a)), {})[a] = (
                 c * falling_product(b, a)
             )

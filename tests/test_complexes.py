@@ -171,6 +171,24 @@ def test_flag_and_connectivity():
     assert not is_facet_connected(two_parts)
 
 
+@pytest.mark.parametrize(
+    "facets, connected",
+    [
+        ([("c",), ("a", "b")], False),
+        ([("a", "b"), ("c",)], False),
+        ([("a", "b"), ("b", "c")], True),
+        ([("b", "c"), ("a", "b")], True),
+        ([("a", "b", "c"), ("b", "c", "d"), ("d", "e")], False),
+        ([("d", "e"), ("a", "b", "c"), ("b", "c", "d")], False),
+    ],
+)
+def test_facet_connectivity_does_not_depend_on_facet_order(facets, connected):
+    # Facets are adjacent when each has exactly one vertex outside the
+    # other, so facets of different sizes never are.
+    comp = SimplicialComplex.from_facets(facets)
+    assert is_facet_connected(comp) == connected
+
+
 def test_combinatorial_equals_algebraic_quadrics():
     cases = [
         _square_graph(),

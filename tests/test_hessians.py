@@ -286,6 +286,65 @@ def test_entries_match_oracle_on_sparse_forms(f):
     assert _entries(alg.f, (), basis) == ()
 
 
+def _dense_max_entry_degree(h):
+    """The largest degree over every cell, zero cells skipped; 0 when
+    every cell is zero."""
+    return max(
+        (p.degree() for row in h.entries for p in row if not p.is_zero()), default=0
+    )
+
+
+@st.composite
+def _bihomogeneous_forms(draw):
+    """Forms of bidegree (d1, d2) in 1-3 x-variables and 1-3
+    u-variables with 1-6 terms."""
+    nx, nu = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def block(n, d):
+        picks = st.lists(st.integers(0, n - 1), min_size=d, max_size=d)
+        return picks.map(lambda p: tuple(p.count(i) for i in range(n)))
+
+    monomial = st.tuples(block(nx, d1), block(nu, d2)).map(lambda t: t[0] + t[1])
+    coeff = st.fractions(-9, 9, max_denominator=4).filter(bool)
+    terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=6))
+    names = tuple(f"x{i + 1}" for i in range(nx))
+    names += tuple(f"u{i + 1}" for i in range(nu))
+    return Polynomial(VarSet(names, (0,) * nx + (1,) * nu), terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_forms())
+def test_max_entry_degree_matches_dense_scan(f):
+    alg = build_algebra(f)
+    d = alg.socle_degree
+    for k in range(d + 1):
+        for l in range(d + 1 - k):
+            h = mixed_hessian(alg, k, l)
+            assert h.max_entry_degree() == _dense_max_entry_degree(h)
+        for j in range(k + 1):
+            h = dual_mixed_hessian(alg, k, j)
+            assert h.max_entry_degree() == _dense_max_entry_degree(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bihomogeneous_forms())
+def test_bigraded_max_entry_degree_matches_dense_scan(f):
+    alg = build_algebra(f)
+    pieces = bigraded_decomposition(alg).pieces
+    for r in pieces:
+        for c in pieces:
+            h = bigraded_hessian(alg, r, c)
+            assert h.max_entry_degree() == _dense_max_entry_degree(h)
+
+
+def test_max_entry_degree_of_a_zero_matrix(four_cycle_alg):
+    # f has x-degree 1, so X^g f = 0 for every g of bidegree (2, 0).
+    h = bigraded_hessian(four_cycle_alg, (1, 0), (1, 0))
+    assert h.shape == (4, 4) and h.is_zero()
+    assert h.max_entry_degree() == _dense_max_entry_degree(h) == 0
+
+
 @pytest.mark.parametrize("sample", ["square.json", "tk222.json"])
 def test_bigraded_entries_match_oracle(sample):
     comp = _complex_from_json((SAMPLES / sample).read_text())
