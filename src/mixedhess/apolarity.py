@@ -68,9 +68,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import RowSpace, sparse_rref
 from .polyring import (
@@ -321,8 +320,7 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
 # -- quadric generation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadricsCheck:
+class QuadricsCheck(NamedTuple):
     """Outcome of the generated-by-quadrics test.
 
     ``failing_degrees`` lists every degree k in 3..d+1 where the span of
@@ -400,8 +398,7 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
 # -- bigraded structure ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BigradedBasis:
+class BigradedBasis(NamedTuple):
     """Partition of the quotient bases of a bihomogeneous algebra by
     (x-degree, u-degree).  ``pieces[(i, j)]`` lists basis monomials in
     the ambient graded-lex order."""

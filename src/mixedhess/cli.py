@@ -18,8 +18,9 @@ Subcommands:
 
 Reports are JSON by default (``--format text`` for a plain rendering)
 and are byte-stable for a fixed input, seed, and configuration.  Both
-renderings list the keys of every object in sorted order.  The
-seed defaults to entropy but is always echoed in the report.  Exit
+renderings list the keys of every object in sorted order.  Without
+``--seed`` the seed is 32 bits drawn from the operating system's entropy
+source; it is always echoed in the report.  Exit
 codes: 0 success, 1 property mismatch, 2 input error, 3 violated
 internal invariant.
 """
@@ -29,10 +30,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
+import random
 import sys
 import tempfile
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -98,7 +98,7 @@ EXIT_INVARIANT = 3
 # -- serialization helpers ---------------------------------------------------
 
 
-# JSON names that differ from the dataclass attribute they come from.
+# JSON names that differ from the record field they come from.
 _RENAMED = {
     "property_name": "property",
     "dim_ann2": "dim_ann_2",
@@ -111,8 +111,8 @@ _RENAMED = {
 def _json(value: Any, skip: Sequence[str] = ()) -> Any:
     """The JSON form of a report value: a Fraction as an integer or a
     "p/q" string, a polynomial as text, a linear form as its coefficient
-    list, and a dataclass as the dict of its fields less ``skip`` (a
-    rank certificate also states whether it is exact)."""
+    list, and a record (a named tuple) as the dict of its fields less
+    ``skip`` (a rank certificate also states whether it is exact)."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -121,19 +121,19 @@ def _json(value: Any, skip: Sequence[str] = ()) -> Any:
         return format_polynomial(value)
     if isinstance(value, LinearForm):
         return _json(value.coeffs)
-    if isinstance(value, (tuple, list)):
-        return [_json(x) for x in value]
-    if isinstance(value, dict):
-        return {key: _json(sub) for key, sub in value.items()}
-    if is_dataclass(value):
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
         out = {
-            _RENAMED.get(f.name, f.name): _json(getattr(value, f.name))
-            for f in fields(value)
-            if f.name not in skip
+            _RENAMED.get(name, name): _json(sub)
+            for name, sub in zip(value._fields, value)
+            if name not in skip
         }
         if isinstance(value, RankCertificate):
             out["exact"] = value.is_exact
         return out
+    if isinstance(value, (tuple, list)):
+        return [_json(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _json(sub) for key, sub in value.items()}
     return value
 
 
@@ -211,7 +211,9 @@ def _read_input(path: str) -> str:
 
 
 def _config_from_args(args: argparse.Namespace) -> SamplingConfig:
-    seed = args.seed if args.seed is not None else secrets.randbits(32)
+    seed = args.seed
+    if seed is None:
+        seed = random.SystemRandom().getrandbits(32)
     return SamplingConfig(
         seed=seed,
         trials=args.trials,

@@ -27,11 +27,11 @@ dual-route checks:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .apolarity import (
     GradedAlgebra,
@@ -51,8 +51,7 @@ from .polyring import Monomial, Polynomial, VarSet
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(namedtuple("SimplicialComplex", ("vertices", "facets"))):
     """A complex given by its vertices and inclusion-maximal faces.
 
     Facets are stored as tuples sorted in vertex order; the constructor
@@ -60,15 +59,16 @@ class SimplicialComplex:
     facets so that downstream code can trust maximality.
     """
 
-    vertices: tuple[str, ...]
-    facets: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
+    def __new__(
+        cls, vertices: tuple[str, ...], facets: tuple[tuple[str, ...], ...]
+    ) -> "SimplicialComplex":
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex names")
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = {v: i for i, v in enumerate(vertices)}
         seen = []
-        for fac in self.facets:
+        for fac in facets:
             if not fac:
                 raise ValueError("empty facet")
             for v in fac:
@@ -83,18 +83,25 @@ class SimplicialComplex:
             for j, b in enumerate(seen):
                 if i != j and a <= b:
                     raise ValueError(
-                        f"facet {self.facets[i]!r} is contained in "
-                        f"{self.facets[j]!r}"
+                        f"facet {facets[i]!r} is contained in {facets[j]!r}"
                     )
+        return super().__new__(cls, vertices, facets)
+
+    # The inherited _make, which _replace calls, would bypass __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @staticmethod
     def from_facets(facets: Iterable[Iterable[str]]) -> "SimplicialComplex":
         """Build a complex from facet vertex lists, inferring the vertex
-        set in first-appearance order and dropping contained facets."""
+        set in first-appearance order and dropping contained facets.  A
+        facet that lists a vertex twice is rejected."""
         verts: list[str] = []
         sets: list[frozenset[str]] = []
         for fac in facets:
+            fac = tuple(fac)
             fs = frozenset(fac)
+            if len(fs) != len(fac):
+                raise ValueError(f"repeated vertex in facet {fac!r}")
             for v in fac:
                 if v not in verts:
                     verts.append(v)
@@ -541,8 +548,7 @@ def detect_complete_multipartite(
 # -- non-injectivity certificate for complete multipartite complexes --------
 
 
-@dataclass(frozen=True)
-class NoninjectivityWitness:
+class NoninjectivityWitness(NamedTuple):
     """Exact certificate that multiplication A_1 -> A_2 by any linear
     form fails to have full rank.
 
@@ -710,5 +716,5 @@ def turan_noninjectivity_witness(
     cap = w.block.nrows - 1
     bound = f"syzygy caps the rank at {cap} < {w.block.nrows} facet rows"
     note = f"{cert.note}; {bound}" if cert.note else bound
-    return replace(cert, note=note)
+    return cert._replace(note=note)
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, slots=True)
-class SamplingConfig:
+class SamplingConfig(
+    namedtuple("SamplingConfig", ("seed", "trials", "sample_bound", "symbolic_cap"))
+):
     """Parameters for randomized rank estimation and witness search.
 
     seed          -- RNG seed; every operation derives its own
@@ -20,18 +21,25 @@ class SamplingConfig:
                      expansion is attempted.
     """
 
-    seed: int = 0
-    trials: int = 12
-    sample_bound: int = 10**6
-    symbolic_cap: int = 12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
+    def __new__(
+        cls,
+        seed: int = 0,
+        trials: int = 12,
+        sample_bound: int = 10**6,
+        symbolic_cap: int = 12,
+    ) -> "SamplingConfig":
+        if trials < 1:
             raise ValueError("trials must be positive")
-        if self.sample_bound < 1:
+        if sample_bound < 1:
             raise ValueError("sample_bound must be positive")
-        if self.symbolic_cap < 0:
+        if symbolic_cap < 0:
             raise ValueError("symbolic_cap must be nonnegative")
+        return super().__new__(cls, seed, trials, sample_bound, symbolic_cap)
+
+    # The inherited _make, which _replace calls, would bypass __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def rng(self, *tags: object) -> "random.Random":
         """A fresh generator for one named operation.

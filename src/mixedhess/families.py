@@ -20,8 +20,8 @@ out-of-range requests with the attainable values spelled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .apolarity import (
     GradedAlgebra,
@@ -69,8 +69,7 @@ def boolean_form(n: int) -> Polynomial:
 # -- lifts by fresh variables ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(NamedTuple):
     """A lifted generator together with the verifications performed.
 
     hilbert_identity records whether each dimension of the lift equals
@@ -241,8 +240,7 @@ def times_u(
     )
 
 
-@dataclass(frozen=True)
-class DoubleLiftReport:
+class DoubleLiftReport(NamedTuple):
     """Two-variable lift with the optional Hessian-deficiency transport.
 
     The criterion matrix of the base (middle square Hessian for odd
@@ -314,8 +312,7 @@ def times_uv(
 # -- forms with forced Hessian degeneration ----------------------------------
 
 
-@dataclass(frozen=True)
-class PerazzoReport:
+class PerazzoReport(NamedTuple):
     """The combined form plus the two rank findings that matter: the
     Jacobian of the ingredient forms (rank below their number signals
     the algebraic dependence the construction needs) and the full
@@ -439,8 +436,7 @@ def perazzo_form(
 # -- counterexample families --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """One algebra from a counterexample family.
 
     expected_wlp/expected_slp state what the construction guarantees;
@@ -690,8 +686,7 @@ def even_counterexample(
 # -- worked examples ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     identifier: str
     description: str
     polynomial: Polynomial

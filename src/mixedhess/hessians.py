@@ -47,10 +47,9 @@ objects: nothing is shared between algebras.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .apolarity import (
     GradedAlgebra,
@@ -72,8 +71,7 @@ class SymbolicCapExceeded(RuntimeError):
     """A symbolic determinant was requested beyond the configured cap."""
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """Result of a rank computation on a polynomial matrix.
 
     mode is "exact" when the value is proven (dimension bound met,
@@ -95,22 +93,27 @@ class RankCertificate:
         return self.mode == "exact"
 
 
-@dataclass(frozen=True)
 class MixedHessian:
     """A matrix of polynomial entries with labelled rows and columns.
 
     row_basis and col_basis hold the monomials indexing each side; for
     kind "dual" the rows stand for the dual-basis elements of those
     monomials.  orders records (k, l) for graded matrices and the pair
-    of bidegrees for bigraded blocks.
+    of bidegrees for bigraded blocks.  Two matrices compare by identity.
     """
 
-    varset: VarSet
-    entries: tuple[tuple[Polynomial, ...], ...]
-    row_basis: tuple[Monomial, ...]
-    col_basis: tuple[Monomial, ...]
-    kind: str
-    orders: tuple
+    def __init__(self, varset, entries, row_basis, col_basis, kind, orders):
+        self.varset: VarSet = varset
+        self.entries: tuple[tuple[Polynomial, ...], ...] = entries
+        self.row_basis: tuple[Monomial, ...] = row_basis
+        self.col_basis: tuple[Monomial, ...] = col_basis
+        self.kind: str = kind
+        self.orders: tuple = orders
+        # Rank facts computed once per matrix: the rank at a point, keyed
+        # by the point's tuple; the `generic_rank` certificate, keyed by
+        # ("generic", config); whether the symbolic determinant vanishes,
+        # keyed by "det".
+        self._memo: dict = {}
 
     @property
     def nrows(self) -> int:
@@ -128,19 +131,10 @@ class MixedHessian:
         return self.entries[i][j]
 
     @cached_property
-    def _memo(self) -> dict:
-        """Rank facts computed once per matrix: the rank at a point,
-        keyed by the point's tuple; the `generic_rank` certificate, keyed
-        by ("generic", config); whether the symbolic determinant
-        vanishes, keyed by "det".  Like `_int_rows` it is not a field."""
-        return {}
-
-    @cached_property
     def _int_rows(self) -> tuple[tuple[tuple[int, _IntEntry], ...], ...]:
         """Each row's nonzero entries as (column, ((exps, n), ...)), the
         row scaled by the lcm of its coefficient denominators so that
-        every n is an int.  Built once per matrix, for `rank_at`; it is
-        not a field, so reports never see it."""
+        every n is an int.  Built once per matrix, for `rank_at`."""
         out = []
         for row in self.entries:
             lcm = math.lcm(*(c.denominator for p in row for c in p.terms.values()))

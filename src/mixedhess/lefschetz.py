@@ -32,8 +32,8 @@ the attached certificates carry failure bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .apolarity import GradedAlgebra, InvariantViolation, _apolar_terms
 from .config import DEFAULT_CONFIG, SamplingConfig
@@ -51,8 +51,7 @@ from .linalg import matrix_rank
 from .polyring import LinearForm, _int_scaled, _linear_power_terms
 
 
-@dataclass(frozen=True)
-class LefschetzVerdict:
+class LefschetzVerdict(NamedTuple):
     """Outcome of a weak or strong Lefschetz check.
 
     witness is a linear form certifying a positive verdict (None when

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 
 class VarSetMismatch(ValueError):
@@ -43,8 +43,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class VarSet:
+class VarSet(namedtuple("VarSet", ("names", "blocks"))):
     """An ordered tuple of variable names, optionally split into an
     x-block and a u-block (block 0 and block 1).
 
@@ -52,22 +51,27 @@ class VarSet:
     and therefore every deterministic basis choice in the package.
     """
 
-    names: tuple[str, ...]
-    blocks: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __new__(
+        cls, names: tuple[str, ...], blocks: tuple[int, ...] | None = None
+    ) -> "VarSet":
+        if not names:
             raise ValueError("VarSet needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        for name in self.names:
+        for name in names:
             if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"bad variable name {name!r}")
-        if self.blocks is not None:
-            if len(self.blocks) != len(self.names):
+        if blocks is not None:
+            if len(blocks) != len(names):
                 raise ValueError("blocks must match names in length")
-            if any(b not in (0, 1) for b in self.blocks):
+            if any(b not in (0, 1) for b in blocks):
                 raise ValueError("blocks must consist of 0 (x-block) and 1 (u-block)")
+        return super().__new__(cls, names, blocks)
+
+    # The inherited _make, which _replace calls, would bypass __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def size(self) -> int:
@@ -118,8 +122,7 @@ def monomial_exponents(varset: VarSet, degree: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(NamedTuple):
     """An exponent vector.  Used as a basis label; raw tuples carry the
     same data inside :class:`Polynomial` term maps."""
 
@@ -358,23 +361,25 @@ def _raw(varset: VarSet, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
     return p
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(namedtuple("LinearForm", ("varset", "coeffs"))):
     """A linear operator sum(a_v * X_v), kept with its coefficient vector.
 
     ``perp()`` is the evaluation point (a_1, ..., a_r) that the apolar
     pairing attaches to the form.
     """
 
-    varset: VarSet
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.varset.size:
+    def __new__(cls, varset: VarSet, coeffs: tuple[Fraction, ...]) -> "LinearForm":
+        if len(coeffs) != varset.size:
             raise VarSetMismatch("coefficient count does not match VarSet")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if not any(self.coeffs):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if not any(coeffs):
             raise ValueError("linear form must be nonzero")
+        return super().__new__(cls, varset, coeffs)
+
+    # The inherited _make, which _replace calls, would bypass __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def operator(self) -> Polynomial:
         terms = {}

@@ -90,7 +90,9 @@ def test_analyze_unknown_check(capsys, poly_file):
 def test_analyze_entropy_seed_is_echoed(capsys, poly_file):
     code, out = _run(capsys, ["analyze", poly_file, "--checks", "hilbert"])
     assert code == 0
-    assert isinstance(json.loads(out)["config"]["seed"], int)
+    seed = json.loads(out)["config"]["seed"]
+    assert isinstance(seed, int)
+    assert 0 <= seed < 2**32
 
 
 def test_analyze_text_format(capsys, poly_file):
@@ -321,6 +323,23 @@ def test_from_complex_without_facets(capsys, tmp_path, data):
     path.write_text(json.dumps(data))
     assert main(["from-complex", str(path)]) == 2
     assert capsys.readouterr().err.strip() == 'error: "facets" is empty: a complex needs a facet'
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"facets": [["a", "b", "a"], ["b", "c"]]},
+        {"facets": [["a", "a"]]},
+        {"vertices": ["a", "b", "c"], "facets": [["a", "b", "a"], ["b", "c"]]},
+    ],
+)
+def test_from_complex_rejects_a_repeated_vertex(capsys, tmp_path, data):
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(data))
+    assert main(["from-complex", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: repeated vertex in facet (")
 
 
 def test_family_boolean(capsys, tmp_path):

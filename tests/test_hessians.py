@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -198,8 +197,8 @@ def test_memoized_certificates_match_fresh_ones(seed, order):
     base = SamplingConfig(seed=seed, trials=1, sample_bound=1)
     configs = [
         base,
-        dataclasses.replace(base, trials=3),
-        dataclasses.replace(base, symbolic_cap=0),
+        base._replace(trials=3),
+        base._replace(symbolic_cap=0),
     ]
     d = alg.socle_degree
     for k in range(1, d // 2 + 1):

@@ -1,9 +1,12 @@
 """Source hygiene of the package: no unused imports, no dangling exports,
-no dead public definitions."""
+no dead public definitions, only standard-library imports, and no costly
+module that a report never needs loaded by the import."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import mixedhess
@@ -50,6 +53,56 @@ def test_every_exported_name_is_importable():
     missing = [name for name in mixedhess.__all__ if not hasattr(mixedhess, name)]
     assert missing == []
     assert len(set(mixedhess.__all__)) == len(mixedhess.__all__)
+
+
+# Modules a report never needs that are costly to import: ``dataclasses``
+# pulls in ``inspect``, and ``secrets`` pulls in ``hashlib`` and OpenSSL.
+UNWANTED_AT_IMPORT = ("dataclasses", "inspect", "secrets", "hashlib", "_hashlib")
+
+
+def test_cli_import_leaves_costly_modules_unloaded():
+    probe = (
+        "import sys, mixedhess.cli\n"
+        f"print(sorted(m for m in {UNWANTED_AT_IMPORT!r} if m in sys.modules))"
+    )
+    # -S skips the site hook, which may load any of them on its own.
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def _top_level_imports(source: str) -> set[str]:
+    """The top-level module of every absolute import; relative imports
+    (``from .x import y``) are within the package and left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = {
+        path.name: sorted(names - sys.stdlib_module_names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _top_level_imports(path.read_text())) - sys.stdlib_module_names
+    }
+    assert foreign == {}
+
+
+def test_top_level_import_walk_skips_relative_imports():
+    source = (
+        "import os.path\nfrom .linalg import rref\n"
+        "from json import dumps\nimport numpy as np\n"
+    )
+    assert _top_level_imports(source) == {"os", "json", "numpy"}
 
 
 def _assigned_names(source: str) -> dict[str, int]:
