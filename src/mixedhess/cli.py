@@ -32,7 +32,6 @@ import json
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -186,6 +185,10 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    # Imported here: only --output and --poly-out write files, and the
+    # import loads shutil and the compression modules.
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
     try:
@@ -465,16 +468,14 @@ def cmd_family(args: argparse.Namespace) -> int:
         if args.kind == "times-u":
             rep = times_u(base, verify="counts", config=config)
             # Findings that only verify="full" computes, and the algebra.
-            skip = (
+            fields = _json(rep, skip=(
                 "annihilator_inclusion", "annihilator_identity",
                 "quadrics_inherited", "slp_inherited", "algebra",
-            )
+            ))
         else:
-            rep = times_uv(
-                base, verify="counts", config=config, deficiency_check=True
-            )
-            skip = ("algebra",)
-        result = {"parameters": {"base": args.base}, **_json(rep, skip)}
+            rep = times_uv(base, config)
+            fields = _json(rep)
+        result = {"parameters": {"base": args.base}, **fields}
         poly = rep.polynomial
     elif args.kind == "perazzo":
         if args.partials is None:
@@ -552,8 +553,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
 
 def cmd_mult_map(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    f = parse_polynomial(_read_input(args.path))
-    alg = build_algebra(f)
+    alg = build_algebra(parse_polynomial(_read_input(args.path)))
     coeffs = []
     for part in args.linear.replace(",", " ").split():
         try:
@@ -568,8 +568,8 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
             f"{', '.join(alg.varset.names)}), got {len(coeffs)}"
         )
     L = LinearForm(alg.varset, coeffs)
-    warnings = []
-    if f.evaluate(L.perp()) == 0:
+    warnings = list(alg.warnings)
+    if alg.f.evaluate(L.perp()) == 0:
         warnings.append(
             "the generator vanishes at the coefficient point of the "
             "linear form; the comparison is still exact"

@@ -2,11 +2,12 @@
 
 Three building blocks recur:
 
-* multiplying the dual generator by fresh variables.  One new variable
-  shifts every annihilator degree up compatibly, so the Hilbert
-  function of the lift is the sum of two consecutive values of the
-  original; two new variables keep the parity of the socle degree and
-  transport a deficient middle Hessian two degrees up;
+* multiplying the dual generator by a fresh variable (`times_u`, the
+  one lift primitive).  One new variable shifts every annihilator
+  degree up compatibly, so the Hilbert function of the lift is the sum
+  of two consecutive values of the original; two lifts in a row
+  (`times_uv`, and each step of the even family) keep the parity of the
+  socle degree and transport a deficient middle Hessian two degrees up;
 * bases of small socle degree with certified failures: cubic forms
   whose middle Hessian vanishes identically, and quartic complexes
   whose facet rows satisfy an exact syzygy (see `complexes`);
@@ -46,7 +47,7 @@ from .hessians import (
     generic_rank,
 )
 from .lefschetz import slp_check, wlp_criterion_matrix
-from .linalg import matrix_rank, sparse_rref
+from .linalg import RowSpace, matrix_rank
 from .polyring import (
     Monomial,
     Polynomial,
@@ -123,9 +124,9 @@ def _lifted_annihilator_spans(
     basis: list[dict] = []
     for k in range(1, base.socle_degree + 2):
         here = lift_alg._support(k)
-        rows = [
-            {e + (0,): c for e, c in a.terms.items()} for a in base.ann_basis(k)
-        ]
+        space = RowSpace()
+        for a in base.ann_basis(k):
+            space.insert({e + (0,): c for e, c in a.terms.items()})
         for row in basis:
             for t in range(n):
                 shifted = {}
@@ -133,21 +134,22 @@ def _lifted_annihilator_spans(
                     s = e[:t] + (e[t] + 1,) + e[t + 1 :]
                     if s in here:
                         shifted[s] = c
-                rows.append(shifted)
-        basis = list(sparse_rref(rows).values())
-        if len(basis) != len(here) - lift_alg.dim(k):
+                if shifted:
+                    space.insert(shifted)
+        if space.rank != len(here) - lift_alg.dim(k):
             return False
+        basis = list(space.pivots.values())
     return True
 
 
 def times_u(
     f: Polynomial,
-    name: str | None = None,
     verify: str = "counts",
     config: SamplingConfig = DEFAULT_CONFIG,
     base_algebra: GradedAlgebra | None = None,
 ) -> LiftReport:
-    """Multiply the generator by one fresh variable.
+    """Multiply the generator by one fresh variable, the first of z1,
+    z2, ... that f does not use.
 
     verify levels: "none" builds only the polynomial; "counts" builds
     both algebras and checks the Hilbert identity h'_k = h_k + h_{k-1};
@@ -157,13 +159,12 @@ def times_u(
     dimensions), and that quadric presentation and the strong Lefschetz
     property carry over from base to lift.  A failed check raises
     InvariantViolation, since each is a theorem about the construction.
-    Block data is dropped: the lift is not bigraded."""
+    base_algebra, if given, is f's algebra (a previous lift's, in a
+    chain) and is not built again.  Block data is dropped: the lift is
+    not bigraded."""
     if verify not in ("none", "counts", "full"):
         raise ValueError(f"unknown verify level {verify!r}")
-    if name is None:
-        name = _fresh_names(f.varset, 1)[0]
-    elif name in f.varset.names:
-        raise ValueError(f"variable {name!r} already in use")
+    name = _fresh_names(f.varset, 1)[0]
     vs = VarSet(f.varset.names + (name,))
     lifted = Polynomial(
         vs, {e + (1,): c for e, c in f.terms.items()}
@@ -241,71 +242,54 @@ def times_u(
 
 
 class DoubleLiftReport(NamedTuple):
-    """Two-variable lift with the optional Hessian-deficiency transport.
+    """Two-variable lift with its Hessian-deficiency transport.
 
     The criterion matrix of the base (middle square Hessian for odd
     socle degree, the (q-1, q) Hessian for even) and the corresponding
     matrix of the lift are rank-certified; deficiency is the distance
-    below the maximal possible rank; algebra is the lift's, if built."""
+    below the maximal possible rank."""
 
     polynomial: Polynomial
     added: tuple[str, ...]
-    hilbert_base: tuple[int, ...] | None = None
-    hilbert_lift: tuple[int, ...] | None = None
-    base_rank: RankCertificate | None = None
-    lift_rank: RankCertificate | None = None
-    base_deficiency: int | None = None
-    lift_deficiency: int | None = None
-    deficiency_transported: bool | None = None
-    algebra: GradedAlgebra | None = None
+    hilbert_base: tuple[int, ...]
+    hilbert_lift: tuple[int, ...]
+    base_rank: RankCertificate
+    lift_rank: RankCertificate
+    base_deficiency: int
+    lift_deficiency: int
+    deficiency_transported: bool
 
 
 def times_uv(
-    f: Polynomial,
-    verify: str = "counts",
-    config: SamplingConfig = DEFAULT_CONFIG,
-    deficiency_check: bool = False,
-    base_algebra: GradedAlgebra | None = None,
+    f: Polynomial, config: SamplingConfig = DEFAULT_CONFIG
 ) -> DoubleLiftReport:
     """Multiply the generator by two fresh variables, preserving the
     parity of the socle degree.
 
-    With deficiency_check the property-deciding Hessians of base and
-    lift are rank-certified: a base whose matrix sits below maximal
-    rank must lift to one that does too, which is the mechanism the
-    counterexample families rely on."""
-    if base_algebra is None and (verify != "none" or deficiency_check):
-        base_algebra = build_algebra(f)
-    first = times_u(f, verify=verify, config=config, base_algebra=base_algebra)
-    second = times_u(
-        first.polynomial, verify=verify, config=config, base_algebra=first.algebra
-    )
-    g = second.polynomial
-    added = first.added + second.added
-
-    hb = first.hilbert_base
-    hl = second.hilbert_lift
-    if not deficiency_check:
-        return DoubleLiftReport(g, added, hb, hl, algebra=second.algebra)
-
-    lift_alg = second.algebra or build_algebra(g)
-    mb = wlp_criterion_matrix(base_algebra)
-    ml = wlp_criterion_matrix(lift_alg)
+    Two `times_u` lifts at verify "counts", after which the
+    property-deciding Hessians of base and lift are rank-certified: a
+    base whose matrix sits below maximal rank must lift to one that does
+    too, which is the mechanism the counterexample families rely on."""
+    base = build_algebra(f)
+    first = times_u(f, config=config, base_algebra=base)
+    second = times_u(first.polynomial, config=config, base_algebra=first.algebra)
+    lift = second.algebra
+    mb = wlp_criterion_matrix(base)
+    ml = wlp_criterion_matrix(lift)
     cb = generic_rank(mb, config)
     cl = generic_rank(ml, config)
     db = min(mb.shape) - cb.rank
     dl = min(ml.shape) - cl.rank
     return DoubleLiftReport(
-        g,
-        added,
-        base_algebra.hilbert,
-        lift_alg.hilbert,
+        second.polynomial,
+        first.added + second.added,
+        base.hilbert,
+        lift.hilbert,
         cb,
         cl,
         db,
         dl,
         (db == 0) or (dl > 0),
-        algebra=lift_alg,
     )
 
 
@@ -468,16 +452,13 @@ def _cubic_base(r: int) -> tuple[Polynomial, str, list[str]]:
     vanishes identically, for every r >= 8."""
     steps: list[str] = []
     if r == 9 or r == 11:
-        text = "x1*u1*u2 + x2*u2*u3 + x3*u3*u4 + x4*u4*u1"
-        if r == 11:
-            text += " + x5*u5*u1"
-        text += " + w^2*u1"
+        extra = " + x5*u5*u1 + w^2*u1" if r == 11 else " + w^2*u1"
         desc = (
             "four-cycle generator plus a squared auxiliary variable"
             + (" and one pendant edge" if r == 11 else "")
         )
         steps.append(f"parsed augmented four-cycle form in {r} variables")
-        return parse_polynomial(text), desc, steps
+        return _four_cycle_form(extra), desc, steps
     if r % 2 == 0:
         n, edges, leaves = 4, _SQUARE_EDGES, (r - 8) // 2
         desc = "four-cycle graph"
@@ -634,11 +615,11 @@ def even_counterexample(
     comp, desc, steps = _quartic_base(qc)
     f = dual_generator(comp)
     witness: NoninjectivityWitness | None = None
-    base_alg: GradedAlgebra | None = None
+    alg: GradedAlgebra | None = None
     if verify != "none":
-        base_alg = build_algebra(f)
+        alg = build_algebra(f)
         pairs = (("a1", "a2"), ("b1", "b2"), ("c1", "c2"))
-        witness = grid_noninjectivity_witness(comp, pairs, config, base_alg)
+        witness = grid_noninjectivity_witness(comp, pairs, config, alg)
         if not witness.wlp_excluded:
             raise InvariantViolation(
                 "the grid syzygy no longer excludes full rank on this base"
@@ -650,17 +631,16 @@ def even_counterexample(
         )
     lift_verify = "none" if verify == "none" else "counts"
     for _ in range((d - 4) // 2):
-        rep = times_uv(
-            f, verify=lift_verify, config=config, base_algebra=base_alg
-        )
-        f, base_alg = rep.polynomial, rep.algebra
-        steps.append(
-            "multiplied by fresh variables " + " and ".join(rep.added)
-        )
+        added = []
+        for _ in range(2):
+            rep = times_u(f, verify=lift_verify, config=config, base_algebra=alg)
+            f, alg = rep.polynomial, rep.algebra
+            added += rep.added
+        steps.append("multiplied by fresh variables " + " and ".join(added))
     criterion: RankCertificate | None = None
     if verify == "report" and d > 4:
         criterion, full = _deficient_criterion(
-            base_alg, config,
+            alg, config,
             "the step-deciding Hessian of the lift reached full "
             "rank, contradicting the deficiency transport",
         )

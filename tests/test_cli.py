@@ -467,6 +467,22 @@ def test_mult_map_warns_on_vanishing_point(capsys, tmp_path):
     assert report["result"]["match"] is True
 
 
+def test_mult_map_on_a_cancelling_variable(capsys, tmp_path):
+    # w cancels, so the algebra lives in x, y, z and the linear form
+    # takes three coefficients; the dropped variable is reported.
+    path = tmp_path / "c.poly"
+    path.write_text("x*y*z + w*x*y - w*x*y\n")
+    code, out = _run(
+        capsys,
+        ["mult-map", str(path), "--from", "1", "--to", "2", "--linear", "1,2,3"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["warnings"] == ["dropped unused variables: w"]
+    assert report["result"]["match"] is True
+    assert report["result"]["rank"] == 3
+
+
 def test_mult_map_coefficient_count(capsys, poly_file):
     code, _ = _run(
         capsys,

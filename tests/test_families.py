@@ -232,7 +232,7 @@ def test_lift_span_check_fails_without_a_needed_generator():
 
 def test_times_uv_transports_deficiency(catalog, config):
     base = catalog["four-cycle"].polynomial
-    report = times_uv(base, config=config, deficiency_check=True)
+    report = times_uv(base, config=config)
     assert report.hilbert_base == (1, 8, 8, 1)
     assert report.hilbert_lift == (1, 10, 25, 25, 10, 1)
     assert report.base_deficiency >= 1
@@ -244,6 +244,25 @@ def test_times_uv_keeps_parity(config):
     report = times_uv(parse_polynomial("x1*x2*x3"), config=config)
     assert len(report.hilbert_lift) == len(report.hilbert_base) + 2
     assert report.hilbert_lift == (1, 5, 10, 10, 5, 1)
+
+
+def test_times_uv_certifies_both_criteria_unasked(config):
+    report = times_uv(parse_polynomial("x1*x2*x3"), config)
+    # Middle (1, 1) Hessian of the cubic, the (2, 2) one of the quintic.
+    assert (report.base_rank.rank, report.base_deficiency) == (3, 0)
+    assert (report.lift_rank.rank, report.lift_deficiency) == (10, 0)
+    assert report.base_rank.is_exact and report.lift_rank.is_exact
+    assert report.deficiency_transported
+
+
+def test_lifts_skip_a_fresh_name_the_base_uses(config):
+    f = parse_polynomial("x1*z1*x3")
+    single = times_u(f, config=config)
+    assert single.added == ("z2",)
+    assert single.polynomial.varset.names == ("x1", "z1", "x3", "z2")
+    double = times_uv(f, config)
+    assert double.added == ("z2", "z3")
+    assert double.polynomial.varset.names == ("x1", "z1", "x3", "z2", "z3")
 
 
 def test_perazzo_degenerate_hessian(config):

@@ -55,9 +55,28 @@ def test_every_exported_name_is_importable():
     assert len(set(mixedhess.__all__)) == len(mixedhess.__all__)
 
 
+def _imported_names(source: str) -> set[str]:
+    """Names bound by the module's own import statements."""
+    return {
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_package_exports_exactly_what_it_imports():
+    imported = _imported_names((PACKAGE / "__init__.py").read_text())
+    assert sorted(imported) == sorted(mixedhess.__all__)
+
+
 # Modules a report never needs that are costly to import: ``dataclasses``
-# pulls in ``inspect``, and ``secrets`` pulls in ``hashlib`` and OpenSSL.
-UNWANTED_AT_IMPORT = ("dataclasses", "inspect", "secrets", "hashlib", "_hashlib")
+# pulls in ``inspect``, ``secrets`` pulls in ``hashlib`` and OpenSSL, and
+# ``tempfile`` (wanted only when a report is written to a file) pulls in
+# ``shutil`` and the compression modules.
+UNWANTED_AT_IMPORT = (
+    "dataclasses", "inspect", "secrets", "hashlib", "_hashlib", "tempfile"
+)
 
 
 def test_cli_import_leaves_costly_modules_unloaded():
