@@ -73,7 +73,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import RowSpace, sparse_rref
 from .polyring import (
-    Monomial,
     Polynomial,
     _int_scaled,
     apolar_pairing,
@@ -138,7 +137,8 @@ class GradedAlgebra:
     homogeneous dual generator f of degree d >= 1.
 
     Carries, per degree k = 0..d: the Hilbert value h_k, a deterministic
-    monomial quotient basis (catalecticant pivot columns), the reduced
+    quotient basis of monomials named by their exponent tuples (the
+    catalecticant pivot columns, graded-lex descending), the reduced
     catalecticant it was read from, and (lazily) a basis of K_k, the
     annihilator vectors supported on D_k.  The monomials outside D_k,
     which complete K_k to Ann_k, are never listed.  The inverse of the
@@ -153,7 +153,7 @@ class GradedAlgebra:
         self,
         f: Polynomial,
         hilbert: tuple[int, ...],
-        quotient_bases: tuple[tuple[Monomial, ...], ...],
+        quotient_bases: tuple[tuple[tuple[int, ...], ...], ...],
         reduced_catalecticants: tuple[dict, ...],
         warnings: tuple[str, ...],
     ):
@@ -181,7 +181,7 @@ class GradedAlgebra:
             return self.hilbert[k]
         return 0
 
-    def quotient_basis(self, k: int) -> tuple[Monomial, ...]:
+    def quotient_basis(self, k: int) -> tuple[tuple[int, ...], ...]:
         if 0 <= k <= self.socle_degree:
             return self._quotient_bases[k]
         return ()
@@ -227,14 +227,14 @@ class GradedAlgebra:
         f, so only the pairs (b, a) of `_apolar_terms` are paired, a
         against b - a."""
         col_of = {
-            g.exps: j for j, g in enumerate(self.quotient_basis(self.socle_degree - k))
+            g: j for j, g in enumerate(self.quotient_basis(self.socle_degree - k))
         }
         rows: dict = {}
         for _, a, g, _ in _apolar_terms(self.f, k):
             j = col_of.get(g)
             if j is not None:
                 rows.setdefault(a, {})[j] = apolar_pairing(a, g, self.f)
-        return [rows.get(a.exps, {}) for a in self.quotient_basis(k)]
+        return [rows.get(a, {}) for a in self.quotient_basis(k)]
 
     def pairing_inverse(self, k: int) -> list[dict[int, Fraction]]:
         """Sparse rows of the inverse of `pairing_matrix(k)`, one per
@@ -290,14 +290,13 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
         )
 
     hilbert: list[int] = []
-    bases: list[tuple[Monomial, ...]] = []
+    bases: list[tuple[tuple[int, ...], ...]] = []
     reduced: list[dict] = []
     for k in range(d + 1):
         red = sparse_rref(_sparse_catalecticant_rows(f, k).values())
         reduced.append(red)
-        pivots = sorted(red.keys(), key=grlex_key, reverse=True)
-        hilbert.append(len(pivots))
-        bases.append(tuple(Monomial(e) for e in pivots))
+        bases.append(tuple(sorted(red, key=grlex_key, reverse=True)))
+        hilbert.append(len(red))
 
     for k in range(d + 1):
         if hilbert[k] != hilbert[d - k]:
@@ -400,8 +399,8 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
 
 class BigradedBasis(NamedTuple):
     """Partition of the quotient bases of a bihomogeneous algebra by
-    (x-degree, u-degree).  ``pieces[(i, j)]`` lists basis monomials in
-    the ambient graded-lex order."""
+    (x-degree, u-degree).  ``pieces[(i, j)]`` lists the exponent tuples
+    of the basis monomials in the ambient graded-lex order."""
 
     bidegree: tuple[int, int]
     pieces: dict
@@ -427,7 +426,7 @@ def bigraded_decomposition(alg: GradedAlgebra) -> BigradedBasis:
     pieces: dict = {}
     for k in range(alg.socle_degree + 1):
         for m in alg.quotient_basis(k):
-            key = m.bidegree(alg.varset)
+            key = alg.varset.bidegree_of(m)
             pieces.setdefault(key, []).append(m)
     pieces = {key: tuple(val) for key, val in pieces.items()}
     for (i, j), val in pieces.items():

@@ -465,8 +465,12 @@ def cmd_family(args: argparse.Namespace) -> int:
         if args.base is None:
             raise ValueError(f"family {args.kind} needs --base")
         base = parse_polynomial(_read_input(args.base))
+        base_alg = build_algebra(base)
+        report["warnings"] = list(base_alg.warnings)
         if args.kind == "times-u":
-            rep = times_u(base, verify="counts", config=config)
+            rep = times_u(
+                base, verify="counts", config=config, base_algebra=base_alg
+            )
             # Findings that only verify="full" computes, and the algebra.
             fields = _json(rep, skip=(
                 "annihilator_inclusion", "annihilator_identity",

@@ -36,7 +36,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .apolarity import (
     GradedAlgebra,
     InvariantViolation,
-    bigraded_decomposition,
     build_algebra,
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
@@ -46,7 +45,7 @@ from .hessians import (
     bigraded_hessian,
     generic_rank,
 )
-from .polyring import Monomial, Polynomial, VarSet
+from .polyring import Polynomial, VarSet, _unit
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
@@ -409,14 +408,7 @@ def incidence_gradient_matrix(comp: SimplicialComplex) -> MixedHessian:
     vidx = {v: m + i for i, v in enumerate(comp.vertices)}
 
     def var_poly(index: int) -> Polynomial:
-        e = [0] * vs.size
-        e[index] = 1
-        return Polynomial(vs, {tuple(e): Fraction(1)})
-
-    def unit(index: int) -> Monomial:
-        e = [0] * vs.size
-        e[index] = 1
-        return Monomial(tuple(e))
+        return Polynomial(vs, {_unit(vs.size, index): Fraction(1)})
 
     zero = Polynomial.zero(vs)
     entries = []
@@ -431,8 +423,8 @@ def incidence_gradient_matrix(comp: SimplicialComplex) -> MixedHessian:
             else:
                 row.append(zero)
         entries.append(tuple(row))
-        row_basis.append(unit(vidx[v]))
-    col_basis = [unit(i) for i in range(m)]
+        row_basis.append(_unit(vs.size, vidx[v]))
+    col_basis = [_unit(vs.size, i) for i in range(m)]
     return MixedHessian(
         vs,
         tuple(entries),
@@ -611,7 +603,7 @@ def grid_noninjectivity_witness(
 
     facet_of_row = []
     for mono in block.row_basis:
-        idx = next(i for i, e in enumerate(mono.exps) if e)
+        idx = next(i for i, e in enumerate(mono) if e)
         facet_of_row.append(frozenset(comp.facets[idx]))
 
     syzygy = []
@@ -644,7 +636,7 @@ def grid_noninjectivity_witness(
         if not acc.is_zero():
             raise InvariantViolation(
                 "syzygy fails on column "
-                f"{block.col_basis[j].text(vs)}"
+                f"{Polynomial(vs, {block.col_basis[j]: 1}).text()}"
             )
 
     cert = generic_rank(block, config)
@@ -669,8 +661,7 @@ def grid_noninjectivity_witness(
         )
 
     h = alg.hilbert
-    dec = bigraded_decomposition(alg)
-    vertex_rows = len(dec.pieces.get((0, 1), ()))
+    vertex_rows = sum(vs.bidegree_of(e) == (0, 1) for e in alg.quotient_basis(1))
     bound = cap + vertex_rows
     full = min(h[1], h[2])
     return NoninjectivityWitness(

@@ -49,9 +49,9 @@ from .hessians import (
 from .lefschetz import slp_check, wlp_criterion_matrix
 from .linalg import RowSpace, matrix_rank
 from .polyring import (
-    Monomial,
     Polynomial,
     VarSet,
+    _unit,
     apolar_apply,
     parse_polynomial,
 )
@@ -358,9 +358,7 @@ def perazzo_form(
     terms: dict[tuple[int, ...], Fraction] = {}
     for i, g in enumerate(partials):
         for m, c in g.terms.items():
-            key = tuple(
-                (1 if j == i else 0) for j in range(s)
-            ) + m
+            key = _unit(s, i) + m
             terms[key] = terms.get(key, Fraction(0)) + c
     if tail is not None:
         for m, c in tail.terms.items():
@@ -372,14 +370,8 @@ def perazzo_form(
     jac_entries = tuple(
         tuple(g.partial(j) for j in range(uvs.size)) for g in partials
     )
-    unit_rows = tuple(
-        Monomial(tuple(1 if t == i else 0 for t in range(s)))
-        for i in range(s)
-    )
-    unit_cols = tuple(
-        Monomial(tuple(1 if t == j else 0 for t in range(uvs.size)))
-        for j in range(uvs.size)
-    )
+    unit_rows = tuple(_unit(s, i) for i in range(s))
+    unit_cols = tuple(_unit(uvs.size, j) for j in range(uvs.size))
     jac = MixedHessian(
         uvs, jac_entries, unit_rows, unit_cols, "jacobian", (1, e - 1)
     )
@@ -389,10 +381,7 @@ def perazzo_form(
     # Second-partials matrix of the combined form over every variable,
     # algebra-free so degenerate inputs are reported rather than mangled.
     n = vs.size
-    units = tuple(
-        Monomial(tuple(1 if t == i else 0 for t in range(n)))
-        for i in range(n)
-    )
+    units = tuple(_unit(n, i) for i in range(n))
     hess = MixedHessian(
         vs, _entries(f, units, units), units, units, "hessian", (1, 1)
     )

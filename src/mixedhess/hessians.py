@@ -59,7 +59,7 @@ from .apolarity import (
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
 from .linalg import matrix_rank
-from .polyring import Monomial, Polynomial, VarSet, _int_scaled
+from .polyring import Polynomial, VarSet, _int_scaled
 
 
 # A nonzero entry of a row scaled to integer coefficients: its terms
@@ -96,17 +96,18 @@ class RankCertificate(NamedTuple):
 class MixedHessian:
     """A matrix of polynomial entries with labelled rows and columns.
 
-    row_basis and col_basis hold the monomials indexing each side; for
-    kind "dual" the rows stand for the dual-basis elements of those
-    monomials.  orders records (k, l) for graded matrices and the pair
-    of bidegrees for bigraded blocks.  Two matrices compare by identity.
+    row_basis and col_basis hold the exponent tuples of the monomials
+    indexing each side; for kind "dual" the rows stand for the
+    dual-basis elements of those monomials.  orders records (k, l) for
+    graded matrices and the pair of bidegrees for bigraded blocks.  Two
+    matrices compare by identity.
     """
 
     def __init__(self, varset, entries, row_basis, col_basis, kind, orders):
         self.varset: VarSet = varset
         self.entries: tuple[tuple[Polynomial, ...], ...] = entries
-        self.row_basis: tuple[Monomial, ...] = row_basis
-        self.col_basis: tuple[Monomial, ...] = col_basis
+        self.row_basis: tuple[tuple[int, ...], ...] = row_basis
+        self.col_basis: tuple[tuple[int, ...], ...] = col_basis
         self.kind: str = kind
         self.orders: tuple = orders
         # Rank facts computed once per matrix: the rank at a point, keyed
@@ -126,9 +127,6 @@ class MixedHessian:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
 
     @cached_property
     def _int_rows(self) -> tuple[tuple[tuple[int, _IntEntry], ...], ...]:
@@ -176,7 +174,9 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
 
 
 def _entries(
-    f: Polynomial, rows_b: Sequence[Monomial], cols_b: Sequence[Monomial]
+    f: Polynomial,
+    rows_b: Sequence[tuple[int, ...]],
+    cols_b: Sequence[tuple[int, ...]],
 ) -> tuple[tuple[Polynomial, ...], ...]:
     """Entry (i, j) is X^g f, g the product of the i-th row and j-th
     column monomials.  The rows share one degree k and the columns one
@@ -194,11 +194,11 @@ def _entries(
     table = [[zero] * len(cols_b) for _ in rows_b]
     if not rows_b or not cols_b:
         return tuple(map(tuple, table))
-    k = rows_b[0].degree
-    row_of = {alpha.exps: i for i, alpha in enumerate(rows_b)}
-    col_of = {beta.exps: j for j, beta in enumerate(cols_b)}
+    k = sum(rows_b[0])
+    row_of = {alpha: i for i, alpha in enumerate(rows_b)}
+    col_of = {beta: j for j, beta in enumerate(cols_b)}
     acted: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for b, g, rest, falling in _apolar_terms(f, k + cols_b[0].degree):
+    for b, g, rest, falling in _apolar_terms(f, k + sum(cols_b[0])):
         acted.setdefault(g, {})[rest] = f.terms[b] * falling
     for g, terms in acted.items():
         poly = Polynomial(f.varset, terms)
@@ -225,7 +225,7 @@ def dual_basis(alg: GradedAlgebra, l: int) -> tuple[Polynomial, ...]:
     terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in alg.quotient_basis(l)]
     for c, inv_row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
         for i, coeff in inv_row.items():
-            terms[i][c.exps] = coeff
+            terms[i][c] = coeff
     return tuple(Polynomial(alg.f.varset, t) for t in terms)
 
 

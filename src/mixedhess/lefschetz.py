@@ -104,21 +104,21 @@ def mult_map_matrix(
     f_coeffs = dict(zip(f.terms, f_ints))
     lcm_l, l_coeffs = _int_scaled(L.coeffs)
     cols_b = alg.quotient_basis(k)
-    actions: dict = {beta.exps: {} for beta in cols_b}
+    actions: dict = {beta: {} for beta in cols_b}
     for b, a, rest, falling in _apolar_terms(f, k):
         g = actions.get(a)
         if g is not None:
             g[rest] = f_coeffs[b] * falling
     inverse = {}
     for gamma, row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
-        fact = math.prod(map(math.factorial, gamma.exps))
-        inverse[gamma.exps] = [(i, v * fact) for i, v in row.items()]
+        fact = math.prod(map(math.factorial, gamma))
+        inverse[gamma] = [(i, v * fact) for i, v in row.items()]
     scale = lcm_f * lcm_l ** (l - k)
     zero = Fraction(0)
     matrix = [[zero] * len(cols_b) for _ in range(alg.dim(l))]
     for j, beta in enumerate(cols_b):
         col: dict = {}
-        for e, c in _linear_power_terms(l_coeffs, actions[beta.exps], l - k).items():
+        for e, c in _linear_power_terms(l_coeffs, actions[beta], l - k).items():
             for i, v in inverse.get(e, ()):
                 prev = col.get(i)
                 col[i] = v * c if prev is None else prev + v * c

@@ -105,9 +105,6 @@ class RowSpace:
         self.pivots[max(row)] = row
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
 
 def matrix_rank(rows: Iterable[dict | Sequence]) -> int:
     """Exact rank of a matrix of ints or Fractions.

@@ -14,9 +14,11 @@ when a <= b componentwise, and kills the term otherwise.
 
 Coefficients are ``fractions.Fraction`` throughout; nothing in this
 module (or anywhere verdict-bearing downstream) touches floating point.
-Monomials are ordered graded-lexicographically in the variable order of
-the ambient :class:`VarSet`; that single convention fixes deterministic
-bases for everything built on top.
+A monomial is its exponent tuple, in the variable order of the ambient
+:class:`VarSet`, both as a term key of a :class:`Polynomial` and as a
+basis label.  Monomials are ordered graded-lexicographically in that
+order; that single convention fixes deterministic bases for everything
+built on top.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, Sequence
 
 
 class VarSetMismatch(ValueError):
@@ -122,26 +124,9 @@ def monomial_exponents(varset: VarSet, degree: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-class Monomial(NamedTuple):
-    """An exponent vector.  Used as a basis label; raw tuples carry the
-    same data inside :class:`Polynomial` term maps."""
-
-    exps: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def bidegree(self, varset: VarSet) -> tuple[int, int]:
-        return varset.bidegree_of(self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exps) != len(other.exps):
-            raise VarSetMismatch("monomials over different variable counts")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def text(self, varset: VarSet) -> str:
-        return _format_exps(self.exps, varset) or "1"
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    """The exponent vector of the i-th of n variables."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def _format_exps(exps: tuple[int, ...], varset: VarSet) -> str:
@@ -382,13 +367,10 @@ class LinearForm(namedtuple("LinearForm", ("varset", "coeffs"))):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def operator(self) -> Polynomial:
-        terms = {}
         n = self.varset.size
-        for i, c in enumerate(self.coeffs):
-            if c:
-                exps = tuple(1 if j == i else 0 for j in range(n))
-                terms[exps] = c
-        return _raw(self.varset, dict(terms))
+        return _raw(
+            self.varset, {_unit(n, i): c for i, c in enumerate(self.coeffs) if c}
+        )
 
     def perp(self) -> tuple[Fraction, ...]:
         return self.coeffs

@@ -21,6 +21,7 @@ from mixedhess import (
     even_counterexample,
     example_catalog,
     grlex_key,
+    mixed_hessian,
     monomial_exponents,
     odd_counterexample,
     parse_polynomial,
@@ -120,7 +121,7 @@ def test_pairing_matrix_matches_dense_pairing(seed):
     alg = build_algebra(rational_random_form(rng, rng.randint(1, 4), rng.randint(1, 5)))
     for k in range(alg.socle_degree + 1):
         dense = [
-            [apolar_pairing(a.exps, g.exps, alg.f)
+            [apolar_pairing(a, g, alg.f)
              for g in alg.quotient_basis(alg.socle_degree - k)]
             for a in alg.quotient_basis(k)
         ]
@@ -354,6 +355,22 @@ def _assert_support_matches_enumeration(f):
     for k in range(alg.socle_degree + 1):
         divisors = {a for b in alg.f.terms for a in _brute_divisors(b, k)}
         assert alg._support(k) == divisors
+    return alg
+
+
+def _assert_bases_are_exponent_tuples(alg):
+    """Every basis label is a plain exponent tuple of D_k: the rows and
+    columns of a Hessian carry the same tuples, and one keys a term map
+    as it stands."""
+    d = alg.socle_degree
+    for k in range(d + 1):
+        basis = alg.quotient_basis(k)
+        assert all(type(m) is tuple and m in alg._support(k) for m in basis)
+        h = mixed_hessian(alg, k, d - k)
+        assert h.row_basis == basis
+        assert h.col_basis == alg.quotient_basis(d - k)
+        for m in basis:
+            assert Polynomial(alg.varset, {m: 1}).terms == {m: 1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,7 +383,8 @@ def test_support_matches_enumeration_on_sparse_forms(f):
     "identifier", [entry.identifier for entry in example_catalog()]
 )
 def test_support_matches_enumeration_on_catalog(catalog, identifier):
-    _assert_support_matches_enumeration(catalog[identifier].polynomial)
+    alg = _assert_support_matches_enumeration(catalog[identifier].polynomial)
+    _assert_bases_are_exponent_tuples(alg)
 
 
 def _fraction_catalecticant_rows(f, k):
@@ -418,7 +436,7 @@ def test_int_catalecticant_matches_fraction_oracle(f):
             type(v) is Fraction for row in alg._reduced[k].values() for v in row.values()
         )
         assert alg.hilbert[k] == len(reduced)
-        assert [m.exps for m in alg.quotient_basis(k)] == sorted(
+        assert list(alg.quotient_basis(k)) == sorted(
             reduced, key=grlex_key, reverse=True
         )
 

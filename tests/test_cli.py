@@ -483,6 +483,19 @@ def test_mult_map_on_a_cancelling_variable(capsys, tmp_path):
     assert report["result"]["rank"] == 3
 
 
+@pytest.mark.parametrize("kind", ["times-u", "times-uv"])
+def test_family_lift_reports_the_base_warnings(capsys, tmp_path, kind):
+    # w cancels, so the base algebra drops it, and the lift reports that
+    # as analyze and mult-map do.
+    path = tmp_path / "c.poly"
+    path.write_text("x*y*z + w*x*y - w*x*y\n")
+    code, out = _run(capsys, ["family", kind, "--base", str(path), "--seed", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["warnings"] == ["dropped unused variables: w"]
+    assert report["result"]["hilbert_base"] == [1, 3, 3, 1]
+
+
 def test_mult_map_coefficient_count(capsys, poly_file):
     code, _ = _run(
         capsys,

@@ -191,24 +191,50 @@ KEPT_UNREAD = {
     "linalg.rref": (
         "declared as `linalg.rref.self_s` in BENCHMARK.json; goes with benchmark v2"
     ),
+    "polyring.Polynomial.degree": (
+        "the tests' oracle for `max_entry_degree` in test_hessians.py"
+    ),
 }
+
+
+def _attribute_names(sources: list[str]) -> set[str]:
+    """Names accessed as attributes."""
+    return {
+        n.attr
+        for source in sources
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute)
+    }
 
 
 def _dead_definitions(modules: dict[str, str], exported: set[str]) -> dict[str, list[str]]:
     """Public top-level functions and classes that are not exported and
-    that no module reads."""
+    that no module reads, and public methods of public classes whose
+    name no module reads as an attribute."""
     read = _read_names(list(modules.values()))
+    attributes = _attribute_names(list(modules.values()))
     dead = {}
     for name, source in sorted(modules.items()):
-        found = [
-            f"{node.name} (line {node.lineno})"
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and node.name not in exported
-            and node.name not in read
-            and f"{name.removesuffix('.py')}.{node.name}" not in KEPT_UNREAD
-        ]
+        module = name.removesuffix(".py")
+        found = []
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if (
+                node.name not in exported
+                and node.name not in read
+                and f"{module}.{node.name}" not in KEPT_UNREAD
+            ):
+                found.append(f"{node.name} (line {node.lineno})")
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{node.name}.{item.name} (line {item.lineno})"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and item.name not in attributes
+                    and f"{module}.{node.name}.{item.name}" not in KEPT_UNREAD
+                ]
         if found:
             dead[name] = found
     return dead
@@ -224,10 +250,13 @@ def test_dead_definition_detector_flags_an_unread_function():
         "a.py": (
             "def used():\n    pass\n\n\ndef exported():\n    pass\n\n\n"
             "def dead():\n    pass\n\n\ndef _private():\n    pass\n\n\n"
-            "class Dead:\n    pass\n"
+            "class Dead:\n    pass\n\n\n"
+            "class Kept:\n    def read(self):\n        pass\n\n"
+            "    def unread(self):\n        pass\n\n"
+            "    def _private(self):\n        pass\n"
         ),
-        "b.py": "from .a import used\nused()\n",
+        "b.py": "from .a import used\nused()\nKept().read()\n",
     }
     assert _dead_definitions(modules, {"exported"}) == {
-        "a.py": ["dead (line 9)", "Dead (line 17)"]
+        "a.py": ["dead (line 9)", "Dead (line 17)", "Kept.unread (line 25)"]
     }

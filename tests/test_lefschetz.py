@@ -28,7 +28,6 @@ from mixedhess.apolarity import GradedAlgebra
 from mixedhess.hessians import mixed_hessian, rank_at
 from mixedhess.linalg import matrix_rank
 from mixedhess.polyring import (
-    Monomial,
     Polynomial,
     apolar_monomial,
     apolar_pairing,
@@ -67,10 +66,10 @@ def _dense_mult_map(alg, k, l, L):
     zero = (0,) * alg.varset.size
     columns = []
     for beta in alg.quotient_basis(k):
-        g = apolar_monomial(beta.exps, alg.f)
+        g = apolar_monomial(beta, alg.f)
         for _ in range(l - k):
             g = linear_apply(L.coeffs, g)
-        pair = [apolar_pairing(c.exps, zero, g) for c in alg.quotient_basis(d - l)]
+        pair = [apolar_pairing(c, zero, g) for c in alg.quotient_basis(d - l)]
         columns.append(
             [
                 sum((inv[t][i] * pair[t] for t in range(s)), Fraction(0))
@@ -135,12 +134,12 @@ def _oracle_mult_map_matrix(alg, k, l, L):
     zero_exps = (0,) * alg.f.varset.size
     columns = []
     for beta in cols_b:
-        g = apolar_monomial(beta.exps, alg.f)
+        g = apolar_monomial(beta, alg.f)
         for _ in range(l - k):
             g = _oracle_linear_apply(L.coeffs, g)
         col = [Fraction(0)] * s
         for c, row in zip(comp_b, inv_rows):
-            p = apolar_pairing(c.exps, zero_exps, g)
+            p = apolar_pairing(c, zero_exps, g)
             if p:
                 for i, v in row:
                     col[i] += p * v
@@ -172,7 +171,7 @@ def test_mult_map_matches_fraction_oracle(seed):
 def _corrupt_basis(alg, k, basis):
     """A copy of alg whose degree-k quotient basis is replaced."""
     bases = list(alg._quotient_bases)
-    bases[k] = tuple(Monomial(e) for e in basis)
+    bases[k] = tuple(basis)
     return GradedAlgebra(
         alg.f, alg.hilbert, tuple(bases), alg._reduced, alg.warnings
     )

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mixedhess import (
     LinearForm,
-    Monomial,
     ParseError,
     Polynomial,
     VarSet,
