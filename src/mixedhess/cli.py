@@ -321,21 +321,12 @@ def _complex_from_json(text: str) -> SimplicialComplex:
         raise ValueError('"facets" must be a list of lists of vertex names')
     if not facets:
         raise ValueError('"facets" is empty: a complex needs a facet')
-    if "vertices" in data:
-        vertices = data["vertices"]
-        if not isinstance(vertices, list) or not all(
-            isinstance(v, str) for v in vertices
-        ):
-            raise ValueError('"vertices" must be a list of names')
-        order = {v: i for i, v in enumerate(vertices)}
-        try:
-            sorted_facets = tuple(
-                tuple(sorted(f, key=order.__getitem__)) for f in facets
-            )
-        except KeyError as exc:
-            raise ValueError(f"facet uses unknown vertex {exc.args[0]!r}")
-        return SimplicialComplex(tuple(vertices), sorted_facets)
-    return SimplicialComplex.from_facets(tuple(tuple(f) for f in facets))
+    vertices = data.get("vertices")
+    if "vertices" in data and not (
+        isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)
+    ):
+        raise ValueError('"vertices" must be a list of names')
+    return SimplicialComplex.from_facets(facets, vertices)
 
 
 def cmd_from_complex(args: argparse.Namespace) -> int:

@@ -31,7 +31,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .apolarity import (
     GradedAlgebra,
@@ -90,28 +90,35 @@ class SimplicialComplex(namedtuple("SimplicialComplex", ("vertices", "facets")))
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @staticmethod
-    def from_facets(facets: Iterable[Iterable[str]]) -> "SimplicialComplex":
-        """Build a complex from facet vertex lists, inferring the vertex
-        set in first-appearance order and dropping contained facets.  A
-        facet that lists a vertex twice is rejected."""
-        verts: list[str] = []
-        sets: list[frozenset[str]] = []
+    def from_facets(
+        facets: Iterable[Iterable[str]], vertices: Sequence[str] | None = None
+    ) -> "SimplicialComplex":
+        """Build a complex from facet vertex lists, keeping each
+        inclusion-maximal facet once, in first-appearance order.  When
+        `vertices` is given it fixes the vertex order (and may name
+        vertices in no facet); otherwise the order is first appearance.
+        A facet that lists a vertex twice, or one not among the given
+        `vertices`, is rejected."""
+        facets = [tuple(fac) for fac in facets]
+        if vertices is None:
+            vertices = dict.fromkeys(v for fac in facets for v in fac)
+        order = {v: i for i, v in enumerate(vertices)}
+        sets = []
         for fac in facets:
-            fac = tuple(fac)
-            fs = frozenset(fac)
-            if len(fs) != len(fac):
-                raise ValueError(f"repeated vertex in facet {fac!r}")
             for v in fac:
-                if v not in verts:
-                    verts.append(v)
-            sets.append(fs)
-        maximal = _maximal_distinct(sets)
-        order = {v: i for i, v in enumerate(verts)}
+                if v not in order:
+                    raise ValueError(f"facet uses unknown vertex {v!r}")
+            if len(set(fac)) != len(fac):
+                raise ValueError(f"repeated vertex in facet {fac!r}")
+            sets.append(frozenset(fac))
+        maximal = [
+            s
+            for i, s in enumerate(sets)
+            if not any(s < t for t in sets) and s not in sets[:i]
+        ]
         return SimplicialComplex(
-            tuple(verts),
-            tuple(
-                tuple(sorted(s, key=order.__getitem__)) for s in maximal
-            ),
+            tuple(vertices),
+            tuple(tuple(sorted(s, key=order.__getitem__)) for s in maximal),
         )
 
     @property
@@ -272,15 +279,6 @@ def grow_with_leaves(comp: SimplicialComplex, count: int) -> SimplicialComplex:
     return comp
 
 
-def _maximal_distinct(sets: list[frozenset[str]]) -> list[frozenset[str]]:
-    """The inclusion-maximal sets, each once, in first-appearance order."""
-    return [
-        s
-        for i, s in enumerate(sets)
-        if not any(s < t for t in sets) and s not in sets[:i]
-    ]
-
-
 def without_face(
     comp: SimplicialComplex, face: Iterable[str]
 ) -> SimplicialComplex:
@@ -291,25 +289,19 @@ def without_face(
     gone = frozenset(face)
     if not gone:
         raise ValueError("cannot delete the empty face")
-    candidates: list[frozenset[str]] = []
+    candidates: list[tuple[str, ...]] = []
     for fac in comp.facets:
-        fs = frozenset(fac)
-        if not gone <= fs:
-            candidates.append(fs)
+        if not gone <= set(fac):
+            candidates.append(fac)
         else:
-            for v in gone:
-                candidates.append(fs - {v})
-    maximal = [s for s in _maximal_distinct(candidates) if s]
+            candidates.extend(tuple(w for w in fac if w != v) for v in gone)
     order = {v: i for i, v in enumerate(comp.vertices)}
-    used = {v for s in maximal for v in s}
-    return SimplicialComplex(
-        tuple(v for v in comp.vertices if v in used),
-        tuple(
-            sorted(
-                (tuple(sorted(s, key=order.__getitem__)) for s in maximal),
-                key=lambda f: tuple(order[v] for v in f),
-            )
-        ),
+    candidates = sorted(
+        (c for c in candidates if c), key=lambda c: [order[v] for v in c]
+    )
+    used = {v for c in candidates for v in c}
+    return SimplicialComplex.from_facets(
+        candidates, [v for v in comp.vertices if v in used]
     )
 
 
@@ -455,24 +447,6 @@ def is_facet_connected(comp: SimplicialComplex) -> bool:
     return len(seen) == len(sets)
 
 
-def _maximal_cliques(
-    vertices: Sequence[str], adj: dict[str, set[str]]
-) -> Iterator[frozenset[str]]:
-    """Bron-Kerbosch with pivoting."""
-
-    def expand(r: set[str], p: set[str], x: set[str]):
-        if not p and not x:
-            yield frozenset(r)
-            return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in list(p - adj[pivot]):
-            yield from expand(r | {v}, p & adj[v], x & adj[v])
-            p.discard(v)
-            x.add(v)
-
-    yield from expand(set(), set(vertices), set())
-
-
 def _skeleton_adjacency(comp: SimplicialComplex) -> dict[str, set[str]]:
     """Neighbours of each vertex in the 1-skeleton."""
     adj: dict[str, set[str]] = {v: set() for v in comp.vertices}
@@ -485,14 +459,17 @@ def _skeleton_adjacency(comp: SimplicialComplex) -> dict[str, set[str]]:
 
 def is_flag(comp: SimplicialComplex) -> bool:
     """Whether the complex is determined by its edges: every set of
-    pairwise adjacent vertices must be a face, which happens exactly
-    when each maximal clique of the 1-skeleton lies in a facet."""
+    pairwise adjacent vertices must be a face.  By induction on the size
+    of such a clique, that holds exactly when no face (the empty face
+    included) extends to a non-face by a vertex adjacent to all of its
+    vertices."""
     adj = _skeleton_adjacency(comp)
-    facet_sets = [frozenset(f) for f in comp.facets]
-    for clique in _maximal_cliques(comp.vertices, adj):
-        if not any(clique <= fs for fs in facet_sets):
-            return False
-    return True
+    faces = comp.faces()
+    return all(
+        face | {w} in faces
+        for face in faces
+        for w in set(comp.vertices).intersection(*(adj[v] for v in face))
+    )
 
 
 def presented_by_quadrics_combinatorial(comp: SimplicialComplex) -> bool:
@@ -506,35 +483,25 @@ def detect_complete_multipartite(
 ) -> tuple[tuple[str, ...], ...] | None:
     """Recognize a complete multipartite complex and return its groups.
 
-    The candidate groups are the components of the complement of the
-    1-skeleton; the complex qualifies when there is one group per facet
-    vertex and the facets are exactly the transversals of the groups.
-    Returns None otherwise."""
-    if not comp.is_pure() or not comp.facets:
+    Two vertices of such a complex share a group exactly when their
+    1-skeleton neighbourhoods are equal, so the candidate groups collect
+    the vertices by neighbourhood, in vertex order; the complex
+    qualifies when there is one group per facet vertex and the facets
+    are exactly the transversals of the groups.  Returns None
+    otherwise."""
+    if not comp.is_pure():
         return None
     adj = _skeleton_adjacency(comp)
-    groups: list[tuple[str, ...]] = []
-    assigned: set[str] = set()
+    by_nbhd: dict[frozenset[str], list[str]] = {}
     for v in comp.vertices:
-        if v in assigned:
-            continue
-        group = {v}
-        frontier = [v]
-        while frontier:
-            w = frontier.pop()
-            for other in comp.vertices:
-                if other not in assigned and other not in group and other not in adj[w]:
-                    group.add(other)
-                    frontier.append(other)
-        assigned |= group
-        order = {name: i for i, name in enumerate(comp.vertices)}
-        groups.append(tuple(sorted(group, key=order.__getitem__)))
+        by_nbhd.setdefault(frozenset(adj[v]), []).append(v)
+    groups = tuple(tuple(grp) for grp in by_nbhd.values())
     if len(groups) != comp.dim + 1:
         return None
     transversals = {frozenset(choice) for choice in product(*groups)}
     if {frozenset(f) for f in comp.facets} != transversals:
         return None
-    return tuple(groups)
+    return groups
 
 
 # -- non-injectivity certificate for complete multipartite complexes --------
@@ -584,11 +551,12 @@ def grid_noninjectivity_witness(
     flat = [v for p in pairs for v in p]
     if len(set(flat)) != len(flat):
         raise ValueError("grid pairs overlap")
-    facet_sets = {frozenset(f) for f in comp.facets}
     if len(pairs) != comp.dim + 1:
         raise ValueError("need one pair per facet vertex")
-    for choice in product(*pairs):
-        if frozenset(choice) not in facet_sets:
+    grid = {frozenset(choice): choice for choice in product(*pairs)}
+    facet_sets = {frozenset(f) for f in comp.facets}
+    for key, choice in grid.items():
+        if key not in facet_sets:
             raise ValueError(
                 f"grid transversal {choice!r} is not a facet"
             )
@@ -601,27 +569,13 @@ def grid_noninjectivity_witness(
     vs = alg.f.varset
     uindex = {v: m + i for i, v in enumerate(comp.vertices)}
 
-    facet_of_row = []
-    for mono in block.row_basis:
-        idx = next(i for i, e in enumerate(mono) if e)
-        facet_of_row.append(frozenset(comp.facets[idx]))
-
     syzygy = []
-    for facet in facet_of_row:
-        picks = []
-        for pair in pairs:
-            if pair[0] in facet:
-                picks.append(0)
-            elif pair[1] in facet:
-                picks.append(1)
-            else:
-                picks = None
-                break
-        if picks is None or facet != frozenset(
-            pair[p] for pair, p in zip(pairs, picks)
-        ):
+    for mono in block.row_basis:
+        choice = grid.get(frozenset(comp.facets[mono.index(1)]))
+        if choice is None:
             syzygy.append(Polynomial.zero(vs))
             continue
+        picks = [pair.index(v) for pair, v in zip(pairs, choice)]
         e = [0] * vs.size
         for pair, p in zip(pairs, picks):
             e[uindex[pair[1 - p]]] = 1

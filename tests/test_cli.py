@@ -342,6 +342,28 @@ def test_from_complex_rejects_a_repeated_vertex(capsys, tmp_path, data):
     assert captured.err.startswith("error: repeated vertex in facet (")
 
 
+@pytest.mark.parametrize(
+    "facets",
+    [[["a", "b"], ["a"], ["b", "c"]], [["a", "b"], ["b", "c"], ["a", "b"]]],
+    ids=["contained", "duplicate"],
+)
+def test_from_complex_vertices_only_fix_the_order(capsys, tmp_path, facets):
+    reports = []
+    for name, data in (
+        ("plain", {"facets": facets}),
+        ("ordered", {"vertices": ["a", "b", "c"], "facets": facets}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, out = _run(capsys, ["from-complex", str(path), "--seed", "1"])
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["result"]["combinatorial"]["facets"] == 2
+
+
 def test_family_boolean(capsys, tmp_path):
     out_poly = tmp_path / "b.poly"
     code, out = _run(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,16 @@ def test_from_facets_and_face_counts():
     assert comp.dim == 1
     assert comp.is_pure()
     assert comp.face_counts() == (1, 3, 2)
+
+
+def test_from_facets_given_vertices_fix_the_order():
+    comp = SimplicialComplex.from_facets(
+        [["b", "a"], ["a"], ["c", "b"], ["a", "b"]], ["c", "b", "a", "d"]
+    )
+    assert comp == (("c", "b", "a", "d"), (("b", "a"), ("c", "b")))
+    assert not comp.is_covered()
+    with pytest.raises(ValueError, match="facet uses unknown vertex 'z'"):
+        SimplicialComplex.from_facets([["a", "z"]], ["a", "b"])
 
 
 def test_turan_face_counts_match_elementary_symmetric():
@@ -408,6 +419,99 @@ def test_detect_complete_multipartite_negatives():
     assert detect_complete_multipartite(_cycle_graph(5)) is None
     grown = attach_leaf(turan_complex((2, 2)))
     assert detect_complete_multipartite(grown) is None
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (
+            (("a1", "a2"), ("a1", "b2"), ("c1", "c2")),
+            "grid pairs overlap",
+        ),
+        ((("a1", "a2"), ("b1", "b2")), "need one pair per facet vertex"),
+        (
+            (("a1", "b1"), ("a2", "b2"), ("c1", "c2")),
+            "grid transversal ('a1', 'a2', 'c1') is not a facet",
+        ),
+    ],
+    ids=["overlap", "count", "transversal"],
+)
+def test_grid_witness_rejects_a_bad_grid(pairs, message, config):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grid_noninjectivity_witness(turan_complex((2, 2, 2)), pairs, config)
+
+
+def _skeleton_graph(comp):
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(comp.vertices)
+    for fac in comp.facets:
+        graph.add_edges_from(itertools.combinations(fac, 2))
+    return graph
+
+
+def _oracle_is_flag(comp):
+    """Every maximal clique of the 1-skeleton lies in a facet."""
+    import networkx as nx
+
+    facets = [set(fac) for fac in comp.facets]
+    return all(
+        any(set(clique) <= fac for fac in facets)
+        for clique in nx.find_cliques(_skeleton_graph(comp))
+    )
+
+
+def _oracle_groups(comp):
+    """The complement's components of the 1-skeleton, in vertex order,
+    when their transversals are exactly the facets of a pure complex."""
+    import networkx as nx
+
+    order = {v: i for i, v in enumerate(comp.vertices)}
+    groups = sorted(
+        (
+            tuple(sorted(part, key=order.__getitem__))
+            for part in nx.connected_components(nx.complement(_skeleton_graph(comp)))
+        ),
+        key=lambda grp: order[grp[0]],
+    )
+    if not comp.is_pure() or len(groups) != comp.dim + 1:
+        return None
+    transversals = {frozenset(choice) for choice in itertools.product(*groups)}
+    if {frozenset(fac) for fac in comp.facets} != transversals:
+        return None
+    return tuple(groups)
+
+
+def _oracle_cases():
+    import networkx as nx
+
+    yield from (atlas_graph_complex(g) for g in nx.graph_atlas_g())
+    rng = random.Random(23)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(3, 7))]
+        yield SimplicialComplex.from_facets(
+            rng.sample(names, 3) for _ in range(rng.randint(1, 8))
+        )
+    for _ in range(100):
+        turan = turan_complex([rng.randint(2, 3) for _ in range(rng.randint(1, 4))])
+        vertices = list(turan.vertices)
+        facets = list(turan.facets)
+        rng.shuffle(vertices)
+        rng.shuffle(facets)
+        yield SimplicialComplex.from_facets(facets, vertices)
+
+
+def test_flag_and_multipartite_match_networkx_oracles():
+    for comp in _oracle_cases():
+        assert is_flag(comp) == _oracle_is_flag(comp), comp
+        assert detect_complete_multipartite(comp) == _oracle_groups(comp), comp
+    # The complex with no vertices and no facets: its only face, the
+    # empty one, extends by no vertex, so it is flag.
+    facetless = SimplicialComplex((), ())
+    assert is_flag(facetless)
+    assert not presented_by_quadrics_combinatorial(facetless)
+    assert detect_complete_multipartite(facetless) is None
 
 
 # -- enumeration oracle -------------------------------------------------------

@@ -307,6 +307,15 @@ def test_odd_counterexamples(config):
         assert cr.rank < full
 
 
+@pytest.mark.parametrize("r", [13, 15])
+def test_odd_cubic_hexagon_bases(r, config):
+    member = odd_counterexample(3, r, config)
+    assert "hexagon with a long diagonal" in member.base_description
+    assert build_algebra(member.polynomial).hilbert == (1, r, r, 1)
+    assert member.quadrics is True
+    assert member.criterion_rank.rank < r
+
+
 def test_odd_out_of_range():
     with pytest.raises(ValueError):
         odd_counterexample(4, 10)

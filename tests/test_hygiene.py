@@ -1,5 +1,5 @@
 """Source hygiene of the package: no unused imports, no dangling exports,
-no dead public definitions, only standard-library imports, and no costly
+no dead definitions, only standard-library imports, and no costly
 module that a report never needs loaded by the import."""
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ def _attribute_names(sources: list[str]) -> set[str]:
 
 
 def _dead_definitions(modules: dict[str, str], exported: set[str]) -> dict[str, list[str]]:
-    """Public top-level functions and classes that are not exported and
-    that no module reads, and public methods of public classes whose
-    name no module reads as an attribute."""
+    """Top-level functions and classes that no module reads (public ones
+    also not exported), and public methods of public classes whose name
+    no module reads as an attribute."""
     read = _read_names(list(modules.values()))
     attributes = _attribute_names(list(modules.values()))
     dead = {}
@@ -218,15 +218,18 @@ def _dead_definitions(modules: dict[str, str], exported: set[str]) -> dict[str, 
         module = name.removesuffix(".py")
         found = []
         for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if (
-                node.name not in exported
-                and node.name not in read
-                and f"{module}.{node.name}" not in KEPT_UNREAD
+            private = node.name.startswith("_")
+            if node.name not in read and (
+                private
+                or (
+                    node.name not in exported
+                    and f"{module}.{node.name}" not in KEPT_UNREAD
+                )
             ):
                 found.append(f"{node.name} (line {node.lineno})")
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not private:
                 found += [
                     f"{node.name}.{item.name} (line {item.lineno})"
                     for item in node.body
@@ -248,7 +251,7 @@ def test_public_definitions_are_exported_or_read():
 def test_dead_definition_detector_flags_an_unread_function():
     modules = {
         "a.py": (
-            "def used():\n    pass\n\n\ndef exported():\n    pass\n\n\n"
+            "def used():\n    _private()\n\n\ndef exported():\n    pass\n\n\n"
             "def dead():\n    pass\n\n\ndef _private():\n    pass\n\n\n"
             "class Dead:\n    pass\n\n\n"
             "class Kept:\n    def read(self):\n        pass\n\n"
@@ -259,4 +262,18 @@ def test_dead_definition_detector_flags_an_unread_function():
     }
     assert _dead_definitions(modules, {"exported"}) == {
         "a.py": ["dead (line 9)", "Dead (line 17)", "Kept.unread (line 25)"]
+    }
+
+
+def test_dead_definition_detector_flags_an_unread_private_helper():
+    modules = {
+        "a.py": (
+            "def _helper():\n    pass\n\n\ndef _orphan():\n    pass\n\n\n"
+            "class _Orphan:\n    def unread(self):\n        pass\n"
+        ),
+        "b.py": "from .a import _helper\nx = _helper()\n",
+    }
+    # Exporting a private name does not keep it alive: only a read does.
+    assert _dead_definitions(modules, {"_orphan"}) == {
+        "a.py": ["_orphan (line 5)", "_Orphan (line 9)"]
     }
