@@ -28,7 +28,6 @@ from .complexes import (
     alternate_hilbert_closed_form,
     attach_leaf,
     classify_graph_algebra,
-    delete_vertex,
     detect_complete_multipartite,
     dual_generator,
     grid_noninjectivity_witness,
@@ -38,7 +37,6 @@ from .complexes import (
     is_flag,
     presented_by_quadrics_combinatorial,
     turan_complex,
-    turan_noninjectivity_witness,
     without_face,
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
@@ -61,7 +59,6 @@ from .hessians import (
     RankCertificate,
     SymbolicCapExceeded,
     bigraded_hessian,
-    dual_basis,
     dual_mixed_hessian,
     evaluate_matrix,
     generic_rank,
@@ -89,10 +86,8 @@ from .polyring import (
     format_polynomial,
     grlex_key,
     linear_apply,
-    linear_power_apply,
     monomial_exponents,
     parse_polynomial,
-    power_apply_identity_check,
 )
 
 __version__ = "0.1.0"
@@ -130,9 +125,7 @@ __all__ = [
     "boolean_form",
     "build_algebra",
     "classify_graph_algebra",
-    "delete_vertex",
     "detect_complete_multipartite",
-    "dual_basis",
     "dual_generator",
     "dual_mixed_hessian",
     "evaluate_matrix",
@@ -149,14 +142,12 @@ __all__ = [
     "is_facet_connected",
     "is_flag",
     "linear_apply",
-    "linear_power_apply",
     "mixed_hessian",
     "monomial_exponents",
     "mult_map_matrix",
     "odd_counterexample",
     "parse_polynomial",
     "perazzo_form",
-    "power_apply_identity_check",
     "presented_by_quadrics_combinatorial",
     "rank_at",
     "rank_profile",
@@ -165,7 +156,6 @@ __all__ = [
     "times_u",
     "times_uv",
     "turan_complex",
-    "turan_noninjectivity_witness",
     "unimodality_check",
     "without_face",
     "wlp_check",

@@ -139,11 +139,12 @@ class GradedAlgebra:
     Carries, per degree k = 0..d: the Hilbert value h_k, a deterministic
     quotient basis of monomials named by their exponent tuples (the
     catalecticant pivot columns, graded-lex descending), the reduced
-    catalecticant it was read from, and (lazily) a basis of K_k, the
-    annihilator vectors supported on D_k.  The monomials outside D_k,
-    which complete K_k to Ann_k, are never listed.  The inverse of the
-    pairing between complementary degrees is cached on first use, as
-    sparse rows; the pairing itself is rebuilt from the terms of f.
+    catalecticant it was read from.  `ann_basis` reads K_k, the
+    annihilator vectors supported on D_k, off that catalecticant on each
+    call, uncached.  The monomials outside D_k, which complete K_k to
+    Ann_k, are never listed.  The inverse of the pairing between
+    complementary degrees is cached on first use, as sparse rows; the
+    pairing itself is rebuilt from the terms of f.
     `hessians.mixed_hessian` caches each order-(k, l) Hessian here too,
     so every check of one report reads the same matrix and with it the
     rank facts memoized on that matrix.
@@ -165,7 +166,6 @@ class GradedAlgebra:
         self._reduced = reduced_catalecticants
         self.warnings = warnings
         self.i1_zero = hilbert[1] == f.varset.size if self.socle_degree >= 1 else False
-        self._ann_cache: dict[int, tuple[Polynomial, ...]] = {}
         self._support_cache: dict[int, frozenset[tuple[int, ...]]] = {}
         self._pairing_inv_cache: dict[int, list[dict[int, Fraction]]] = {}
         self._hessian_cache: dict = {}
@@ -196,25 +196,21 @@ class GradedAlgebra:
         return cached
 
     def ann_basis(self, k: int) -> tuple[Polynomial, ...]:
-        """K_k, the annihilator vectors supported on D_k (lazy; () outside
+        """K_k, the annihilator vectors supported on D_k (() outside
         0..d): one per non-pivot column of the reduced catalecticant, in
         graded-lex descending order of that column.  The rest of Ann_k is
         span(N_k), the monomials outside D_k."""
         if not 0 <= k <= self.socle_degree:
             return ()
-        cached = self._ann_cache.get(k)
-        if cached is None:
-            red = self._reduced[k]
-            cached = tuple(
-                Polynomial(
-                    self.varset,
-                    {e: Fraction(1)}
-                    | {p: -prow[e] for p, prow in red.items() if prow.get(e)},
-                )
-                for e in sorted(self._support(k) - red.keys(), reverse=True)
+        red = self._reduced[k]
+        return tuple(
+            Polynomial(
+                self.varset,
+                {e: Fraction(1)}
+                | {p: -prow[e] for p, prow in red.items() if prow.get(e)},
             )
-            self._ann_cache[k] = cached
-        return cached
+            for e in sorted(self._support(k) - red.keys(), reverse=True)
+        )
 
     # -- pairing -------------------------------------------------------
 
@@ -404,9 +400,6 @@ class BigradedBasis(NamedTuple):
 
     bidegree: tuple[int, int]
     pieces: dict
-
-    def dim(self, i: int, j: int) -> int:
-        return len(self.pieces.get((i, j), ()))
 
 
 def bigraded_decomposition(alg: GradedAlgebra) -> BigradedBasis:

@@ -289,6 +289,8 @@ def without_face(
     gone = frozenset(face)
     if not gone:
         raise ValueError("cannot delete the empty face")
+    if not gone <= set(comp.vertices):
+        raise ValueError(f"unknown vertex {min(gone - set(comp.vertices))!r}")
     candidates: list[tuple[str, ...]] = []
     for fac in comp.facets:
         if not gone <= set(fac):
@@ -303,17 +305,6 @@ def without_face(
     return SimplicialComplex.from_facets(
         candidates, [v for v in comp.vertices if v in used]
     )
-
-
-def delete_vertex(comp: SimplicialComplex, vertex: str) -> SimplicialComplex:
-    """Restrict to the faces avoiding one vertex.
-
-    Deleting a leaf removes exactly its facet; deleting one vertex from
-    a three-vertex group of a complete multipartite complex shrinks the
-    group by one."""
-    if vertex not in comp.vertices:
-        raise ValueError(f"unknown vertex {vertex!r}")
-    return without_face(comp, (vertex,))
 
 
 # -- the dual generator and its algebra -------------------------------------
@@ -338,8 +329,6 @@ def dual_generator(comp: SimplicialComplex) -> Polynomial:
     names = tuple(f"x{i + 1}" for i in range(m)) + tuple(
         f"u{v}" for v in comp.vertices
     )
-    if len(set(names)) != len(names):
-        raise ValueError("facet and vertex variable names collide")
     blocks = (0,) * m + (1,) * len(comp.vertices)
     vs = VarSet(names, blocks)
     vidx = {v: m + i for i, v in enumerate(comp.vertices)}
@@ -633,33 +622,7 @@ def grid_noninjectivity_witness(
 
 def grid_pairs_for(groups: Sequence[Sequence[str]]) -> tuple[tuple[str, str], ...]:
     """The first two vertices of every group, the default grid."""
+    for grp in groups:
+        if len(grp) < 2:
+            raise ValueError(f"group {tuple(grp)!r} has fewer than two vertices")
     return tuple((grp[0], grp[1]) for grp in groups)
-
-
-def turan_noninjectivity_witness(
-    orders: Sequence[int], config: SamplingConfig = DEFAULT_CONFIG
-) -> RankCertificate:
-    """Certificate that the facet-row Hessian block of a complete
-    multipartite complex has rank strictly below the facet count, which
-    forces a kernel in multiplication A_1 -> A_2 by every linear form.
-
-    The strict bound is always exact (it comes from the grid syzygy,
-    verified symbolically); the certificate's rank value itself may stay
-    probabilistic when sampling does not reach the bound.  Callers that
-    want the syzygy and the Lefschetz conclusion use
-    `grid_noninjectivity_witness` directly."""
-    orders = tuple(int(n) for n in orders)
-    if len(orders) < 2:
-        raise ValueError("need at least two groups")
-    comp = turan_complex(orders)
-    pairs = tuple(
-        (f"{_GROUP_LETTERS[g]}1", f"{_GROUP_LETTERS[g]}2")
-        for g in range(len(orders))
-    )
-    w = grid_noninjectivity_witness(comp, pairs, config)
-    cert = w.block_rank
-    cap = w.block.nrows - 1
-    bound = f"syzygy caps the rank at {cap} < {w.block.nrows} facet rows"
-    note = f"{cert.note}; {bound}" if cert.note else bound
-    return cert._replace(note=note)
-

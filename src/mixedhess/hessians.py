@@ -144,9 +144,6 @@ class MixedHessian:
             ))
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
     def max_entry_degree(self) -> int:
         """The largest degree of a nonzero entry (0 when there is none),
         read off the nonzero cells of `_int_rows`."""
@@ -210,23 +207,6 @@ def _entries(
             if j is not None:
                 table[i][j] = poly
     return tuple(map(tuple, table))
-
-
-def dual_basis(alg: GradedAlgebra, l: int) -> tuple[Polynomial, ...]:
-    """The basis of A_{d-l} dual to B_l under the socle pairing.
-
-    The i-th element pairs to 1 against the i-th monomial of B_l and to
-    0 against every other one; its coefficients in B_{d-l} form the
-    i-th column of the inverse pairing matrix.  Each row t of that
-    inverse is read once, adding the t-th monomial of B_{d-l} to every
-    element it has an entry for.
-    """
-    d = alg.socle_degree
-    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in alg.quotient_basis(l)]
-    for c, inv_row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
-        for i, coeff in inv_row.items():
-            terms[i][c] = coeff
-    return tuple(Polynomial(alg.f.varset, t) for t in terms)
 
 
 def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:

@@ -199,9 +199,6 @@ class Polynomial:
     def sorted_exps(self) -> list[tuple[int, ...]]:
         return sorted(self.terms, key=grlex_key, reverse=True)
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
@@ -260,18 +257,6 @@ class Polynomial:
         return self.scale(other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.varset, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         return (
@@ -470,26 +455,6 @@ def linear_apply(coeffs: Sequence[Fraction], f: Polynomial) -> Polynomial:
     return _raw(f.varset, _linear_power_terms(coeffs, f.terms, 1))
 
 
-def linear_power_apply(L: LinearForm, f: Polynomial, power: int) -> Polynomial:
-    """L^power applied to f, by iterated first-order application."""
-    if L.varset != f.varset:
-        raise VarSetMismatch("linear form and polynomial over different VarSets")
-    return _raw(f.varset, _linear_power_terms(L.coeffs, f.terms, power))
-
-
-def power_apply_identity_check(L: LinearForm, g: Polynomial, h: int) -> bool:
-    """Verify L^h(g) == h! * g(a) for homogeneous g of degree h, where a
-    is the coefficient point of L.  The left side expands the operator
-    power as an honest polynomial product before applying it, so this
-    doubles as a cross-check of the two application routes."""
-    if g.homogeneous_degree() != h:
-        raise ValueError("g must be homogeneous of degree h")
-    lhs = apolar_apply(L.operator() ** h, g)
-    rhs = math.factorial(h) * g.evaluate(L.perp())
-    const = (0,) * g.varset.size
-    return set(lhs.terms) <= {const} and lhs.coefficient(const) == rhs
-
-
 # -- parsing -------------------------------------------------------------
 
 
@@ -553,13 +518,13 @@ def parse_polynomial(text: str, varset: VarSet | None = None) -> Polynomial:
             value = Fraction(int(lex))
             if peek()[0] == "op" and peek()[1] == "/":
                 take()
-                dkind, dlex, _, _ = peek()
-                if dkind != "num":
-                    fail("expected integer denominator", peek())
+                tok = peek()
+                if tok[0] != "num":
+                    fail("expected integer denominator", tok)
                 take()
-                den = int(dlex)
+                den = int(tok[1])
                 if den == 0:
-                    fail("zero denominator", peek())
+                    fail("zero denominator", tok)
                 value /= den
             return coeff * value
         if kind == "name":

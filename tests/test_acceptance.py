@@ -20,8 +20,7 @@ from mixedhess import (
     boolean_form,
     build_algebra,
     classify_graph_algebra,
-    delete_vertex,
-    dual_basis,
+    detect_complete_multipartite,
     dual_generator,
     dual_mixed_hessian,
     evaluate_matrix,
@@ -29,6 +28,8 @@ from mixedhess import (
     example_catalog,
     generalization_check,
     generic_rank,
+    grid_noninjectivity_witness,
+    grid_pairs_for,
     hilbert_from_face_counts,
     alternate_hilbert_closed_form,
     mixed_hessian,
@@ -40,7 +41,6 @@ from mixedhess import (
     symbolic_det,
     times_u,
     turan_complex,
-    turan_noninjectivity_witness,
     unimodality_check,
     without_face,
     wlp_check,
@@ -215,7 +215,8 @@ def test_criterion_6_turan_suite(capsys):
 
     assert ann_generated_by_quadrics(alg).presented
 
-    cert = turan_noninjectivity_witness((2, 2, 2), CONFIG)
+    pairs = grid_pairs_for(detect_complete_multipartite(comp))
+    cert = grid_noninjectivity_witness(comp, pairs, CONFIG, alg).block_rank
     assert cert.rank <= 7 < 8
     assert cert.is_exact
 

@@ -20,8 +20,11 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
 
+import oracle  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
+
+from mixedhess import cli  # noqa: E402
 
 # Per-layer metrics that are not read from a span.
 NOT_SPANS = {"trace.overhead_s", "exact_cert_frac"}
@@ -110,3 +113,9 @@ def test_perfbench_self_tests_pass():
         cwd=REPO, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_report_schema_matches_the_benchmark_oracle():
+    # The oracle fails every report whose schema_version differs from its
+    # own, so a schema bump must land together with the oracle's.
+    assert cli.SCHEMA_VERSION == oracle.SCHEMA_VERSION

@@ -342,6 +342,38 @@ def test_from_complex_rejects_a_repeated_vertex(capsys, tmp_path, data):
     assert captured.err.startswith("error: repeated vertex in facet (")
 
 
+BAD_FACETS = '"facets" must be a list of lists of vertex names'
+BAD_VERTICES = '"vertices" must be a list of names'
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"facets": [["a", "b"], "c"]}, BAD_FACETS),
+        ({"facets": [["a", 1]]}, BAD_FACETS),
+        ({"facets": [["a", "b"]], "vertices": "ab"}, BAD_VERTICES),
+        ({"facets": [["a", "b"]], "vertices": ["a", 1]}, BAD_VERTICES),
+        ({"facets": [["a", "b", "c"], ["c", "d"]]}, "complex must be pure"),
+        ({"facets": [["a"], ["b"]]}, "complex must have dimension at least one"),
+        (
+            {"facets": [["a-1", "b"], ["b", "c"]]},
+            "vertex name 'a-1' is not an identifier",
+        ),
+    ],
+    ids=[
+        "facet-not-a-list", "facet-name-type", "vertices-not-a-list",
+        "vertex-name-type", "not-pure", "dimension-0", "not-identifier",
+    ],
+)
+def test_from_complex_input_errors(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["from-complex", str(path), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "facets",
     [[["a", "b"], ["a"], ["b", "c"]], [["a", "b"], ["b", "c"], ["a", "b"]]],
@@ -418,6 +450,41 @@ def test_family_perazzo(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["hessian_degenerate"] is True
+
+
+def test_family_perazzo_with_a_tail(capsys):
+    code, out = _run(capsys, [
+        "family", "perazzo", "--partials", "u^2; u*v; v^2",
+        "--tail", "u^3 + v^3", "--seed", "1",
+    ])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["polynomial"] == "x1*u^2 + x2*u*v + x3*v^2 + u^3 + v^3"
+    assert result["parameters"]["tail"] == "u^3 + v^3"
+    assert result["hessian_degenerate"] is True
+
+
+def test_family_perazzo_tail_of_the_wrong_degree(capsys):
+    code = main([
+        "family", "perazzo", "--partials", "u^2; u*v; v^2", "--tail", "u^2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tail must be homogeneous of degree one more, in the same "
+        "variables\n"
+    )
+
+
+def test_family_perazzo_front_names_avoid_the_partials(capsys):
+    # the partials already use x1 and x2, so the front variables skip them
+    code, out = _run(capsys, [
+        "family", "perazzo", "--partials", "x1^2; x1*x2; x2^2", "--seed", "1",
+    ])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["polynomial"] == "x3*x1^2 + x4*x1*x2 + x5*x2^2"
 
 
 def test_examples_all_pass(capsys):

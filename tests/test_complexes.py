@@ -18,7 +18,6 @@ from mixedhess import (
     attach_leaf,
     build_algebra,
     classify_graph_algebra,
-    delete_vertex,
     detect_complete_multipartite,
     dual_generator,
     ann_generated_by_quadrics,
@@ -30,7 +29,6 @@ from mixedhess import (
     presented_by_quadrics_combinatorial,
     symbolic_det,
     turan_complex,
-    turan_noninjectivity_witness,
     wlp_check,
     without_face,
 )
@@ -115,21 +113,16 @@ def test_attach_leaf_auto_and_explicit():
         attach_leaf(comp, ("a1", "b1", "q1"))  # wrong size for dim 1
 
 
-def test_delete_vertex():
-    comp = turan_complex((2, 2, 3))
-    cut = delete_vertex(comp, "c3")
-    assert "c3" not in cut.vertices
-    assert len(cut.facets) == 8
-    with pytest.raises(ValueError):
-        delete_vertex(comp, "zz")
-
-
 def test_without_face_keeps_lower_faces():
     comp = turan_complex((2, 2))
     cut = without_face(comp, ("a1", "b1"))
     # the loose endpoints stay covered by the three remaining edges
     assert len(cut.facets) == 3
     assert set(cut.vertices) == set(comp.vertices)
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        without_face(comp, ("a1", "zz"))
+    with pytest.raises(ValueError, match="empty face"):
+        without_face(comp, ())
 
 
 # -- dual generators and Hilbert oracles -------------------------------------
@@ -159,7 +152,7 @@ def test_turan_223_hilbert():
     comp = turan_complex((2, 2, 3))
     assert hilbert_from_face_counts(comp) == (1, 19, 32, 19, 1)
     # removing a whole vertex shrinks the third group back to two
-    assert hilbert_from_face_counts(delete_vertex(comp, "c3")) == (
+    assert hilbert_from_face_counts(without_face(comp, ("c3",))) == (
         1, 14, 24, 14, 1,
     )
     # removing one cross edge keeps all seven vertices and ten facets
@@ -208,7 +201,7 @@ def test_combinatorial_equals_algebraic_quadrics():
         _path_graph(4),
         SimplicialComplex.from_facets([("a", "b"), ("c", "d")]),  # split
         turan_complex((2, 2, 2)),
-        delete_vertex(turan_complex((2, 2, 3)), "c3"),
+        without_face(turan_complex((2, 2, 3)), ("c3",)),
     ]
     for comp in cases:
         combinatorial = presented_by_quadrics_combinatorial(comp)
@@ -377,13 +370,6 @@ def test_square_grid_witness(config):
     assert witness.block_rank.rank <= 3
 
 
-def test_turan_witness_certificate(config):
-    cert = turan_noninjectivity_witness((2, 2, 2), config)
-    assert cert.rank == 7
-    assert cert.is_exact
-    assert "7" in cert.note and "8" in cert.note
-
-
 def test_witness_survives_leaf_growth(config):
     comp = turan_complex((2, 2, 2))
     pairs = grid_pairs_for((("a1", "a2"), ("b1", "b2"), ("c1", "c2")))
@@ -407,7 +393,7 @@ def test_witness_on_cut_turan(config):
 
 
 def test_detect_on_vertex_deleted_turan():
-    shrunk = delete_vertex(turan_complex((2, 2, 3)), "c3")
+    shrunk = without_face(turan_complex((2, 2, 3)), ("c3",))
     assert detect_complete_multipartite(shrunk) == (
         ("a1", "a2"),
         ("b1", "b2"),
@@ -439,6 +425,12 @@ def test_detect_complete_multipartite_negatives():
 def test_grid_witness_rejects_a_bad_grid(pairs, message, config):
     with pytest.raises(ValueError, match=re.escape(message)):
         grid_noninjectivity_witness(turan_complex((2, 2, 2)), pairs, config)
+
+
+def test_grid_pairs_for_rejects_a_short_group():
+    assert grid_pairs_for((("a", "b", "x"), ("c", "d"))) == (("a", "b"), ("c", "d"))
+    with pytest.raises(ValueError, match=re.escape("group ('a',) has fewer")):
+        grid_pairs_for((("a",), ("b", "c")))
 
 
 def _skeleton_graph(comp):

@@ -16,12 +16,10 @@ from mixedhess import (
     SymbolicCapExceeded,
     VarSet,
     apolar_monomial,
-    apolar_pairing,
     bigraded_decomposition,
     bigraded_hessian,
     boolean_form,
     build_algebra,
-    dual_basis,
     dual_generator,
     dual_mixed_hessian,
     evaluate_matrix,
@@ -67,23 +65,6 @@ def test_entries_are_second_order_contractions(boolean3_alg):
         [Fraction(1), Fraction(0), Fraction(1)],
         [Fraction(1), Fraction(1), Fraction(0)],
     ]
-
-
-def test_dual_basis_pairs_to_identity(four_cycle_alg):
-    alg = four_cycle_alg
-    d = alg.socle_degree
-    for k in (1, 2):
-        basis = alg.quotient_basis(k)
-        duals = dual_basis(alg, k)
-        assert len(duals) == len(basis)
-        for i, b in enumerate(basis):
-            for j, dual in enumerate(duals):
-                # dual lives in complementary degree d - k
-                value = sum(
-                    coeff * apolar_pairing(b, exps, alg.f)
-                    for exps, coeff in dual.terms.items()
-                )
-                assert value == (1 if i == j else 0)
 
 
 def test_dual_hessian_rank_equals_plain(config):
@@ -339,7 +320,8 @@ def test_bigraded_max_entry_degree_matches_dense_scan(f):
 def test_max_entry_degree_of_a_zero_matrix(four_cycle_alg):
     # f has x-degree 1, so X^g f = 0 for every g of bidegree (2, 0).
     h = bigraded_hessian(four_cycle_alg, (1, 0), (1, 0))
-    assert h.shape == (4, 4) and h.is_zero()
+    assert h.shape == (4, 4)
+    assert all(p.is_zero() for row in h.entries for p in row)
     assert h.max_entry_degree() == _dense_max_entry_degree(h) == 0
 
 

@@ -183,7 +183,9 @@ def test_unread_assignment_detector_flags_a_dead_alias():
     assert _unread_assignments(modules) == {"a.py": ["Row (line 1)"]}
 
 
-# Public definitions kept without a reader in the package, with the reason.
+# Public definitions kept without a reader in the package, with the
+# reason.  Exporting a definition does not keep it: it needs a reader in
+# the package or an entry here.
 KEPT_UNREAD = {
     "complexes.incidence_gradient_matrix": (
         "the tests' graph-side oracle for the bigraded Hessian block"
@@ -193,6 +195,18 @@ KEPT_UNREAD = {
     ),
     "polyring.Polynomial.degree": (
         "the tests' oracle for `max_entry_degree` in test_hessians.py"
+    ),
+    "polyring.apolar_monomial": (
+        "the tests' per-cell oracle in test_lefschetz._dense_mult_map and "
+        "test_hessians._oracle_entries"
+    ),
+    "polyring.linear_apply": (
+        "the tests' first-order oracle for `_linear_power_terms` in "
+        "test_lefschetz._dense_mult_map and test_polyring"
+    ),
+    "polyring.monomial_exponents": (
+        "the tests' list of all degree-k monomials: test_families._FakeBase, "
+        "test_apolarity's N_k and criterion 1's Ann_2 span"
     ),
 }
 
@@ -207,10 +221,14 @@ def _attribute_names(sources: list[str]) -> set[str]:
     }
 
 
-def _dead_definitions(modules: dict[str, str], exported: set[str]) -> dict[str, list[str]]:
-    """Top-level functions and classes that no module reads (public ones
-    also not exported), and public methods of public classes whose name
-    no module reads as an attribute."""
+def _dead_definitions(modules: dict[str, str]) -> dict[str, list[str]]:
+    """Top-level functions and classes that no module reads, and public
+    methods of public classes whose name no module reads as an attribute.
+    Public definitions listed in KEPT_UNREAD are left out.
+
+    Methods are matched by name only, so a method shares a reader with
+    any attribute of the same name (a `Polynomial.is_zero` call keeps
+    every `is_zero` method)."""
     read = _read_names(list(modules.values()))
     attributes = _attribute_names(list(modules.values()))
     dead = {}
@@ -222,11 +240,7 @@ def _dead_definitions(modules: dict[str, str], exported: set[str]) -> dict[str, 
                 continue
             private = node.name.startswith("_")
             if node.name not in read and (
-                private
-                or (
-                    node.name not in exported
-                    and f"{module}.{node.name}" not in KEPT_UNREAD
-                )
+                private or f"{module}.{node.name}" not in KEPT_UNREAD
             ):
                 found.append(f"{node.name} (line {node.lineno})")
             if isinstance(node, ast.ClassDef) and not private:
@@ -243,24 +257,24 @@ def _dead_definitions(modules: dict[str, str], exported: set[str]) -> dict[str, 
     return dead
 
 
-def test_public_definitions_are_exported_or_read():
+def test_public_definitions_are_read():
     modules = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert _dead_definitions(modules, set(mixedhess.__all__)) == {}
+    assert _dead_definitions(modules) == {}
 
 
 def test_dead_definition_detector_flags_an_unread_function():
     modules = {
         "a.py": (
-            "def used():\n    _private()\n\n\ndef exported():\n    pass\n\n\n"
+            "def used():\n    _private()\n\n\ndef called():\n    pass\n\n\n"
             "def dead():\n    pass\n\n\ndef _private():\n    pass\n\n\n"
             "class Dead:\n    pass\n\n\n"
             "class Kept:\n    def read(self):\n        pass\n\n"
             "    def unread(self):\n        pass\n\n"
             "    def _private(self):\n        pass\n"
         ),
-        "b.py": "from .a import used\nused()\nKept().read()\n",
+        "b.py": "from .a import used, called\nused()\ncalled()\nKept().read()\n",
     }
-    assert _dead_definitions(modules, {"exported"}) == {
+    assert _dead_definitions(modules) == {
         "a.py": ["dead (line 9)", "Dead (line 17)", "Kept.unread (line 25)"]
     }
 
@@ -273,7 +287,18 @@ def test_dead_definition_detector_flags_an_unread_private_helper():
         ),
         "b.py": "from .a import _helper\nx = _helper()\n",
     }
-    # Exporting a private name does not keep it alive: only a read does.
-    assert _dead_definitions(modules, {"_orphan"}) == {
+    assert _dead_definitions(modules) == {
         "a.py": ["_orphan (line 5)", "_Orphan (line 9)"]
     }
+
+
+def test_dead_definition_detector_flags_an_exported_unread_function():
+    modules = {
+        "__init__.py": (
+            'from .a import exported, read\n\n__all__ = ["exported", "read"]\n'
+        ),
+        "a.py": "def exported():\n    pass\n\n\ndef read():\n    pass\n",
+        "b.py": "from .a import read\nx = read()\n",
+    }
+    # An export is not a read: only the call in b.py keeps `read`.
+    assert _dead_definitions(modules) == {"a.py": ["exported (line 1)"]}

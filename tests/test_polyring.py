@@ -21,11 +21,10 @@ from mixedhess import (
     format_polynomial,
     grlex_key,
     linear_apply,
-    linear_power_apply,
     monomial_exponents,
     parse_polynomial,
-    power_apply_identity_check,
 )
+from mixedhess.polyring import _linear_power_terms
 
 
 def test_parse_roundtrip_simple():
@@ -46,6 +45,27 @@ def test_parse_reports_position():
         parse_polynomial("x^2 + @y")
     assert err.value.line == 1
     assert err.value.col == 7
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("1/x", "expected integer denominator", 1, 3),
+        ("x + 1/0*y", "zero denominator", 1, 7),
+        ("x^y", "expected integer exponent", 1, 3),
+        ("x^\n-2", "expected integer exponent", 2, 1),
+        ("x + *y", "expected a coefficient or variable", 1, 5),
+        ("", "empty polynomial", 1, 1),
+        ("-", "empty polynomial", 1, 2),
+        ("x\n + 2 y", "expected '+' or '-', got 'y'", 2, 6),
+        ("x/y", "expected '+' or '-', got '/'", 1, 2),
+    ],
+)
+def test_parse_errors_name_their_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_parse_rejects_unknown_variable():
@@ -146,19 +166,20 @@ def test_linear_power_apply_matches_iteration():
     rng = random.Random(7)
     f = parse_polynomial("x^3*y + x*y^3 - y^4")
     coeffs = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
-    L = LinearForm(f.varset, coeffs)
     once = f
     for _ in range(3):
         once = linear_apply(coeffs, once)
-    assert linear_power_apply(L, f, 3) == once
+    assert _linear_power_terms(coeffs, f.terms, 3) == once.terms
 
 
 def test_power_apply_identity_check():
     vs = VarSet(("x", "y"))
     L = LinearForm(vs, (Fraction(2), Fraction(1)))
     g = parse_polynomial("x*y + y^2", vs)
-    # L^2 applied to a quadric equals 2! times the quadric at (2, 1)
-    assert power_apply_identity_check(L, g, 2)
+    # L^2 applied to a quadric equals 2! times the quadric at (2, 1):
+    # 2 * (2*1 + 1^2) = 6
+    assert g.evaluate(L.perp()) == 3
+    assert _linear_power_terms(L.coeffs, g.terms, 2) == {(0, 0): 6}
 
 
 def test_monomial_exponents_counts_and_order():
