@@ -45,9 +45,9 @@ divides f (Q[x] is a UFD).  Writing f = l*g gives f_i = lambda_i*g, so
 h_1 <= 1.  Hence the step is spanned for r >= 2, and for r = 1
 (f = c*x^d) the form l = x witnesses that it fails.
 
-The lift check of `families.times_u` works modulo monomials the same
-way.  Let F = f*u with u a fresh variable, and J the ideal generated
-by Ann(f) and u^2; J lies in Ann(F) (checked directly).
+The Lemma A check of `families.verify_lift` works modulo monomials
+the same way.  Let F = f*u with u a fresh variable, and J the ideal
+generated by Ann(f) and u^2; J lies in Ann(F) (checked directly).
 - The terms of F are b*u for the terms b of f, and x^a*u^j divides b*u
   iff j <= 1 and x^a divides b.  So N(F) is exactly the set of monomials
   of the ideal (N(f), u^2), and D_k(F) holds the x^a and x^a*u with x^a
@@ -325,7 +325,7 @@ class QuadricsCheck(NamedTuple):
 
     presented: bool
     failing_degrees: tuple[int, ...]
-    dim_ann2: int
+    dim_ann_2: int
     reason: str | None = None
 
 
@@ -334,9 +334,9 @@ def ann_generated_by_quadrics(alg: GradedAlgebra) -> QuadricsCheck:
     generated in degrees <= 2."""
     d = alg.socle_degree
     r = alg.varset.size
-    dim_ann2 = math.comb(r + 1, 2) - alg.dim(2) if d >= 2 else 0
+    dim_ann_2 = math.comb(r + 1, 2) - alg.dim(2) if d >= 2 else 0
     if not alg.i1_zero:
-        return QuadricsCheck(False, (1,), dim_ann2, "nonzero linear annihilator slice")
+        return QuadricsCheck(False, (1,), dim_ann_2, "nonzero linear annihilator slice")
 
     failing: list[int] = []
     for k in range(3, d + 1):
@@ -345,7 +345,7 @@ def ann_generated_by_quadrics(alg: GradedAlgebra) -> QuadricsCheck:
     # Closed form of the degree-(d+1) step; the module docstring proves it.
     if d + 1 >= 3 and r == 1:
         failing.append(d + 1)
-    return QuadricsCheck(not failing, tuple(failing), dim_ann2)
+    return QuadricsCheck(not failing, tuple(failing), dim_ann_2)
 
 
 def _step_coordinates(alg: GradedAlgebra, k: int) -> tuple[dict, set]:

@@ -61,6 +61,7 @@ from .families import (
     boolean_form,
     even_counterexample,
     example_catalog,
+    lift_chain_algebra,
     odd_counterexample,
     perazzo_form,
     times_u,
@@ -97,16 +98,6 @@ EXIT_INVARIANT = 3
 # -- serialization helpers ---------------------------------------------------
 
 
-# JSON names that differ from the record field they come from.
-_RENAMED = {
-    "property_name": "property",
-    "dim_ann2": "dim_ann_2",
-    "base_description": "base",
-    "base_rank": "base_criterion_rank",
-    "lift_rank": "lift_criterion_rank",
-}
-
-
 def _json(value: Any, skip: Sequence[str] = ()) -> Any:
     """The JSON form of a report value: a Fraction as an integer or a
     "p/q" string, a polynomial as text, a linear form as its coefficient
@@ -122,7 +113,7 @@ def _json(value: Any, skip: Sequence[str] = ()) -> Any:
         return _json(value.coeffs)
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         out = {
-            _RENAMED.get(name, name): _json(sub)
+            name: _json(sub)
             for name, sub in zip(value._fields, value)
             if name not in skip
         }
@@ -459,19 +450,19 @@ def cmd_family(args: argparse.Namespace) -> int:
         base_alg = build_algebra(base)
         report["warnings"] = list(base_alg.warnings)
         if args.kind == "times-u":
-            rep = times_u(
-                base, verify="counts", config=config, base_algebra=base_alg
-            )
-            # Findings that only verify="full" computes, and the algebra.
-            fields = _json(rep, skip=(
-                "annihilator_inclusion", "annihilator_identity",
-                "quadrics_inherited", "slp_inherited", "algebra",
-            ))
+            poly = times_u(base)
+            lift_alg = lift_chain_algebra(base_alg, poly, 1)
+            fields = {
+                "added": poly.varset.names[-1:],
+                "hilbert_base": base_alg.hilbert,
+                "hilbert_identity": True,
+                "hilbert_lift": lift_alg.hilbert,
+                "polynomial": poly,
+            }
         else:
             rep = times_uv(base, config)
-            fields = _json(rep)
-        result = {"parameters": {"base": args.base}, **fields}
-        poly = rep.polynomial
+            fields, poly = rep._asdict(), rep.polynomial
+        result = {"parameters": {"base": args.base}, **_json(fields)}
     elif args.kind == "perazzo":
         if args.partials is None:
             raise ValueError("family perazzo needs --partials")

@@ -7,7 +7,10 @@ Three building blocks recur:
   degree up compatibly, so the Hilbert function of the lift is the sum
   of two consecutive values of the original; two lifts in a row
   (`times_uv`, and each step of the even family) keep the parity of the
-  socle degree and transport a deficient middle Hessian two degrees up;
+  socle degree and transport a deficient middle Hessian two degrees up.
+  A chain of lifts builds only its base and final algebras and checks
+  one Hilbert identity between them (`lift_chain_algebra`);
+  `verify_lift` checks Lemma A, the whole annihilator of one lift;
 * bases of small socle degree with certified failures: cubic forms
   whose middle Hessian vanishes identically, and quartic complexes
   whose facet rows satisfy an exact syzygy (see `complexes`);
@@ -21,6 +24,7 @@ out-of-range requests with the attainable values spelled out.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,29 +75,25 @@ def boolean_form(n: int) -> Polynomial:
 
 
 class LiftReport(NamedTuple):
-    """A lifted generator together with the verifications performed.
+    """Lemma A checked on one lift F = f*u (`verify_lift`).
 
-    hilbert_identity records whether each dimension of the lift equals
-    the sum of the two consecutive dimensions of the base, the
-    structural fact the lift relies on.  At the "full" level three more
-    findings appear: annihilator_inclusion (base annihilators and the
-    square of the new variable kill the lift), annihilator_identity
-    (they generate the lift's whole annihilator, checked degree by
-    degree as a span equality), and the two inheritance pairs
-    (base, lift) for quadric presentation and the strong Lefschetz
-    property.  algebra is the lift's algebra when a check built it, so
-    the next lift of a chain can reuse it."""
+    hilbert_identity: each dimension of the lift is the sum of two
+    consecutive dimensions of the base.  annihilator_inclusion: the
+    base annihilators and the square of the new variable kill the lift.
+    annihilator_identity: they generate the lift's whole annihilator,
+    checked degree by degree as a span equality.  The two inheritance
+    pairs are (base, lift) for quadric presentation and the strong
+    Lefschetz property."""
 
     polynomial: Polynomial
     added: tuple[str, ...]
-    hilbert_base: tuple[int, ...] | None = None
-    hilbert_lift: tuple[int, ...] | None = None
-    hilbert_identity: bool | None = None
-    annihilator_inclusion: bool | None = None
-    annihilator_identity: bool | None = None
-    quadrics_inherited: tuple[bool, bool] | None = None
-    slp_inherited: tuple[bool, bool] | None = None
-    algebra: GradedAlgebra | None = None
+    hilbert_base: tuple[int, ...]
+    hilbert_lift: tuple[int, ...]
+    hilbert_identity: bool
+    annihilator_inclusion: bool
+    annihilator_identity: bool
+    quadrics_inherited: tuple[bool, bool]
+    slp_inherited: tuple[bool, bool]
 
 
 def _fresh_names(vs: VarSet, count: int, stem: str = "z") -> tuple[str, ...]:
@@ -106,6 +106,46 @@ def _fresh_names(vs: VarSet, count: int, stem: str = "z") -> tuple[str, ...]:
             out.append(cand)
         k += 1
     return tuple(out)
+
+
+def times_u(f: Polynomial) -> Polynomial:
+    """f times one fresh variable, the first of z1, z2, ... that f does
+    not use; it is the last variable of the result.  Block data is
+    dropped: the lift is not bigraded."""
+    vs = VarSet(f.varset.names + _fresh_names(f.varset, 1))
+    return Polynomial(vs, {e + (1,): c for e, c in f.terms.items()})
+
+
+def lift_chain_algebra(
+    base: GradedAlgebra, lifted: Polynomial, lifts: int
+) -> GradedAlgebra:
+    """The algebra of `lifted`, the generator of `base` after `lifts`
+    applications of `times_u`, checked against the base.
+
+    One fresh variable adds the previous degree's dimension,
+    h'_k = h_k + h_{k-1}, so m of them convolve the base Hilbert
+    function with the m-th binomial row: h_k(F) = sum_j C(m, j)
+    h_{k-j}(f).  The identity is a theorem about the construction, and
+    a mismatch raises InvariantViolation.  With no lift the base is the
+    answer and nothing is built."""
+    if lifts == 0:
+        return base
+    alg = build_algebra(lifted)
+    hb = base.hilbert
+    expected = tuple(
+        sum(
+            math.comb(lifts, j) * hb[k - j]
+            for j in range(lifts + 1)
+            if 0 <= k - j < len(hb)
+        )
+        for k in range(len(hb) + lifts)
+    )
+    if alg.hilbert != expected:
+        raise InvariantViolation(
+            f"Hilbert function {alg.hilbert} after {lifts} lift(s) is not "
+            f"the binomial convolution {expected} of {hb}"
+        )
+    return alg
 
 
 def _lifted_annihilator_spans(
@@ -142,102 +182,61 @@ def _lifted_annihilator_spans(
     return True
 
 
-def times_u(
-    f: Polynomial,
-    verify: str = "counts",
-    config: SamplingConfig = DEFAULT_CONFIG,
-    base_algebra: GradedAlgebra | None = None,
+def verify_lift(
+    f: Polynomial, config: SamplingConfig = DEFAULT_CONFIG
 ) -> LiftReport:
-    """Multiply the generator by one fresh variable, the first of z1,
-    z2, ... that f does not use.
-
-    verify levels: "none" builds only the polynomial; "counts" builds
-    both algebras and checks the Hilbert identity h'_k = h_k + h_{k-1};
-    "full" additionally establishes that the base annihilator plus the
-    square of the new variable generates the lift's annihilator
+    """Lemma A on the lift F = `times_u`(f): the base annihilator plus
+    the square of the new variable generates the lift's annihilator
     (inclusion by direct application, equality by degreewise span
-    dimensions), and that quadric presentation and the strong Lefschetz
-    property carry over from base to lift.  A failed check raises
-    InvariantViolation, since each is a theorem about the construction.
-    base_algebra, if given, is f's algebra (a previous lift's, in a
-    chain) and is not built again.  Block data is dropped: the lift is
-    not bigraded."""
-    if verify not in ("none", "counts", "full"):
-        raise ValueError(f"unknown verify level {verify!r}")
-    name = _fresh_names(f.varset, 1)[0]
-    vs = VarSet(f.varset.names + (name,))
-    lifted = Polynomial(
-        vs, {e + (1,): c for e, c in f.terms.items()}
-    )
-    if verify == "none":
-        return LiftReport(lifted, (name,))
-
-    base = base_algebra if base_algebra is not None else build_algebra(f)
-    lift_alg = build_algebra(lifted)
-    hb = base.hilbert
-    hl = lift_alg.hilbert
-    identity = len(hl) == len(hb) + 1 and all(
-        hl[k]
-        == (hb[k] if k < len(hb) else 0)
-        + (hb[k - 1] if 0 <= k - 1 < len(hb) else 0)
-        for k in range(len(hl))
-    )
-    if not identity:
+    dimensions), with the Hilbert identity of `lift_chain_algebra`, and
+    quadric presentation and the strong Lefschetz property carry over
+    from base to lift.  A failed check raises InvariantViolation, since
+    each is a theorem about the construction."""
+    lifted = times_u(f)
+    base = build_algebra(f)
+    lift_alg = lift_chain_algebra(base, lifted, 1)
+    # The monomial annihilators of f kill F trivially; build_algebra
+    # dropped the variables f does not use from both algebras.
+    lvs = lift_alg.varset
+    ops = [Polynomial(lvs, {(0,) * (lvs.size - 1) + (2,): Fraction(1)})]
+    for k in range(1, base.socle_degree + 1):
+        ops += [
+            Polynomial(lvs, {e + (0,): c for e, c in a.terms.items()})
+            for a in base.ann_basis(k)
+        ]
+    if not all(apolar_apply(op, lift_alg.f).is_zero() for op in ops):
         raise InvariantViolation(
-            f"lift Hilbert function {hl} is not the consecutive-sum of {hb}"
+            "a base annihilator fails to annihilate the lift"
         )
-    inclusion: bool | None = None
-    span_equality: bool | None = None
-    quadrics_pair: tuple[bool, bool] | None = None
-    slp_pair: tuple[bool, bool] | None = None
-    if verify == "full":
-        # The monomial annihilators of f kill F trivially; build_algebra
-        # dropped the variables f does not use from both algebras.
-        lvs = lift_alg.varset
-        ops = [Polynomial(lvs, {(0,) * (lvs.size - 1) + (2,): Fraction(1)})]
-        for k in range(1, base.socle_degree + 1):
-            ops += [
-                Polynomial(lvs, {e + (0,): c for e, c in a.terms.items()})
-                for a in base.ann_basis(k)
-            ]
-        inclusion = all(apolar_apply(op, lift_alg.f).is_zero() for op in ops)
-        if not inclusion:
-            raise InvariantViolation(
-                "a base annihilator fails to annihilate the lift"
-            )
-        span_equality = _lifted_annihilator_spans(base, lift_alg)
-        if not span_equality:
-            raise InvariantViolation(
-                "base annihilators and the new square do not span the "
-                "lift's annihilator"
-            )
-        quadrics_pair = (
-            ann_generated_by_quadrics(base).presented,
-            ann_generated_by_quadrics(lift_alg).presented,
+    if not _lifted_annihilator_spans(base, lift_alg):
+        raise InvariantViolation(
+            "base annihilators and the new square do not span the "
+            "lift's annihilator"
         )
-        if quadrics_pair[0] and not quadrics_pair[1]:
-            raise InvariantViolation(
-                "quadric presentation was lost by the lift"
-            )
-        slp_pair = (
-            slp_check(base, config).holds,
-            slp_check(lift_alg, config).holds,
+    quadrics_pair = (
+        ann_generated_by_quadrics(base).presented,
+        ann_generated_by_quadrics(lift_alg).presented,
+    )
+    if quadrics_pair[0] and not quadrics_pair[1]:
+        raise InvariantViolation("quadric presentation was lost by the lift")
+    slp_pair = (
+        slp_check(base, config).holds,
+        slp_check(lift_alg, config).holds,
+    )
+    if slp_pair[0] and not slp_pair[1]:
+        raise InvariantViolation(
+            "the strong Lefschetz property was lost by the lift"
         )
-        if slp_pair[0] and not slp_pair[1]:
-            raise InvariantViolation(
-                "the strong Lefschetz property was lost by the lift"
-            )
     return LiftReport(
         lifted,
-        (name,),
-        hb,
-        hl,
-        identity,
-        inclusion,
-        span_equality,
-        quadrics_pair,
-        slp_pair,
-        algebra=lift_alg,
+        lifted.varset.names[-1:],
+        base.hilbert,
+        lift_alg.hilbert,
+        hilbert_identity=True,
+        annihilator_inclusion=True,
+        annihilator_identity=True,
+        quadrics_inherited=quadrics_pair,
+        slp_inherited=slp_pair,
     )
 
 
@@ -253,8 +252,8 @@ class DoubleLiftReport(NamedTuple):
     added: tuple[str, ...]
     hilbert_base: tuple[int, ...]
     hilbert_lift: tuple[int, ...]
-    base_rank: RankCertificate
-    lift_rank: RankCertificate
+    base_criterion_rank: RankCertificate
+    lift_criterion_rank: RankCertificate
     base_deficiency: int
     lift_deficiency: int
     deficiency_transported: bool
@@ -266,14 +265,14 @@ def times_uv(
     """Multiply the generator by two fresh variables, preserving the
     parity of the socle degree.
 
-    Two `times_u` lifts at verify "counts", after which the
-    property-deciding Hessians of base and lift are rank-certified: a
-    base whose matrix sits below maximal rank must lift to one that does
-    too, which is the mechanism the counterexample families rely on."""
+    Two `times_u` lifts with the Hilbert check of `lift_chain_algebra`,
+    after which the property-deciding Hessians of base and lift are
+    rank-certified: a base whose matrix sits below maximal rank must
+    lift to one that does too, which is the mechanism the counterexample
+    families rely on."""
     base = build_algebra(f)
-    first = times_u(f, config=config, base_algebra=base)
-    second = times_u(first.polynomial, config=config, base_algebra=first.algebra)
-    lift = second.algebra
+    lifted = times_u(times_u(f))
+    lift = lift_chain_algebra(base, lifted, 2)
     mb = wlp_criterion_matrix(base)
     ml = wlp_criterion_matrix(lift)
     cb = generic_rank(mb, config)
@@ -281,8 +280,8 @@ def times_uv(
     db = min(mb.shape) - cb.rank
     dl = min(ml.shape) - cl.rank
     return DoubleLiftReport(
-        second.polynomial,
-        first.added + second.added,
+        lifted,
+        lifted.varset.names[-2:],
         base.hilbert,
         lift.hilbert,
         cb,
@@ -422,7 +421,7 @@ class FamilyMember(NamedTuple):
     polynomial: Polynomial
     degree: int
     codimension: int
-    base_description: str
+    base: str
     construction: tuple[str, ...]
     expected_wlp: bool
     expected_slp: bool
@@ -497,7 +496,7 @@ def odd_counterexample(
     verify "report" (the default) checks the defining claims on the
     result: annihilator generated by quadrics and a rank-deficient
     middle Hessian; "counts" checks only the Hilbert bookkeeping of the
-    lifts; "none" skips verification."""
+    lifts (`lift_chain_algebra`); "none" skips verification."""
     if verify not in ("none", "counts", "report"):
         raise ValueError(f"unknown verify level {verify!r}")
     if d < 3 or d % 2 == 0:
@@ -508,17 +507,16 @@ def odd_counterexample(
             f"the family starts at codimension {d + 5}"
         )
     r = codim - (d - 3)
-    f, desc, steps = _cubic_base(r)
-    lift_verify = "none" if verify == "none" else "counts"
-    alg: GradedAlgebra | None = None
+    base, desc, steps = _cubic_base(r)
+    f = base
     for _ in range(d - 3):
-        rep = times_u(f, verify=lift_verify, config=config, base_algebra=alg)
-        f, alg = rep.polynomial, rep.algebra
-        steps.append(f"multiplied by fresh variable {rep.added[0]}")
+        f = times_u(f)
+        steps.append(f"multiplied by fresh variable {f.varset.names[-1]}")
     quadrics: bool | None = None
     criterion: RankCertificate | None = None
+    if verify != "none":
+        alg = lift_chain_algebra(build_algebra(base), f, d - 3)
     if verify == "report":
-        alg = alg or build_algebra(f)
         quadrics = ann_generated_by_quadrics(alg).presented
         if not quadrics:
             raise InvariantViolation(
@@ -602,13 +600,12 @@ def even_counterexample(
             f"attainable values are {attain}"
         )
     comp, desc, steps = _quartic_base(qc)
-    f = dual_generator(comp)
+    base = dual_generator(comp)
     witness: NoninjectivityWitness | None = None
-    alg: GradedAlgebra | None = None
     if verify != "none":
-        alg = build_algebra(f)
+        base_alg = build_algebra(base)
         pairs = (("a1", "a2"), ("b1", "b2"), ("c1", "c2"))
-        witness = grid_noninjectivity_witness(comp, pairs, config, alg)
+        witness = grid_noninjectivity_witness(comp, pairs, config, base_alg)
         if not witness.wlp_excluded:
             raise InvariantViolation(
                 "the grid syzygy no longer excludes full rank on this base"
@@ -618,14 +615,13 @@ def even_counterexample(
             f"rank at most {witness.step_rank_bound} < "
             f"{witness.step_full_rank} for every linear form"
         )
-    lift_verify = "none" if verify == "none" else "counts"
+    f = base
     for _ in range((d - 4) // 2):
-        added = []
-        for _ in range(2):
-            rep = times_u(f, verify=lift_verify, config=config, base_algebra=alg)
-            f, alg = rep.polynomial, rep.algebra
-            added += rep.added
-        steps.append("multiplied by fresh variables " + " and ".join(added))
+        f = times_u(times_u(f))
+        z1, z2 = f.varset.names[-2:]
+        steps.append(f"multiplied by fresh variables {z1} and {z2}")
+    if verify != "none":
+        alg = lift_chain_algebra(base_alg, f, d - 4)
     criterion: RankCertificate | None = None
     if verify == "report" and d > 4:
         criterion, full = _deficient_criterion(

@@ -62,7 +62,7 @@ class LefschetzVerdict(NamedTuple):
     negative verdict.
     """
 
-    property_name: str
+    property: str
     holds: bool
     witness: LinearForm | None
     evidence: tuple[RankCertificate, ...]

@@ -528,7 +528,9 @@ def parse_polynomial(text: str, varset: VarSet | None = None) -> Polynomial:
                 value /= den
             return coeff * value
         if kind == "name":
-            take()
+            tok = take()
+            if varset is not None and lex not in varset.names:
+                fail(f"variable {lex!r} not in the given VarSet", tok)
             if lex not in exps and lex not in order:
                 order.append(lex)
             power = 1
@@ -572,10 +574,6 @@ def parse_polynomial(text: str, varset: VarSet | None = None) -> Polynomial:
         if not order:
             raise ParseError("polynomial has no variables; pass a VarSet for constants", 1, 1)
         varset = VarSet(tuple(order))
-    else:
-        for name in order:
-            if name not in varset.names:
-                raise ParseError(f"variable {name!r} not in the given VarSet", 1, 1)
 
     n = varset.size
     terms: dict[tuple[int, ...], Fraction] = {}

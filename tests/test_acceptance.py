@@ -39,9 +39,9 @@ from mixedhess import (
     parse_polynomial,
     rank_at,
     symbolic_det,
-    times_u,
     turan_complex,
     unimodality_check,
+    verify_lift,
     without_face,
     wlp_check,
     slp_check,
@@ -77,8 +77,8 @@ def test_criterion_1_four_cycle_analysis(capsys):
     alg = build_algebra(entry.polynomial)
     assert alg.hilbert == (1, 8, 8, 1)
 
-    dim_ann2 = ann_generated_by_quadrics(alg).dim_ann2
-    assert dim_ann2 == 28
+    dim_ann_2 = ann_generated_by_quadrics(alg).dim_ann_2
+    assert dim_ann_2 == 28
     listed = [parse_polynomial(t, alg.varset) for t in FOUR_CYCLE_QUADRICS]
     for op in listed:
         assert apolar_apply(op, alg.f).is_zero()
@@ -249,7 +249,7 @@ def test_criterion_7_inductive_constructions(capsys):
     for i in range(10):
         n = rng.randint(1, 4)
         f = dense_random_form(rng, n, 3)
-        report = times_u(f, verify="full", config=CONFIG)
+        report = verify_lift(f, CONFIG)
         assert report.hilbert_identity, i
         assert report.annihilator_inclusion, i
         assert report.annihilator_identity, i

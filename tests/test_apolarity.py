@@ -153,7 +153,7 @@ def test_quadrics_presented_for_four_cycle(four_cycle_alg):
     check = ann_generated_by_quadrics(four_cycle_alg)
     assert check.presented
     assert check.failing_degrees == ()
-    assert check.dim_ann2 == 28
+    assert check.dim_ann_2 == 28
 
 
 def test_quadrics_fail_for_fermat_cubic():
@@ -161,7 +161,7 @@ def test_quadrics_fail_for_fermat_cubic():
     check = ann_generated_by_quadrics(alg)
     assert not check.presented
     assert 3 in check.failing_degrees
-    assert check.dim_ann2 == 3
+    assert check.dim_ann_2 == 3
 
 
 def test_each_catalecticant_is_reduced_once(monkeypatch):

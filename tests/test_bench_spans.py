@@ -69,38 +69,19 @@ def test_workload_layers_are_traced():
     assert missing == []
 
 
-@pytest.mark.parametrize(
-    "argv, layers",
-    [
-        (
-            ["family", "odd", "--d", "5", "--codim", "14"],
-            run.QUADRIC_LAYERS,
-        ),
-        (
-            ["family", "boolean", "--n", "5"],
-            run.MULT_LAYERS + ("lefschetz.slp_check",),
-        ),
-        (
-            # Every matrix_rank call here comes from rank_at, so a
-            # rank_at that bypassed it would leave the span idle.
-            ["family", "even", "--d", "6", "--codim", "16"],
-            run.RANK_LAYERS,
-        ),
-    ],
-    ids=["odd-quadrics", "boolean-slp", "even-rank"],
-)
-def test_quadric_layers_record_calls(argv, layers):
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_quadric_layers_record_calls(name):
     # A traced run fails when a workload's mapped layer records no call;
-    # run one report traced and check the layers its workload maps.
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "child.py"), "1"]
-        + argv + ["--seed", "1"],
-        cwd=REPO, capture_output=True, text=True, timeout=300, check=True,
-    )
-    child = json.loads(proc.stdout.splitlines()[-1])
-    assert child["exit"] == 0
-    spans = child["spans"]
-    idle = [s for s in layers if spans.get(s, {}).get("calls", 0) < 1]
+    # run the workload's reports traced at seed 1, sum their spans as
+    # run.per_layer_metrics does, and check every layer it maps.
+    workload = run.WORKLOADS[name]
+    reports = [
+        run.run_report(report_id, args, 1, traced=True)
+        for report_id, args in workload.reports
+    ]
+    assert [(r.report_id, r.problems) for r in reports if r.problems] == []
+    spans = run.summed_spans(run.Repetition(True, 0.0, reports))
+    idle = [s for s in workload.layers if spans.get(s, {}).get("calls", 0) < 1]
     assert idle == []
 
 

@@ -186,7 +186,8 @@ GOLDEN = {
     "family_boolean_n7_seed1.json": [
         "family", "boolean", "--n", "7", "--seed", "1",
     ],
-    # A lift report without its verify="full" findings and its algebra.
+    # One lift: the Hilbert functions of base and lift, checked against
+    # each other.
     "family_times_u_four_cycle_seed1.json": [
         "family", "times-u", "--base", "samples/four_cycle.poly", "--seed", "1",
     ],
@@ -197,6 +198,12 @@ GOLDEN = {
     # Null quadrics and criterion rank when nothing is verified.
     "family_odd_d5_codim10_verify_none_seed1.json": [
         "family", "odd", "--d", "5", "--codim", "10", "--verify", "none",
+        "--seed", "1",
+    ],
+    # The Hilbert bookkeeping of the lifts and nothing else: a witness,
+    # but null quadrics and criterion rank.
+    "family_even_d8_codim18_verify_counts_seed1.json": [
+        "family", "even", "--d", "8", "--codim", "18", "--verify", "counts",
         "--seed", "1",
     ],
     # A graph class next to the complex's own witness.

@@ -18,6 +18,7 @@ from mixedhess import (
     build_algebra,
     even_counterexample,
     example_catalog,
+    lift_chain_algebra,
     monomial_exponents,
     odd_counterexample,
     parse_polynomial,
@@ -25,6 +26,7 @@ from mixedhess import (
     slp_check,
     times_u,
     times_uv,
+    verify_lift,
     wlp_check,
 )
 from mixedhess import apolarity, families, polyring
@@ -40,30 +42,32 @@ def test_boolean_form_dimensions():
         assert alg.hilbert == tuple(math.comb(n, k) for k in range(n + 1))
 
 
-def test_times_u_counts(boolean3_alg, config):
-    report = times_u(parse_polynomial("x1*x2*x3"), config=config)
-    assert report.hilbert_base == (1, 3, 3, 1)
-    assert report.hilbert_lift == (1, 4, 6, 4, 1)
-    assert report.hilbert_identity
-    assert len(report.added) == 1
+def test_times_u_counts(boolean3_alg):
+    lifted = times_u(parse_polynomial("x1*x2*x3"))
+    assert lifted.varset.names == ("x1", "x2", "x3", "z1")
+    assert lifted.terms == {(1, 1, 1, 1): 1}
+    assert lift_chain_algebra(boolean3_alg, lifted, 1).hilbert == (1, 4, 6, 4, 1)
+    assert lift_chain_algebra(boolean3_alg, lifted, 0) is boolean3_alg
 
 
 def test_times_u_full_verification(config):
     rng = random.Random(3)
     f = dense_random_form(rng, 3, 3)
-    report = times_u(f, verify="full", config=config)
+    report = verify_lift(f, config)
+    assert report.added == ("z1",)
+    assert report.hilbert_lift == _one_lift(report.hilbert_base)
     assert report.hilbert_identity
     assert report.annihilator_inclusion
     assert report.annihilator_identity
-    assert report.quadrics_inherited is not None
-    assert report.slp_inherited is not None
+    assert report.quadrics_inherited[0] <= report.quadrics_inherited[1]
+    assert report.slp_inherited[0] <= report.slp_inherited[1]
 
 
 def test_times_u_full_with_an_unused_variable(config):
     # build_algebra drops w from both algebras; the inclusion check
     # embeds the base annihilators into the lift's own variables.
     f = parse_polynomial("x*y*z", VarSet(("x", "y", "z", "w")))
-    report = times_u(f, verify="full", config=config)
+    report = verify_lift(f, config)
     assert report.hilbert_lift == (1, 4, 6, 4, 1)
     assert report.annihilator_inclusion
     assert report.annihilator_identity
@@ -79,8 +83,7 @@ def test_no_check_enumerates_monomials(catalog, config, monkeypatch):
         alg = build_algebra(entry.polynomial)
         assert ann_generated_by_quadrics(alg).presented == entry.expected["quadrics"]
     f = dense_random_form(random.Random(5), 3, 3)
-    report = times_u(f, verify="full", config=config)
-    assert report.annihilator_identity
+    assert verify_lift(f, config).annihilator_identity
 
 
 # -- the lift span check against the full-enumeration oracle ----------------
@@ -164,7 +167,7 @@ def _lift_span_verdicts(f, drop=None):
     """The new check and the oracle on f's lift, with K vector ``drop``
     left out of the base."""
     base = build_algebra(f)
-    lift_alg = times_u(f).algebra
+    lift_alg = build_algebra(times_u(f))
     new = _lifted_annihilator_spans(_FakeBase(base, drop), lift_alg)
     old = _oracle_lifted_annihilator_spans(_FakeBase(base, drop, True), lift_alg)
     return new, old
@@ -230,6 +233,30 @@ def test_lift_span_check_fails_without_a_needed_generator():
     assert False in verdicts and True in verdicts
 
 
+def _one_lift(h: tuple[int, ...]) -> tuple[int, ...]:
+    """h'_k = h_k + h_{k-1}: the Hilbert function after one lift."""
+    return tuple(a + b for a, b in zip(h + (0,), (0,) + h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(1, 3))
+def test_lift_chain_hilbert_is_the_one_step_identity_repeated(f, m):
+    base = build_algebra(f)
+    lifted, expected = f, base.hilbert
+    for _ in range(m):
+        lifted, expected = times_u(lifted), _one_lift(expected)
+    assert lift_chain_algebra(base, lifted, m).hilbert == expected
+
+
+def test_lift_chain_rejects_a_lift_that_does_not_match(boolean3_alg):
+    twice = times_u(times_u(parse_polynomial("x1*x2*x3")))
+    with pytest.raises(InvariantViolation, match="after 1 lift"):
+        lift_chain_algebra(boolean3_alg, twice, 1)
+    other = times_u(parse_polynomial("x1^2*x2"))
+    with pytest.raises(InvariantViolation, match="not the binomial convolution"):
+        lift_chain_algebra(boolean3_alg, other, 1)
+
+
 def test_times_uv_transports_deficiency(catalog, config):
     base = catalog["four-cycle"].polynomial
     report = times_uv(base, config=config)
@@ -249,17 +276,15 @@ def test_times_uv_keeps_parity(config):
 def test_times_uv_certifies_both_criteria_unasked(config):
     report = times_uv(parse_polynomial("x1*x2*x3"), config)
     # Middle (1, 1) Hessian of the cubic, the (2, 2) one of the quintic.
-    assert (report.base_rank.rank, report.base_deficiency) == (3, 0)
-    assert (report.lift_rank.rank, report.lift_deficiency) == (10, 0)
-    assert report.base_rank.is_exact and report.lift_rank.is_exact
+    assert (report.base_criterion_rank.rank, report.base_deficiency) == (3, 0)
+    assert (report.lift_criterion_rank.rank, report.lift_deficiency) == (10, 0)
+    assert report.base_criterion_rank.is_exact and report.lift_criterion_rank.is_exact
     assert report.deficiency_transported
 
 
 def test_lifts_skip_a_fresh_name_the_base_uses(config):
     f = parse_polynomial("x1*z1*x3")
-    single = times_u(f, config=config)
-    assert single.added == ("z2",)
-    assert single.polynomial.varset.names == ("x1", "z1", "x3", "z2")
+    assert times_u(f).varset.names == ("x1", "z1", "x3", "z2")
     double = times_uv(f, config)
     assert double.added == ("z2", "z3")
     assert double.polynomial.varset.names == ("x1", "z1", "x3", "z2", "z3")
@@ -310,7 +335,7 @@ def test_odd_counterexamples(config):
 @pytest.mark.parametrize("r", [13, 15])
 def test_odd_cubic_hexagon_bases(r, config):
     member = odd_counterexample(3, r, config)
-    assert "hexagon with a long diagonal" in member.base_description
+    assert "hexagon with a long diagonal" in member.base
     assert build_algebra(member.polynomial).hilbert == (1, r, r, 1)
     assert member.quadrics is True
     assert member.criterion_rank.rank < r
@@ -339,12 +364,17 @@ def test_even_counterexamples(config):
 
 @pytest.mark.parametrize(
     "make, d, codim",
-    [(odd_counterexample, 5, 10), (even_counterexample, 6, 16)],
-    ids=["odd-5-10", "even-6-16"],
+    [
+        (odd_counterexample, 5, 10),
+        (even_counterexample, 6, 16),
+        (odd_counterexample, 7, 12),
+    ],
+    ids=["odd-5-10", "even-6-16", "odd-7-12"],
 )
 def test_family_chain_builds_each_algebra_once(make, d, codim, config, monkeypatch):
-    # Base, first lift and second lift: each algebra of the chain is
-    # built once and handed on to the next lift and the final check.
+    # A chain builds its base and its final algebra, each once, however
+    # many lifts lie between them: the Hilbert check and the report's
+    # checks read those two.
     built = []
 
     def counting(f):
@@ -353,7 +383,7 @@ def test_family_chain_builds_each_algebra_once(make, d, codim, config, monkeypat
 
     monkeypatch.setattr("mixedhess.families.build_algebra", counting)
     make(d, codim, config)
-    assert len(built) == len(set(built)) == 3
+    assert len(built) == len(set(built)) == 2
 
 
 def test_even_out_of_range():
@@ -409,4 +439,4 @@ def test_catalog_expectations_hold(catalog, config):
 def test_construction_narration(config):
     member = odd_counterexample(5, 10, config)
     assert member.construction
-    assert member.base_description
+    assert member.base

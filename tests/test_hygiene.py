@@ -190,6 +190,10 @@ KEPT_UNREAD = {
     "complexes.incidence_gradient_matrix": (
         "the tests' graph-side oracle for the bigraded Hessian block"
     ),
+    "families.verify_lift": (
+        "Lemma A on one lift, which no report runs: test_families and "
+        "criterion 7 in test_acceptance"
+    ),
     "linalg.rref": (
         "declared as `linalg.rref.self_s` in BENCHMARK.json; goes with benchmark v2"
     ),

@@ -303,7 +303,7 @@ def test_witness_with_short_profile_raises(check, boolean3_alg, config, monkeypa
 
 def test_wlp_false_for_four_cycle(four_cycle_alg, config):
     verdict = wlp_check(four_cycle_alg, config)
-    assert verdict.property_name == "WLP"
+    assert verdict.property == "WLP"
     assert not verdict.holds
     assert verdict.failing_step == (1, 2)
     assert verdict.seed == config.seed
@@ -320,7 +320,7 @@ def test_wlp_true_for_boolean(boolean3_alg, config):
 
 def test_slp_true_for_boolean(boolean3_alg, config):
     verdict = slp_check(boolean3_alg, config)
-    assert verdict.property_name == "SLP"
+    assert verdict.property == "SLP"
     assert verdict.holds
 
 

@@ -69,9 +69,15 @@ def test_parse_errors_name_their_position(text, message, line, col):
 
 
 def test_parse_rejects_unknown_variable():
+    # The unknown name is reported where it stands, as every other
+    # grammar error is in test_parse_errors_name_their_position.
     vs = VarSet(("x", "y"))
-    with pytest.raises(ParseError):
-        parse_polynomial("x + w", vs)
+    for text, line, col in [("x + w", 1, 5), ("x +\n  2*w", 2, 5)]:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, vs)
+        assert str(err.value) == (
+            f"variable 'w' not in the given VarSet (line {line}, column {col})"
+        )
 
 
 def test_format_is_canonical():
