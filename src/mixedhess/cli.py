@@ -460,7 +460,7 @@ def cmd_family(args: argparse.Namespace) -> int:
                 "polynomial": poly,
             }
         else:
-            rep = times_uv(base, config)
+            rep = times_uv(base_alg, config)
             fields, poly = rep._asdict(), rep.polynomial
         result = {"parameters": {"base": args.base}, **_json(fields)}
     elif args.kind == "perazzo":

@@ -597,7 +597,7 @@ def grid_noninjectivity_witness(
         raise InvariantViolation(
             "sampled rank exceeds the cap the syzygy imposes"
         )
-    elif cert.rank < cap:
+    elif cert.rank < cap and not cert.is_exact:
         notes.append(
             "sampling stayed below the syzygy cap; the block rank "
             "certificate is conservative"

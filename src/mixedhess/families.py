@@ -260,18 +260,18 @@ class DoubleLiftReport(NamedTuple):
 
 
 def times_uv(
-    f: Polynomial, config: SamplingConfig = DEFAULT_CONFIG
+    base: GradedAlgebra, config: SamplingConfig = DEFAULT_CONFIG
 ) -> DoubleLiftReport:
-    """Multiply the generator by two fresh variables, preserving the
-    parity of the socle degree.
+    """Multiply the generator of the base algebra by two fresh
+    variables, preserving the parity of the socle degree.
 
     Two `times_u` lifts with the Hilbert check of `lift_chain_algebra`,
     after which the property-deciding Hessians of base and lift are
     rank-certified: a base whose matrix sits below maximal rank must
     lift to one that does too, which is the mechanism the counterexample
-    families rely on."""
-    base = build_algebra(f)
-    lifted = times_u(times_u(f))
+    families rely on.  The base is the caller's algebra, so only the
+    lift is built here."""
+    lifted = times_u(times_u(base.f))
     lift = lift_chain_algebra(base, lifted, 2)
     mb = wlp_criterion_matrix(base)
     ml = wlp_criterion_matrix(lift)

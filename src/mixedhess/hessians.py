@@ -27,10 +27,37 @@ the cells that are nonzero at the point.  The dual matrix adds up only
 the nonzero cells of the plain one.
 
 Rank questions about these matrices are answered by `generic_rank`,
-which is exact whenever it can be (constant entries, sampled rank
-meeting the dimension bound, symbolic determinants up to a size cap)
-and otherwise reports a sampled rank together with a Schwartz-Zippel
-failure bound.
+which is exact whenever it can be and otherwise reports a sampled rank
+together with a Schwartz-Zippel failure bound.  Its ladder, in order:
+empty or constant matrices; a sampled rank that reaches min(shape); a
+sampled rank that meets the torus-slice bound below (mixed and
+bigraded Hessians only); a symbolic determinant, for square matrices
+up to a size cap; the probabilistic label.
+
+The torus-slice bound.  Let G be the torus of the t in (C*)^n with
+t^e the same value lambda(t) for every term e of f.  An entry of a
+mixed or bigraded Hessian is X^(a+b) f for row and column monomials a
+and b, and X^g f(t.x) = lambda(t) t^(-g) X^g f(x) for t in G, so
+H(t.x) = lambda(t) D_r(t) H(x) D_c(t) with invertible diagonal D_r and
+D_c: the rank is constant on G-orbits.  Let m be the rank of the term
+differences e - e_0 and J a set of m variables on whose columns those
+differences still have rank m.  Every x in (C*)^n is G-equivalent to a
+point with x_k = 1 for k outside J: taking t_k = 1/x_k there, the
+conditions t^(e - e_0) = 1 ask the columns J to solve a linear system
+in log t whose right-hand side lies in the column space of the
+differences, which the columns J span.  So the generic rank of H is the
+generic rank of its slice, H with x_k = 1 outside J, a matrix over
+Q[x_J].  Write the slice as a constant matrix C: one row per line of
+the smaller side of H, one column per (index on the other side, slice
+monomial), holding the coefficient of that monomial.  A constant
+vector v with v C = 0 has v H = 0 on the slice, and constant vectors
+independent over Q stay independent over Q(x_J); so the generic rank
+is at most rank(C).  A sampled rank that meets rank(C) is therefore the
+generic rank.  J is taken greedily with the variables in fewest terms
+first (`_torus_slice`), which closes every deficient cell the
+repository ships; another valid J gives another valid, possibly looser,
+bound.  The bound is computed only after a sampled point falls short of
+min(shape), so full-rank cells never pay for it.
 
 Each matrix and each answer about it is computed once per algebra.
 `mixed_hessian` caches the order-(k, l) matrix on the algebra, so the
@@ -40,7 +67,8 @@ all read one object.  That object memoizes its rank at each point, its
 symbolic determinant vanishes.  Each is a pure function of the matrix
 and its key (the sampled points come from an RNG seeded by the config
 and the matrix's kind, orders and shape), so a memoized answer is the
-one a fresh computation would give.  The caches live on per-report
+one a fresh computation would give.  The torus-slice bound is memoized
+on the matrix too, and the slice variables once per algebra.  The caches live on per-report
 objects: nothing is shared between algebras.
 """
 
@@ -53,12 +81,13 @@ from typing import NamedTuple, Sequence
 
 from .apolarity import (
     GradedAlgebra,
+    InvariantViolation,
     _apolar_terms,
     _splits,
     bigraded_decomposition,
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
-from .linalg import matrix_rank
+from .linalg import RowSpace, matrix_rank
 from .polyring import Polynomial, VarSet, _int_scaled
 
 
@@ -75,7 +104,8 @@ class RankCertificate(NamedTuple):
     """Result of a rank computation on a polynomial matrix.
 
     mode is "exact" when the value is proven (dimension bound met,
-    constant entries, or a symbolic determinant decided it) and
+    constant entries, a sampled rank that met the torus-slice upper
+    bound rank(C), or a symbolic determinant decided it) and
     "probabilistic" when it is the maximum rank seen over sampled
     points; in the latter case failure_bound bounds the probability
     that the true generic rank is larger.
@@ -103,17 +133,23 @@ class MixedHessian:
     matrices compare by identity.
     """
 
-    def __init__(self, varset, entries, row_basis, col_basis, kind, orders):
+    def __init__(
+        self, varset, entries, row_basis, col_basis, kind, orders, algebra=None
+    ):
         self.varset: VarSet = varset
         self.entries: tuple[tuple[Polynomial, ...], ...] = entries
         self.row_basis: tuple[tuple[int, ...], ...] = row_basis
         self.col_basis: tuple[tuple[int, ...], ...] = col_basis
         self.kind: str = kind
         self.orders: tuple = orders
+        # The algebra whose generator's torus scales the rows and columns
+        # (`mixed_hessian` and `bigraded_hessian` set it), for the
+        # torus-slice rung of `generic_rank`; None for every other kind.
+        self.algebra: GradedAlgebra | None = algebra
         # Rank facts computed once per matrix: the rank at a point, keyed
         # by the point's tuple; the `generic_rank` certificate, keyed by
         # ("generic", config); whether the symbolic determinant vanishes,
-        # keyed by "det".
+        # keyed by "det"; the torus-slice bound, keyed by "slice".
         self._memo: dict = {}
 
     @property
@@ -165,7 +201,9 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
         rows_b = alg.quotient_basis(k)
         cols_b = alg.quotient_basis(l)
         entries = _entries(alg.f, rows_b, cols_b)
-        h = MixedHessian(alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l))
+        h = MixedHessian(
+            alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l), alg
+        )
         alg._hessian_cache[(k, l)] = h
     return h
 
@@ -259,6 +297,7 @@ def bigraded_hessian(
         tuple(cols_b),
         "bigraded",
         (row_bidegree, col_bidegree),
+        alg,
     )
 
 
@@ -422,18 +461,66 @@ def _det_vanishes(h: MixedHessian, cap: int) -> bool | None:
     return vanishes
 
 
+def _torus_slice(alg: GradedAlgebra) -> tuple[int, ...]:
+    """The slice variables J of the generator f: a basis of the column
+    space of the term differences e - e_0, one column per variable,
+    taken greedily with the variables in fewest terms first (ties by
+    index).  A variable enters only when its column raises the rank of
+    the columns already in J, so J ends with m variables, m the rank of
+    the differences.  Computed once per algebra."""
+    if alg._torus_slice is None:
+        exps = list(alg.f.terms)
+        occurs = [sum(1 for e in exps if e[k]) for k in range(alg.varset.size)]
+        space = RowSpace()
+        chosen = []
+        for k in sorted(range(alg.varset.size), key=occurs.__getitem__):
+            rem = space.reduce({i: e[k] - exps[0][k] for i, e in enumerate(exps)})
+            if rem:
+                space.pivots[max(rem)] = rem
+                chosen.append(k)
+        alg._torus_slice = tuple(chosen)
+    return alg._torus_slice
+
+
+def _slice_bound(h: MixedHessian) -> int:
+    """rank(C), an upper bound on the generic rank of a mixed or
+    bigraded Hessian (see the module docstring).  Each row of C is one
+    line of the smaller side of h, and its columns are keyed by (index on
+    the other side, slice monomial): the coefficient sums of h's entries
+    with x_k set to 1 outside J.  Rows of `_int_rows` carry different
+    integer scales, which scale rows or columns of C and keep its rank.
+    Memoized on the matrix."""
+    bound = h._memo.get("slice")
+    if bound is None:
+        J = _torus_slice(h.algebra)
+        by_row = h.nrows <= h.ncols
+        lines: list[dict] = [{} for _ in range(min(h.shape))]
+        for i, row in enumerate(h._int_rows):
+            for j, terms in row:
+                line, other = (lines[i], j) if by_row else (lines[j], i)
+                for e, n in terms:
+                    key = (other, tuple(e[k] for k in J))
+                    line[key] = line.get(key, 0) + n
+        bound = h._memo["slice"] = matrix_rank(lines)
+    return bound
+
+
 def generic_rank(
     h: MixedHessian, config: SamplingConfig = DEFAULT_CONFIG
 ) -> RankCertificate:
     """Rank of the matrix at a generic point.
 
     Exactness ladder: empty or constant matrices are decided directly;
-    a sampled rank that reaches min(nrows, ncols) is already proof;
-    square matrices within the symbolic cap get an exact determinant
-    (deciding full versus not, and pinning rank n-1 when the sampled
-    rank sits there).  Anything else is reported as probabilistic with
-    a Schwartz-Zippel bound on the chance the sampled maximum missed
-    the true generic rank.
+    a sampled rank that reaches min(nrows, ncols) is already proof; for
+    a mixed or bigraded Hessian, the first point that falls short of it
+    computes the torus-slice bound (module docstring), an upper bound
+    on the generic rank, and sampling stops at the first point that
+    meets it; square matrices within the symbolic cap get an exact
+    determinant (deciding full versus not, and pinning rank n-1 when
+    the sampled rank sits there).  Anything else is reported as
+    probabilistic with a Schwartz-Zippel bound on the chance the
+    sampled maximum missed the true generic rank.  A sampled rank above
+    the torus-slice bound raises InvariantViolation.
 
     The certificate is memoized on the matrix, keyed by the whole
     config: every rung reads only the matrix and the config.
@@ -464,13 +551,23 @@ def _generic_rank(h: MixedHessian, config: SamplingConfig) -> RankCertificate:
         ]
         best = max(best, rank_at(h, point))
         if best == bound:
-            return RankCertificate(
-                best,
-                "exact",
-                trials=config.trials,
-                sample_bound=config.sample_bound,
-                note="sampled rank reached the dimension bound",
+            note = "sampled rank reached the dimension bound"
+        elif h.algebra is None or best < _slice_bound(h):
+            continue
+        elif best == _slice_bound(h):
+            note = "sampled rank met the torus-slice bound"
+        else:
+            raise InvariantViolation(
+                f"sampled rank {best} exceeds the torus-slice bound "
+                f"{_slice_bound(h)}"
             )
+        return RankCertificate(
+            best,
+            "exact",
+            trials=config.trials,
+            sample_bound=config.sample_bound,
+            note=note,
+        )
 
     vanishes = _det_vanishes(h, config.symbolic_cap)
     if vanishes is not None:

@@ -254,8 +254,9 @@ def _decide(
     determinant vanishes identically: then it is singular at every point
     and no later point can be a witness.  The stop is exact, so the
     verdict is the one the full search gives.  A cell with a nonzero
-    determinant never stops it, and the negative branch reads the same
-    memoized determinant through `generic_rank`."""
+    determinant never stops it.  The negative branch certifies the cell
+    through `generic_rank`, whose torus-slice rung or memoized
+    determinant makes a deficient cell exact."""
     mats = [_cell_hessian(alg, i, j) for i, j, *_ in cells]
     notes: list[str] = []
     points = sample_points(alg, config, f"{name.lower()}-witness")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedhess import InvariantViolation
+from mixedhess import InvariantViolation, build_algebra, cli, families, hessians
 from mixedhess.cli import _render_text, main
 
 FOUR_CYCLE = "x1*u1*u2 + x2*u2*u3 + x3*u3*u4 + x4*u4*u1\n"
@@ -251,6 +251,43 @@ def test_text_report_renders_the_golden_json(name, tmp_path, monkeypatch, capsys
     capsys.readouterr()
     golden = json.loads((REPO / "tests" / "golden" / name).read_text())
     assert out.read_text() == "\n".join(_render_text(golden)) + "\n"
+
+
+def test_no_golden_and_no_examples_row_is_probabilistic(monkeypatch, capsys):
+    # Every deficient cell the goldens and the catalog hold is closed by
+    # the torus-slice bound.  The examples rows print no certificate, so
+    # the certificates computed for them are read as they are made.
+    for path in sorted((REPO / "tests" / "golden").glob("*.json")):
+        assert '"mode": "probabilistic"' not in path.read_text(), path.name
+    made = []
+
+    def recording(h, config):
+        made.append(fresh_rank(h, config))
+        return made[-1]
+
+    fresh_rank = hessians._generic_rank
+    monkeypatch.setattr(hessians, "_generic_rank", recording)
+    code, out = _run(capsys, ["examples", "--seed", "1"])
+    assert code == 0
+    assert '"probabilistic"' not in out
+    assert made and all(cert.is_exact for cert in made)
+
+
+def test_family_times_uv_builds_base_and_lift_once(monkeypatch, capsys):
+    # The report's warnings and the double lift read one base algebra.
+    monkeypatch.chdir(REPO)
+    built = []
+
+    def counting(f):
+        built.append(f)
+        return build_algebra(f)
+
+    for module in (cli, families):
+        monkeypatch.setattr(module, "build_algebra", counting)
+    argv = ["family", "times-uv", "--base", "samples/boolean3.poly", "--seed", "1"]
+    code, _ = _run(capsys, argv)
+    assert code == 0
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("seed", ["1", "2", "3"])

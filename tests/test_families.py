@@ -258,7 +258,7 @@ def test_lift_chain_rejects_a_lift_that_does_not_match(boolean3_alg):
 
 
 def test_times_uv_transports_deficiency(catalog, config):
-    base = catalog["four-cycle"].polynomial
+    base = build_algebra(catalog["four-cycle"].polynomial)
     report = times_uv(base, config=config)
     assert report.hilbert_base == (1, 8, 8, 1)
     assert report.hilbert_lift == (1, 10, 25, 25, 10, 1)
@@ -268,13 +268,13 @@ def test_times_uv_transports_deficiency(catalog, config):
 
 
 def test_times_uv_keeps_parity(config):
-    report = times_uv(parse_polynomial("x1*x2*x3"), config=config)
+    report = times_uv(build_algebra(parse_polynomial("x1*x2*x3")), config=config)
     assert len(report.hilbert_lift) == len(report.hilbert_base) + 2
     assert report.hilbert_lift == (1, 5, 10, 10, 5, 1)
 
 
 def test_times_uv_certifies_both_criteria_unasked(config):
-    report = times_uv(parse_polynomial("x1*x2*x3"), config)
+    report = times_uv(build_algebra(parse_polynomial("x1*x2*x3")), config)
     # Middle (1, 1) Hessian of the cubic, the (2, 2) one of the quintic.
     assert (report.base_criterion_rank.rank, report.base_deficiency) == (3, 0)
     assert (report.lift_criterion_rank.rank, report.lift_deficiency) == (10, 0)
@@ -285,7 +285,7 @@ def test_times_uv_certifies_both_criteria_unasked(config):
 def test_lifts_skip_a_fresh_name_the_base_uses(config):
     f = parse_polynomial("x1*z1*x3")
     assert times_u(f).varset.names == ("x1", "z1", "x3", "z2")
-    double = times_uv(f, config)
+    double = times_uv(build_algebra(f), config)
     assert double.added == ("z2", "z3")
     assert double.polynomial.varset.names == ("x1", "z1", "x3", "z2", "z3")
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixedhess import (
     MixedHessian,
@@ -23,16 +23,25 @@ from mixedhess import (
     dual_generator,
     dual_mixed_hessian,
     evaluate_matrix,
+    even_counterexample,
+    example_catalog,
     generic_rank,
+    grid_noninjectivity_witness,
+    grid_pairs_for,
+    detect_complete_multipartite,
     mixed_hessian,
     odd_counterexample,
     parse_polynomial,
     rank_at,
     perazzo_form,
     symbolic_det,
+    turan_complex,
 )
+from mixedhess import hessians
 from mixedhess.cli import _complex_from_json
-from mixedhess.hessians import _entries
+from mixedhess.families import _cubic_base
+from mixedhess.hessians import _entries, _slice_bound, _torus_slice
+from mixedhess.lefschetz import wlp_criterion_matrix
 from mixedhess.linalg import matrix_rank
 
 from conftest import dense_random_form, densify, rational_random_form
@@ -391,3 +400,158 @@ def test_dual_entries_match_per_cell_oracle(catalog, name):
                 assert len(row) == len(expected_row)
                 for p, q in zip(row, expected_row):
                     assert list(p.terms.items()) == list(q.terms.items())
+
+
+# -- the torus-slice bound -----------------------------------------------------
+
+
+@st.composite
+def _slice_forms(draw):
+    """Forms in 3-7 variables of degree 2-5 with 1-9 terms; half of them
+    bihomogeneous over a split of the variables into an x- and a
+    u-block, so that they have bigraded blocks too."""
+    n = draw(st.integers(3, 7))
+    d = draw(st.integers(2, 5))
+    names = tuple(f"x{i + 1}" for i in range(n))
+    split = draw(st.none() | st.tuples(st.integers(1, n - 1), st.integers(1, d - 1)))
+
+    def picks(lo, hi, size):
+        return st.lists(st.integers(lo, hi), min_size=size, max_size=size)
+
+    if split is None:
+        blocks, monomial = None, picks(0, n - 1, d)
+    else:
+        nx, dx = split
+        blocks = (0,) * nx + (1,) * (n - nx)
+        monomial = st.tuples(picks(0, nx - 1, dx), picks(nx, n - 1, d - dx)).map(
+            lambda t: t[0] + t[1]
+        )
+    monomial = monomial.map(lambda p: tuple(p.count(i) for i in range(n)))
+    coeff = st.fractions(-9, 9, max_denominator=4).filter(bool)
+    terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=9))
+    return Polynomial(VarSet(names, blocks), terms)
+
+
+# x1 has one exponent in every term, so its column of differences is
+# zero and it must stay out of J: the slice x2 = x3 = 1 lies in the zero
+# locus of (x2 - x3)^2, where the (1, 1) Hessian drops to rank 1.
+_FIXED_X1 = "x1*x2^3*x3 - 2*x1*x2^2*x3^2 + x1*x2*x3^3"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slice_forms(), st.integers(0, 2**32 - 1))
+@example(parse_polynomial(_FIXED_X1), 0)
+def test_slice_bound_is_never_below_a_sampled_rank(f, seed):
+    # rank(C) bounds the generic rank from above, and the rank at any
+    # point is at most the generic rank.
+    rng = random.Random(seed)
+    alg = build_algebra(f)
+    d = alg.socle_degree
+    cells = [mixed_hessian(alg, k, l) for k in range(d + 1) for l in range(d + 1 - k)]
+    if alg.varset.blocks is not None:
+        pieces = bigraded_decomposition(alg).pieces
+        cells += [bigraded_hessian(alg, r, c) for r in pieces for c in pieces]
+    for h in cells:
+        point = [rng.randint(-50, 50) for _ in range(alg.varset.size)]
+        assert rank_at(h, point) <= _slice_bound(h) <= min(h.shape)
+
+
+def test_torus_slice_keeps_only_variables_that_raise_the_rank():
+    alg = build_algebra(parse_polynomial(_FIXED_X1))
+    assert _torus_slice(alg) == (1,)
+    assert _slice_bound(mixed_hessian(alg, 1, 1)) == 3
+
+
+def _tight_generators():
+    """Generators by id, each with the orders of the cells the bound must
+    meet: the (1, 1) and (1, 2) cells of the catalog and the samples, the
+    middle Hessians of the cubic bases, and the WLP criterion (None) of
+    the family members."""
+    both = ((1, 1), (1, 2))
+    out = {e.identifier: (e.polynomial, both) for e in example_catalog()}
+    for path in sorted(SAMPLES.glob("*.poly")):
+        out[path.name] = (parse_polynomial(path.read_text()), both)
+    for path in sorted(SAMPLES.glob("*.json")):
+        out[path.name] = (dual_generator(_complex_from_json(path.read_text())), both)
+    for r in range(8, 20):
+        out[f"cubic-{r}"] = (_cubic_base(r)[0], ((1, 1),))
+    for make, pairs in (
+        (odd_counterexample, ((5, 10), (5, 14), (7, 12), (7, 16), (9, 14))),
+        (even_counterexample, ((4, 14), (4, 17), (4, 20), (6, 16), (6, 19), (8, 18))),
+    ):
+        for d, codim in pairs:
+            kind = make.__name__.split("_")[0]
+            out[f"{kind}-{d}-{codim}"] = (make(d, codim, verify="none").polynomial, None)
+    return out
+
+
+TIGHT = _tight_generators()
+
+
+@pytest.mark.parametrize("name", sorted(TIGHT))
+def test_slice_bound_meets_the_sampled_rank(name, config):
+    f, orders = TIGHT[name]
+    alg = build_algebra(f)
+    if orders is None:
+        cells = [wlp_criterion_matrix(alg)]
+    else:
+        cells = [mixed_hessian(alg, k, l) for k, l in orders]
+    for h in cells:
+        cert = generic_rank(h, config)
+        assert _slice_bound(h) == cert.rank
+        assert cert.is_exact
+        if cert.rank < min(h.shape) and h.max_entry_degree():
+            assert cert.note == "sampled rank met the torus-slice bound"
+
+
+def _grid_witness(name, config):
+    if name.startswith("even"):
+        return even_counterexample(4, int(name.split("-")[-1]), config).witness
+    comp = _complex_from_json((SAMPLES / name).read_text())
+    groups = detect_complete_multipartite(comp)
+    # Two squares is no complete multipartite graph; the grid is its
+    # first square, v1-v2-v3-v4.
+    pairs = grid_pairs_for(groups) if groups else (("v1", "v3"), ("v2", "v4"))
+    return grid_noninjectivity_witness(comp, pairs, config)
+
+
+@pytest.mark.parametrize(
+    "name, squares",
+    [("tk222.json", 1), ("two_squares.json", 2), ("even-4-14", 1), ("even-4-17", 1)],
+)
+def test_slice_bound_on_grid_blocks(name, squares, config):
+    # The grid syzygy has monomial coefficients, constants on the slice,
+    # so it is a syzygy of C and the bound is at most its cap nrows - 1.
+    # On the Turan bases the bound meets the cap.  Two squares has one
+    # syzygy per square, and the bound sees both: it sits one below the
+    # cap of the first square's grid.
+    witness = _grid_witness(name, config)
+    block = witness.block
+    assert _slice_bound(block) == block.nrows - squares == witness.block_rank.rank
+    assert witness.block_rank.is_exact
+    assert witness.block_rank.note == "sampled rank met the torus-slice bound"
+    assert witness.notes == ()
+
+
+@pytest.mark.parametrize("name", ["odd-5-14", "even-6-16", "grid-6-16"])
+def test_a_deficient_cell_takes_one_point_rank(name, config, monkeypatch):
+    # The first sampled point meets the bound and ends the sampling; a
+    # change that restores all `trials` point ranks fails here.
+    if name == "grid-6-16":
+        # The (6, 16) member's base and its grid block.
+        base = build_algebra(dual_generator(turan_complex((2, 2, 2))))
+        h = bigraded_hessian(base, (1, 0), (0, base.socle_degree - 2))
+    else:
+        make = odd_counterexample if name == "odd-5-14" else even_counterexample
+        d, codim = map(int, name.split("-")[1:])
+        h = wlp_criterion_matrix(build_algebra(make(d, codim, verify="none").polynomial))
+    calls = []
+
+    def counting(m, point):
+        calls.append(m)
+        return rank_at(m, point)
+
+    monkeypatch.setattr(hessians, "rank_at", counting)
+    cert = generic_rank(h, config)
+    assert cert.rank < min(h.shape) and cert.is_exact
+    assert len(calls) == 1
