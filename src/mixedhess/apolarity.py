@@ -147,8 +147,7 @@ class GradedAlgebra:
     pairing itself is rebuilt from the terms of f.
     `hessians.mixed_hessian` caches each order-(k, l) Hessian here too,
     so every check of one report reads the same matrix and with it the
-    rank facts memoized on that matrix, and keeps the slice variables of
-    f's torus that `hessians` computes on first use.
+    rank facts memoized on that matrix.
     """
 
     def __init__(
@@ -170,7 +169,6 @@ class GradedAlgebra:
         self._support_cache: dict[int, frozenset[tuple[int, ...]]] = {}
         self._pairing_inv_cache: dict[int, list[dict[int, Fraction]]] = {}
         self._hessian_cache: dict = {}
-        self._torus_slice: tuple[int, ...] | None = None
 
     # -- basic queries -------------------------------------------------
 

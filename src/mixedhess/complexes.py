@@ -534,8 +534,11 @@ def grid_noninjectivity_witness(
     row combination of the ((1,0), (0,d-2)) Hessian block vanishes
     because each column monomial pairs the transversals in cancelling
     couples.  The identity is verified by exact polynomial arithmetic
-    here, and the block's rank certificate is upgraded to exact when
-    sampling meets the bound the syzygy imposes."""
+    here.  The block's rank certificate is `generic_rank`'s, exact once
+    a sampled rank meets the torus-slice bound rank(C).  That bound
+    never exceeds the cap: the slice variables of a dual generator are
+    facet variables, so on the slice every vertex variable is 1, the
+    syzygy is a nonzero constant vector, and it kills the rows of C."""
     pairs = tuple((str(a), str(b)) for a, b in pairs)
     flat = [v for p in pairs for v in p]
     if len(set(flat)) != len(flat):
@@ -585,15 +588,7 @@ def grid_noninjectivity_witness(
     cert = generic_rank(block, config)
     notes: list[str] = []
     cap = block.nrows - 1
-    if cert.rank == cap and not cert.is_exact:
-        cert = RankCertificate(
-            cap,
-            "exact",
-            trials=cert.trials,
-            sample_bound=cert.sample_bound,
-            note="syzygy caps the rank above, sampling meets the cap",
-        )
-    elif cert.rank > cap:
+    if cert.rank > cap:
         raise InvariantViolation(
             "sampled rank exceeds the cap the syzygy imposes"
         )

@@ -68,8 +68,9 @@ symbolic determinant vanishes.  Each is a pure function of the matrix
 and its key (the sampled points come from an RNG seeded by the config
 and the matrix's kind, orders and shape), so a memoized answer is the
 one a fresh computation would give.  The torus-slice bound is memoized
-on the matrix too, and the slice variables once per algebra.  The caches live on per-report
-objects: nothing is shared between algebras.
+on the matrix too, and the slice variables sit in the algebra's Hessian
+cache.  The caches live on per-report objects: nothing is shared
+between algebras.
 """
 
 from __future__ import annotations
@@ -467,8 +468,10 @@ def _torus_slice(alg: GradedAlgebra) -> tuple[int, ...]:
     taken greedily with the variables in fewest terms first (ties by
     index).  A variable enters only when its column raises the rank of
     the columns already in J, so J ends with m variables, m the rank of
-    the differences.  Computed once per algebra."""
-    if alg._torus_slice is None:
+    the differences.  Computed once per algebra, kept in the algebra's
+    Hessian cache under "slice"."""
+    J = alg._hessian_cache.get("slice")
+    if J is None:
         exps = list(alg.f.terms)
         occurs = [sum(1 for e in exps if e[k]) for k in range(alg.varset.size)]
         space = RowSpace()
@@ -478,8 +481,8 @@ def _torus_slice(alg: GradedAlgebra) -> tuple[int, ...]:
             if rem:
                 space.pivots[max(rem)] = rem
                 chosen.append(k)
-        alg._torus_slice = tuple(chosen)
-    return alg._torus_slice
+        J = alg._hessian_cache["slice"] = tuple(chosen)
+    return J
 
 
 def _slice_bound(h: MixedHessian) -> int:

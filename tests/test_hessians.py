@@ -462,6 +462,17 @@ def test_torus_slice_keeps_only_variables_that_raise_the_rank():
     assert _slice_bound(mixed_hessian(alg, 1, 1)) == 3
 
 
+@pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.json")), ids=lambda p: p.name)
+def test_dual_generator_slice_holds_only_facet_variables(path):
+    # Each facet variable sits in one term, and the facet columns of the
+    # term differences already have full rank, so fewest-first stops
+    # before any vertex variable: on the slice every vertex variable is
+    # 1, which keeps the grid syzygy constant.
+    comp = _complex_from_json(path.read_text())
+    alg = build_algebra(dual_generator(comp))
+    assert _torus_slice(alg) == tuple(range(len(comp.facets) - 1))
+
+
 def _tight_generators():
     """Generators by id, each with the orders of the cells the bound must
     meet: the (1, 1) and (1, 2) cells of the catalog and the samples, the
