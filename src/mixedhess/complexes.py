@@ -376,7 +376,7 @@ def _face_count_hilbert(comp: SimplicialComplex, shift: int) -> tuple[int, ...]:
 def incidence_gradient_matrix(comp: SimplicialComplex) -> MixedHessian:
     """Vertex-by-edge matrix read off a graph, a pure 1-dimensional
     complex: the (v, e) entry is the variable of the other endpoint
-    when v lies on e, else zero.
+    when v lies on e, else zero, and only the former are stored.
 
     Built without the algebra, it must coincide with the bigraded
     Hessian block of bidegrees ((0, 1), (1, 0)) of the edge algebra,
@@ -391,26 +391,19 @@ def incidence_gradient_matrix(comp: SimplicialComplex) -> MixedHessian:
     def var_poly(index: int) -> Polynomial:
         return Polynomial(vs, {_unit(vs.size, index): Fraction(1)})
 
-    zero = Polynomial.zero(vs)
-    entries = []
-    row_basis = []
-    for v in comp.vertices:
-        row = []
-        for a, b in comp.facets:
-            if v == a:
-                row.append(var_poly(vidx[b]))
-            elif v == b:
-                row.append(var_poly(vidx[a]))
-            else:
-                row.append(zero)
-        entries.append(tuple(row))
-        row_basis.append(_unit(vs.size, vidx[v]))
-    col_basis = [_unit(vs.size, i) for i in range(m)]
+    cells = tuple(
+        {
+            j: var_poly(vidx[b if v == a else a])
+            for j, (a, b) in enumerate(comp.facets)
+            if v in (a, b)
+        }
+        for v in comp.vertices
+    )
     return MixedHessian(
         vs,
-        tuple(entries),
-        tuple(row_basis),
-        tuple(col_basis),
+        cells,
+        tuple(_unit(vs.size, vidx[v]) for v in comp.vertices),
+        tuple(_unit(vs.size, i) for i in range(m)),
         "bigraded",
         ((0, 1), (1, 0)),
     )
@@ -574,12 +567,13 @@ def grid_noninjectivity_witness(
         sign = Fraction(-1 if sum(picks) % 2 else 1)
         syzygy.append(Polynomial(vs, {tuple(e): sign}))
 
-    for j in range(block.ncols):
-        acc = Polynomial.zero(vs)
-        for i in range(block.nrows):
-            if not syzygy[i].is_zero():
-                acc = acc + syzygy[i] * block.entries[i][j]
-        if not acc.is_zero():
+    sums: dict[int, Polynomial] = {}
+    for s, row in zip(syzygy, block.cells):
+        if not s.is_zero():
+            for j, p in row.items():
+                sums[j] = sums[j] + s * p if j in sums else s * p
+    for j in sorted(sums):
+        if not sums[j].is_zero():
             raise InvariantViolation(
                 "syzygy fails on column "
                 f"{Polynomial(vs, {block.col_basis[j]: 1}).text()}"

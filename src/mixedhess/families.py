@@ -366,13 +366,14 @@ def perazzo_form(
     f = Polynomial(vs, terms)
 
     # Jacobian of the g_i in their own variables, wrapped for rank work.
-    jac_entries = tuple(
-        tuple(g.partial(j) for j in range(uvs.size)) for g in partials
+    jac_cells = tuple(
+        {j: p for j, p in enumerate(map(g.partial, range(uvs.size))) if p.terms}
+        for g in partials
     )
     unit_rows = tuple(_unit(s, i) for i in range(s))
     unit_cols = tuple(_unit(uvs.size, j) for j in range(uvs.size))
     jac = MixedHessian(
-        uvs, jac_entries, unit_rows, unit_cols, "jacobian", (1, e - 1)
+        uvs, jac_cells, unit_rows, unit_cols, "jacobian", (1, e - 1)
     )
     cert = generic_rank(jac, config)
     dependent = cert.rank < s

@@ -16,15 +16,15 @@ Two variants matter alongside the plain matrix:
   bidegree when the variables split into two blocks.
 
 The matrices are sparse: an operator X^g kills f unless g divides a
-term of f, so most cells are zero, and more so as they grow.  So the
-work of building and evaluating one follows its nonzero entries, not
-its rows times its columns.  The entries are built from the terms of
+term of f, so most cells are zero, and more so as they grow.  So a
+matrix stores only its nonzero cells, one {column: entry} dict per
+row, and the work of building and reading one follows those cells,
+not its rows times its columns.  The cells are built from the terms of
 f, in one pass over the (term, divisor) pairs that `apolarity` also
-walks for the catalecticant, and every zero cell holds one shared zero
-polynomial.  Point evaluation (`rank_at`) walks only the nonzero cells,
-through an index built once per matrix, and hands the rank loop only
-the cells that are nonzero at the point.  The dual matrix adds up only
-the nonzero cells of the plain one.
+walks for the catalecticant.  Point evaluation (`rank_at`) goes
+through an integer index of the cells built once per matrix, and
+hands the rank loop only the cells that are nonzero at the point.  The
+dual matrix adds up the cells of the plain one.
 
 Rank questions about these matrices are answered by `generic_rank`,
 which is exact whenever it can be and otherwise reports a sampled rank
@@ -127,18 +127,20 @@ class RankCertificate(NamedTuple):
 class MixedHessian:
     """A matrix of polynomial entries with labelled rows and columns.
 
-    row_basis and col_basis hold the exponent tuples of the monomials
-    indexing each side; for kind "dual" the rows stand for the
-    dual-basis elements of those monomials.  orders records (k, l) for
-    graded matrices and the pair of bidegrees for bigraded blocks.  Two
-    matrices compare by identity.
+    cells holds one dict per row, mapping each column whose entry is
+    nonzero to that entry; a column missing from it holds zero, and no
+    stored entry is the zero polynomial.  row_basis and col_basis hold
+    the exponent tuples of the monomials indexing each side; for kind
+    "dual" the rows stand for the dual-basis elements of those
+    monomials.  orders records (k, l) for graded matrices and the pair
+    of bidegrees for bigraded blocks.  Two matrices compare by identity.
     """
 
     def __init__(
-        self, varset, entries, row_basis, col_basis, kind, orders, algebra=None
+        self, varset, cells, row_basis, col_basis, kind, orders, algebra=None
     ):
         self.varset: VarSet = varset
-        self.entries: tuple[tuple[Polynomial, ...], ...] = entries
+        self.cells: tuple[dict[int, Polynomial], ...] = cells
         self.row_basis: tuple[tuple[int, ...], ...] = row_basis
         self.col_basis: tuple[tuple[int, ...], ...] = col_basis
         self.kind: str = kind
@@ -167,23 +169,24 @@ class MixedHessian:
 
     @cached_property
     def _int_rows(self) -> tuple[tuple[tuple[int, _IntEntry], ...], ...]:
-        """Each row's nonzero entries as (column, ((exps, n), ...)), the
-        row scaled by the lcm of its coefficient denominators so that
-        every n is an int.  Built once per matrix, for `rank_at`."""
+        """Each row's cells as (column, ((exps, n), ...)), the row scaled
+        by the lcm of its coefficient denominators so that every n is an
+        int.  Built once per matrix, for `rank_at`."""
         out = []
-        for row in self.entries:
-            lcm = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+        for row in self.cells:
+            lcm = math.lcm(
+                *(c.denominator for p in row.values() for c in p.terms.values())
+            )
             out.append(tuple(
                 (j, tuple((e, c.numerator * (lcm // c.denominator))
                           for e, c in p.terms.items()))
-                for j, p in enumerate(row)
-                if p.terms
+                for j, p in row.items()
             ))
         return tuple(out)
 
     def max_entry_degree(self) -> int:
         """The largest degree of a nonzero entry (0 when there is none),
-        read off the nonzero cells of `_int_rows`."""
+        read off `_int_rows`."""
         return max(
             (sum(e) for row in self._int_rows for _, terms in row for e, _ in terms),
             default=0,
@@ -201,9 +204,9 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
     if h is None:
         rows_b = alg.quotient_basis(k)
         cols_b = alg.quotient_basis(l)
-        entries = _entries(alg.f, rows_b, cols_b)
+        cells = _entries(alg.f, rows_b, cols_b)
         h = MixedHessian(
-            alg.f.varset, entries, rows_b, cols_b, "mixed", (k, l), alg
+            alg.f.varset, cells, rows_b, cols_b, "mixed", (k, l), alg
         )
         alg._hessian_cache[(k, l)] = h
     return h
@@ -213,23 +216,22 @@ def _entries(
     f: Polynomial,
     rows_b: Sequence[tuple[int, ...]],
     cols_b: Sequence[tuple[int, ...]],
-) -> tuple[tuple[Polynomial, ...], ...]:
-    """Entry (i, j) is X^g f, g the product of the i-th row and j-th
-    column monomials.  The rows share one degree k and the columns one
-    degree l, so g has degree m = k + l.
+) -> tuple[dict[int, Polynomial], ...]:
+    """The cells of the matrix whose entry (i, j) is X^g f, g the
+    product of the i-th row and j-th column monomials.  The rows share
+    one degree k and the columns one degree l, so g has degree m = k + l.
 
     Built from the terms of f in one pass: each term c*x^b adds
     c*falling(b, g)*x^(b-g) to X^g f for every degree-m divisor g of b,
     and every other X^g kills f.  Then each nonzero X^g f fills the
     cells (a, g - a) with a a row monomial dividing g and g - a a column
-    monomial.  Every other cell holds one shared zero polynomial, so the
-    work follows the nonzero entries, not the rows times the columns.
-    Each distinct X^g f is one (immutable) polynomial shared by its
-    cells."""
-    zero = Polynomial.zero(f.varset)
-    table = [[zero] * len(cols_b) for _ in rows_b]
+    monomial, so the work follows the nonzero entries, not the rows
+    times the columns.  Each distinct X^g f is one (immutable)
+    polynomial shared by its cells; each row lists its columns in
+    ascending order."""
+    table: list[dict[int, Polynomial]] = [{} for _ in rows_b]
     if not rows_b or not cols_b:
-        return tuple(map(tuple, table))
+        return tuple(table)
     k = sum(rows_b[0])
     row_of = {alpha: i for i, alpha in enumerate(rows_b)}
     col_of = {beta: j for j, beta in enumerate(cols_b)}
@@ -245,7 +247,7 @@ def _entries(
             j = col_of.get(beta)
             if j is not None:
                 table[i][j] = poly
-    return tuple(map(tuple, table))
+    return tuple(dict(sorted(row.items())) for row in table)
 
 
 def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
@@ -254,26 +256,23 @@ def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
     Row i is the linear combination of the rows of the plain order
     (d - l, k) Hessian given by the i-th column of the inverse pairing
     matrix in degree l.  Entries are polynomials of degree l - k.  Each
-    row t of the inverse is read once, and only the nonzero cells of
-    inner row t are added into the rows it has an entry for, in
-    ascending t per cell; every other cell holds one shared zero
-    polynomial.
+    row t of the inverse is read once, and the cells of inner row t are
+    added into the rows it has an entry for, in ascending t per cell;
+    sums that cancel are dropped.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
         raise ValueError(f"need 0 <= k <= l <= socle degree, got ({l}, {k})")
     inner = mixed_hessian(alg, d - l, k)
-    zero = Polynomial.zero(alg.f.varset)
-    rows = [[zero] * inner.ncols for _ in alg.quotient_basis(l)]
-    for inv_row, inner_row in zip(alg.pairing_inverse(l), inner.entries):
-        cells = [(j, p) for j, p in enumerate(inner_row) if p.terms]
+    rows: list[dict[int, Polynomial]] = [{} for _ in alg.quotient_basis(l)]
+    for inv_row, inner_row in zip(alg.pairing_inverse(l), inner.cells):
         for i, c in inv_row.items():
             row = rows[i]
-            for j, p in cells:
-                row[j] = row[j] + p.scale(c)
+            for j, p in inner_row.items():
+                row[j] = row[j] + p.scale(c) if j in row else p.scale(c)
     return MixedHessian(
         alg.f.varset,
-        tuple(map(tuple, rows)),
+        tuple({j: row[j] for j in sorted(row) if row[j].terms} for row in rows),
         alg.quotient_basis(l),
         inner.col_basis,
         "dual",
@@ -308,8 +307,9 @@ def bigraded_hessian(
 def evaluate_matrix(
     h: MixedHessian, point: Sequence[Fraction | int]
 ) -> list[list[Fraction]]:
-    """Evaluate every entry at the point, sharing monomial powers across
-    entries (the same exponent patterns recur throughout the matrix)."""
+    """The dense matrix of values at the point: each stored cell is
+    evaluated, sharing monomial powers across cells (the same exponent
+    patterns recur throughout the matrix), and every other cell is 0."""
     if len(point) != h.varset.size:
         raise ValueError(
             f"point has {len(point)} coordinates, expected {h.varset.size}"
@@ -327,19 +327,20 @@ def evaluate_matrix(
             cache[e] = v
         return v
 
-    return [
-        [
-            sum((c * mono(e) for e, c in p.terms.items()), Fraction(0))
-            for p in row
-        ]
-        for row in h.entries
-    ]
+    zero = Fraction(0)
+    out = []
+    for row in h.cells:
+        values = [zero] * h.ncols
+        for j, p in row.items():
+            values[j] = sum((c * mono(e) for e, c in p.terms.items()), zero)
+        out.append(values)
+    return out
 
 
 def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
     """Exact rank of the matrix evaluated at one point.
 
-    Only the nonzero entries are evaluated, through the matrix's
+    Only the stored cells are evaluated, through the matrix's
     `_int_rows` index, built on the first call.  Each row goes to
     `matrix_rank` as a ``{column: value}`` mapping of the cells that are
     nonzero at the point, so no zero cell is written or scanned.  The
@@ -393,10 +394,10 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
 def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
     """Exact determinant by cofactor expansion with memoized minors.
 
-    Rows are pre-sorted so the sparsest come first and zero entries are
-    skipped, which keeps the recursion shallow on the structured
-    matrices this package produces.  Sizes beyond the cap raise
-    SymbolicCapExceeded rather than risk an infeasible expansion.
+    Rows are pre-sorted so those with the fewest cells come first, and
+    only stored cells are expanded, which keeps the recursion shallow on
+    the structured matrices this package produces.  Sizes beyond the cap
+    raise SymbolicCapExceeded rather than risk an infeasible expansion.
     """
     n = h.nrows
     if n != h.ncols:
@@ -407,9 +408,7 @@ def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
     if n == 0:
         return one
 
-    order = sorted(
-        range(n), key=lambda i: sum(1 for p in h.entries[i] if not p.is_zero())
-    )
+    order = sorted(range(n), key=lambda i: len(h.cells[i]))
     # parity of the row permutation applied by the sort
     sign = 1
     seen = order[:]
@@ -418,7 +417,7 @@ def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
             j = seen[i]
             seen[i], seen[j] = seen[j], seen[i]
             sign = -sign
-    rows = [h.entries[i] for i in order]
+    rows = [h.cells[i] for i in order]
 
     zero = Polynomial.zero(h.varset)
     memo: dict[int, Polynomial] = {0: one}
@@ -435,8 +434,8 @@ def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
         while rest:
             low = rest & -rest
             c = low.bit_length() - 1
-            p = row[c]
-            if not p.is_zero():
+            p = row.get(c)
+            if p is not None:
                 sub = minor(mask & ~low)
                 if not sub.is_zero():
                     term = p * sub

@@ -233,3 +233,10 @@ def random_unicyclic_graph(rng: random.Random, nvertices: int):
     cycle_length = tree_distance(*chord) + 1
     edges = sorted(tree_edges + [chord])
     return graph_complex(n, edges), cycle_length
+
+
+def dense_cells(h) -> list[list[Polynomial]]:
+    """The entries of a `MixedHessian` as dense rows: its stored cells,
+    and the zero polynomial in every other cell."""
+    zero = Polynomial.zero(h.varset)
+    return [[row.get(j, zero) for j in range(h.ncols)] for row in h.cells]

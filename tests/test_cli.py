@@ -506,6 +506,11 @@ def test_family_perazzo_with_a_tail(capsys):
     assert result["polynomial"] == "x1*u^2 + x2*u*v + x3*v^2 + u^3 + v^3"
     assert result["parameters"]["tail"] == "u^3 + v^3"
     assert result["hessian_degenerate"] is True
+    # Only the determinant rung proves this rank exact: the torus-slice
+    # bound of this Hessian is 5 (test_hessians.py).
+    rank = result["hessian_rank"]
+    assert (rank["mode"], rank["exact"], rank["rank"]) == ("exact", True, 4)
+    assert rank["note"] == "vanishing symbolic determinant, sampled rank n-1"
 
 
 def test_family_perazzo_tail_of_the_wrong_degree(capsys):

@@ -13,6 +13,7 @@ import pytest
 from mixedhess import (
     GraphAlgebraClass,
     InvariantViolation,
+    Polynomial,
     SimplicialComplex,
     alternate_hilbert_closed_form,
     attach_leaf,
@@ -306,7 +307,7 @@ def test_incidence_matches_bigraded_block():
         alg = build_algebra(dual_generator(graph))
         block = bigraded_hessian(alg, (0, 1), (1, 0))
         assert direct.shape == block.shape
-        assert direct.entries == block.entries
+        assert direct.cells == block.cells
 
 
 def test_triangle_incidence_determinant():
@@ -425,6 +426,26 @@ def test_detect_complete_multipartite_negatives():
 def test_grid_witness_rejects_a_bad_grid(pairs, message, config):
     with pytest.raises(ValueError, match=re.escape(message)):
         grid_noninjectivity_witness(turan_complex((2, 2, 2)), pairs, config)
+
+
+@pytest.mark.parametrize(
+    "facet, column",
+    [(0, "ua1*ub1"), (3, "ua1*ub2"), (5, "ua2*ub1"), (7, "ua2*ub2")],
+)
+def test_grid_witness_rejects_a_syzygy_that_fails(facet, column, config):
+    # Doubling one facet's term doubles its row of the block, so the
+    # syzygy fails on the columns of that facet's vertex pairs; the error
+    # names the first of them in column order.
+    comp = turan_complex((2, 2, 2))
+    f = dual_generator(comp)
+    terms = dict(f.terms)
+    term = next(e for e in terms if e[facet])
+    terms[term] *= 2
+    alg = build_algebra(Polynomial(f.varset, terms))
+    pairs = grid_pairs_for((("a1", "a2"), ("b1", "b2"), ("c1", "c2")))
+    with pytest.raises(InvariantViolation) as err:
+        grid_noninjectivity_witness(comp, pairs, config, alg)
+    assert str(err.value) == f"syzygy fails on column {column}"
 
 
 def test_grid_pairs_for_rejects_a_short_group():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mixedhess import (
     MixedHessian,
@@ -37,14 +37,14 @@ from mixedhess import (
     symbolic_det,
     turan_complex,
 )
-from mixedhess import hessians
+from mixedhess import families, hessians
 from mixedhess.cli import _complex_from_json
 from mixedhess.families import _cubic_base
 from mixedhess.hessians import _entries, _slice_bound, _torus_slice
 from mixedhess.lefschetz import wlp_criterion_matrix
 from mixedhess.linalg import matrix_rank
 
-from conftest import dense_random_form, densify, rational_random_form
+from conftest import dense_cells, dense_random_form, densify, rational_random_form
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -96,7 +96,7 @@ def test_generic_rank_empty_and_constant(config):
     one = (1,)
     const = MixedHessian(
         vs,
-        ((parse_polynomial("1", vs), parse_polynomial("2", vs)),),
+        ({0: parse_polynomial("1", vs), 1: parse_polynomial("2", vs)},),
         (one,),
         (one, one),
         "hessian",
@@ -113,12 +113,14 @@ def test_generic_rank_square_symbolic_routes(config):
     x = parse_polynomial("x", vs)
     y = parse_polynomial("y", vs)
     one = (1, 0)
-    h = MixedHessian(vs, ((x, y), (x, y)), (one, one), (one, one), "hessian", (1, 1))
+    h = MixedHessian(
+        vs, ({0: x, 1: y}, {0: x, 1: y}), (one, one), (one, one), "hessian", (1, 1)
+    )
     cert = generic_rank(h, config)
     assert cert.rank == 1
     assert cert.is_exact
     regular = MixedHessian(
-        vs, ((x, y), (y, x)), (one, one), (one, one), "hessian", (1, 1)
+        vs, ({0: x, 1: y}, {0: y, 1: x}), (one, one), (one, one), "hessian", (1, 1)
     )
     cert = generic_rank(regular, config)
     assert cert.rank == 2
@@ -128,14 +130,10 @@ def test_generic_rank_square_symbolic_routes(config):
 def test_generic_rank_probabilistic_above_cap():
     vs = VarSet(("x",))
     x = parse_polynomial("x", vs)
-    zero = parse_polynomial("0", vs)
     n = 14  # larger than the symbolic cap
     one = (1,)
-    entries = tuple(
-        tuple(x if (i == j and i < n - 1) else zero for j in range(n))
-        for i in range(n)
-    )
-    h = MixedHessian(vs, entries, (one,) * n, (one,) * n, "hessian", (1, 1))
+    cells = tuple({i: x} if i < n - 1 else {} for i in range(n))
+    h = MixedHessian(vs, cells, (one,) * n, (one,) * n, "hessian", (1, 1))
     config = SamplingConfig(seed=1, trials=5)
     cert = generic_rank(h, config)
     assert cert.rank == n - 1
@@ -267,10 +265,10 @@ def test_entries_match_oracle_on_sparse_forms(f):
         for l in range(d + 1 - k):
             h = mixed_hessian(alg, k, l)
             _assert_entries_match_oracle(
-                h.entries, alg.f, alg.quotient_basis(k), alg.quotient_basis(l)
+                dense_cells(h), alg.f, alg.quotient_basis(k), alg.quotient_basis(l)
             )
     basis = alg.quotient_basis(1)
-    assert _entries(alg.f, basis, ()) == ((),) * len(basis)
+    assert _entries(alg.f, basis, ()) == ({},) * len(basis)
     assert _entries(alg.f, (), basis) == ()
 
 
@@ -278,7 +276,8 @@ def _dense_max_entry_degree(h):
     """The largest degree over every cell, zero cells skipped; 0 when
     every cell is zero."""
     return max(
-        (p.degree() for row in h.entries for p in row if not p.is_zero()), default=0
+        (p.degree() for row in dense_cells(h) for p in row if not p.is_zero()),
+        default=0,
     )
 
 
@@ -330,7 +329,7 @@ def test_max_entry_degree_of_a_zero_matrix(four_cycle_alg):
     # f has x-degree 1, so X^g f = 0 for every g of bidegree (2, 0).
     h = bigraded_hessian(four_cycle_alg, (1, 0), (1, 0))
     assert h.shape == (4, 4)
-    assert all(p.is_zero() for row in h.entries for p in row)
+    assert all(p.is_zero() for row in dense_cells(h) for p in row)
     assert h.max_entry_degree() == _dense_max_entry_degree(h) == 0
 
 
@@ -342,7 +341,7 @@ def test_bigraded_entries_match_oracle(sample):
     for r, rows_b in pieces.items():
         for c, cols_b in pieces.items():
             block = bigraded_hessian(alg, r, c)
-            _assert_entries_match_oracle(block.entries, alg.f, rows_b, cols_b)
+            _assert_entries_match_oracle(dense_cells(block), alg.f, rows_b, cols_b)
 
 
 @pytest.mark.parametrize(
@@ -355,7 +354,10 @@ def test_perazzo_hessian_entries_match_oracle(config, names, partials):
     f = perazzo_form(forms, config=config).polynomial
     n = f.varset.size
     units = tuple(tuple(int(t == i) for t in range(n)) for i in range(n))
-    _assert_entries_match_oracle(_entries(f, units, units), f, units, units)
+    h = MixedHessian(
+        f.varset, _entries(f, units, units), units, units, "hessian", (1, 1)
+    )
+    _assert_entries_match_oracle(dense_cells(h), f, units, units)
 
 
 # -- the sparse dual build against the per-cell oracle ------------------------
@@ -367,6 +369,7 @@ def _oracle_dual_entries(alg, l, k):
     d = alg.socle_degree
     inner = mixed_hessian(alg, d - l, k)
     inv = densify(alg.pairing_inverse(l), alg.dim(l))
+    inner_entries = dense_cells(inner)
     zero = Polynomial.zero(alg.f.varset)
     entries = []
     for i in range(len(alg.quotient_basis(l))):
@@ -376,7 +379,7 @@ def _oracle_dual_entries(alg, l, k):
             for t in range(inner.nrows):
                 c = inv[t][i]
                 if c:
-                    acc = acc + inner.entries[t][j].scale(c)
+                    acc = acc + inner_entries[t][j].scale(c)
             row.append(acc)
         entries.append(tuple(row))
     return tuple(entries)
@@ -393,7 +396,7 @@ def test_dual_entries_match_per_cell_oracle(catalog, name):
     d = alg.socle_degree
     for l in range(d + 1):
         for k in range(l + 1):
-            entries = dual_mixed_hessian(alg, l, k).entries
+            entries = dense_cells(dual_mixed_hessian(alg, l, k))
             oracle = _oracle_dual_entries(alg, l, k)
             assert len(entries) == len(oracle)
             for row, expected_row in zip(entries, oracle):
@@ -515,6 +518,22 @@ def test_slice_bound_meets_the_sampled_rank(name, config):
             assert cert.note == "sampled rank met the torus-slice bound"
 
 
+@pytest.mark.parametrize(
+    "partials, tail, bound",
+    [("u^2; u*v; v^2", "u^3 + v^3", 5), ("u^3; u^2*v; u*v^2; v^3", None, 4)],
+)
+def test_slice_bound_on_perazzo_hessians(partials, tail, bound, config):
+    # Both Perazzo forms have a (1, 1) Hessian of generic rank 4.  The
+    # bound meets it without the tail only, so with the tail the
+    # determinant rung is the one proof of the rank.
+    vs = VarSet(("u", "v"))
+    forms = [parse_polynomial(t, vs) for t in partials.split("; ")]
+    f = perazzo_form(forms, tail and parse_polynomial(tail, vs), config).polynomial
+    h = mixed_hessian(build_algebra(f), 1, 1)
+    assert _slice_bound(h) == bound
+    assert generic_rank(h, config).rank == 4
+
+
 def _grid_witness(name, config):
     if name.startswith("even"):
         return even_counterexample(4, int(name.split("-")[-1]), config).witness
@@ -566,3 +585,82 @@ def test_a_deficient_cell_takes_one_point_rank(name, config, monkeypatch):
     cert = generic_rank(h, config)
     assert cert.rank < min(h.shape) and cert.is_exact
     assert len(calls) == 1
+
+
+# -- sparse cells ---------------------------------------------------------------
+
+
+def _assert_cells_match(h, oracle):
+    """h stores nonzero polynomials only, and its cells, with the zero
+    polynomial everywhere else, are the oracle's dense matrix."""
+    assert len(h.cells) == h.nrows
+    for row in h.cells:
+        assert all(0 <= j < h.ncols for j in row)
+        assert all(isinstance(p, Polynomial) and p.terms for p in row.values())
+    assert dense_cells(h) == [list(row) for row in oracle]
+
+
+@st.composite
+def _perazzo_inputs(draw):
+    """2-3 forms of one degree 1-3 in 2-3 variables with 1-3 terms each,
+    and a tail of degree one more or none."""
+    n, e = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    vs = VarSet(("u", "v", "w")[:n])
+    coeff = st.fractions(-9, 9, max_denominator=4).filter(bool)
+
+    def form(degree):
+        monomial = st.lists(
+            st.integers(0, n - 1), min_size=degree, max_size=degree
+        ).map(lambda picks: tuple(picks.count(i) for i in range(n)))
+        terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3))
+        return Polynomial(vs, terms)
+
+    forms = [form(e) for _ in range(draw(st.integers(2, 3)))]
+    return forms, draw(st.none() | st.just(e + 1).map(form))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_slice_forms(), _perazzo_inputs())
+def test_stored_cells_are_the_nonzero_cells_of_the_oracle(f, perazzo):
+    alg = build_algebra(f)
+    d = alg.socle_degree
+    for k in range(d + 1):
+        for l in range(d + 1 - k):
+            h = mixed_hessian(alg, k, l)
+            _assert_cells_match(h, _oracle_entries(alg.f, h.row_basis, h.col_basis))
+        for j in range(k + 1):
+            h = dual_mixed_hessian(alg, k, j)
+            _assert_cells_match(h, _oracle_dual_entries(alg, k, j))
+    if alg.varset.blocks is not None:
+        pieces = bigraded_decomposition(alg).pieces
+        for r in pieces:
+            for c in pieces:
+                h = bigraded_hessian(alg, r, c)
+                _assert_cells_match(h, _oracle_entries(alg.f, pieces[r], pieces[c]))
+
+    # perazzo_form's Jacobian and Hessian, as it hands them to generic_rank.
+    forms, tail = perazzo
+    built = []
+
+    def recording(h, config):
+        built.append(h)
+        return generic_rank(h, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "generic_rank", recording)
+        try:
+            g = perazzo_form(forms, tail, SamplingConfig(seed=0, trials=2)).polynomial
+        except ValueError:  # linearly dependent forms
+            assume(False)
+    jac, hess = built
+    n = forms[0].varset.size
+    _assert_cells_match(jac, [[p.partial(j) for j in range(n)] for p in forms])
+    _assert_cells_match(hess, _oracle_entries(g, hess.row_basis, hess.col_basis))
+
+
+def test_odd_11_16_criterion_stores_its_nonzero_cells():
+    # 7,392 of the 1,092 x 1,092 cells are nonzero (0.62%).
+    alg = build_algebra(odd_counterexample(11, 16, verify="none").polynomial)
+    h = wlp_criterion_matrix(alg)
+    assert h.shape == (1092, 1092)
+    assert sum(map(len, h.cells)) == 7392

@@ -30,7 +30,7 @@ from mixedhess.linalg import (
     sparse_rref,
 )
 
-from conftest import dense_inverse, dense_random_form, dense_rref
+from conftest import dense_cells, dense_inverse, dense_random_form, dense_rref
 
 
 def _random_matrix(rng, nrows, ncols, bound=9):
@@ -206,7 +206,7 @@ def test_rank_at_matches_oracle_on_dual_hessians(point):
             h = dual_mixed_hessian(alg, l, k)
             fractional |= any(
                 c.denominator != 1
-                for row in h.entries for p in row for c in p.terms.values()
+                for row in h.cells for p in row.values() for c in p.terms.values()
             )
             assert rank_at(h, point) == _bareiss_rank(evaluate_matrix(h, point))
     assert fractional
@@ -226,17 +226,16 @@ def _bihomogeneous_form(rng):
 
 def _shared_entry_matrix():
     """A hand-built matrix in which one Fraction-coefficient polynomial
-    object fills cells of all three rows, and one zero object the rest.
-    The third row is the sum of the first two, so the rank is 2, and
-    only a scaling by whole rows keeps that: p has denominators 2 and
-    3, q has 5."""
+    object fills cells of all three rows, and the cells not stored are
+    zero.  The third row is the sum of the first two, so the rank is 2,
+    and only a scaling by whole rows keeps that: p has denominators 2
+    and 3, q has 5."""
     vs = VarSet(("x1", "x2", "x3", "x4"))
     p = Polynomial(vs, {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 1, 0): Fraction(-2, 3)})
     q = Polynomial(vs, {(0, 0, 0, 2): Fraction(1, 5), (1, 1, 0, 0): 1})
-    zero = Polynomial.zero(vs)
-    entries = ((p, q, zero, p), (zero, p, p, q), (p, p + q, p, p + q))
+    cells = ({0: p, 1: q, 3: p}, {1: p, 2: p, 3: q}, {0: p, 1: p + q, 2: p, 3: p + q})
     m = (1, 0, 0, 0)
-    return MixedHessian(vs, entries, (m,) * 3, (m,) * 4, "hessian", (1, 1))
+    return MixedHessian(vs, cells, (m,) * 3, (m,) * 4, "hessian", (1, 1))
 
 
 @_ORACLE_POINTS
@@ -256,7 +255,7 @@ def test_rank_at_matches_oracle_on_plain_bigraded_and_shared_entries(point):
     for h in matrices:
         assert rank_at(h, point) == _bareiss_rank(evaluate_matrix(h, point))
     shared = matrices[-1]
-    assert shared.entries[0][0] is shared.entries[1][2] is shared.entries[2][0]
+    assert shared.cells[0][0] is shared.cells[1][2] is shared.cells[2][0]
     assert rank_at(shared, point) == 2
 
 
@@ -265,18 +264,20 @@ def test_rank_at_scales_exactly():
     x, y, one = (parse_polynomial(t, vs) for t in ("x", "y", "1"))
     m = (1, 0)
 
-    def hessian(entries):
-        return MixedHessian(vs, entries, (m, m), (m, m), "hessian", (1, 1))
+    def hessian(cells):
+        return MixedHessian(vs, cells, (m, m), (m, m), "hessian", (1, 1))
 
     # [[x, 1], [1, y]] is singular at (1/2, 2); scaling the point alone
     # to (1, 4) would make it regular.
-    h = hessian(((x, one), (one, y)))
+    h = hessian(({0: x, 1: one}, {0: one, 1: y}))
     assert rank_at(h, (Fraction(1, 2), 2)) == 1
     assert rank_at(h, (Fraction(1, 2), 3)) == 2
     # The second row is twice the first; dropping the coefficient
     # denominators would make the rows independent.
     half, third = Fraction(1, 2), Fraction(1, 3)
-    h = hessian(((x.scale(half), y.scale(third)), (x, y.scale(2 * third))))
+    h = hessian(
+        ({0: x.scale(half), 1: y.scale(third)}, {0: x, 1: y.scale(2 * third)})
+    )
     assert rank_at(h, (5, 7)) == 1
 
 
@@ -286,10 +287,9 @@ def _vanishing_cells_matrix():
     they evaluate to 0 wherever x = y, and there the third row is 0."""
     vs = VarSet(("x", "y", "z"))
     x, y, z, one = (parse_polynomial(t, vs) for t in ("x", "y", "z", "1"))
-    zero = Polynomial.zero(vs)
     m = (1, 0, 0)
-    entries = ((x - y, one, zero), (z, x - y, one), (x - y, x - y, zero))
-    return MixedHessian(vs, entries, (m,) * 3, (m,) * 3, "hessian", (1, 1))
+    cells = ({0: x - y, 1: one}, {0: z, 1: x - y, 2: one}, {0: x - y, 1: x - y})
+    return MixedHessian(vs, cells, (m,) * 3, (m,) * 3, "hessian", (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +304,7 @@ def _vanishing_cells_matrix():
 )
 def test_rank_at_with_cells_that_vanish_at_the_point(monkeypatch, point, rank):
     h = _vanishing_cells_matrix()
-    assert all(p.terms for row in h.entries for p in row[:2])
+    assert all(p.terms for row in dense_cells(h) for p in row[:2])
     seen = []
 
     def recording(rows):
