@@ -44,12 +44,7 @@ from .complexes import (
     without_face,
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
-from .hessians import (
-    MixedHessian,
-    RankCertificate,
-    _entries,
-    generic_rank,
-)
+from .hessians import RankCertificate, _hessian_of, generic_rank
 from .lefschetz import slp_check, wlp_criterion_matrix
 from .linalg import RowSpace, matrix_rank
 from .polyring import (
@@ -365,28 +360,18 @@ def perazzo_form(
             terms[key] = terms.get(key, Fraction(0)) + c
     f = Polynomial(vs, terms)
 
-    # Jacobian of the g_i in their own variables, wrapped for rank work.
-    jac_cells = tuple(
-        {j: p for j, p in enumerate(map(g.partial, range(uvs.size))) if p.terms}
-        for g in partials
+    # Both matrices are Hessians of f, so both get the torus-slice rung:
+    # the Jacobian of the g_i is the block of f's (1, 1) Hessian with rows
+    # on the front variables and columns on the g_i's variables, since
+    # d/du_j g_i = d/dx_i d/du_j f.  Algebra-free, so degenerate inputs
+    # are reported rather than mangled.
+    units = tuple(_unit(vs.size, i) for i in range(vs.size))
+    cert = generic_rank(
+        _hessian_of(f, units[:s], units[s:], "jacobian", (1, e - 1)), config
     )
-    unit_rows = tuple(_unit(s, i) for i in range(s))
-    unit_cols = tuple(_unit(uvs.size, j) for j in range(uvs.size))
-    jac = MixedHessian(
-        uvs, jac_cells, unit_rows, unit_cols, "jacobian", (1, e - 1)
-    )
-    cert = generic_rank(jac, config)
     dependent = cert.rank < s
-
-    # Second-partials matrix of the combined form over every variable,
-    # algebra-free so degenerate inputs are reported rather than mangled.
-    n = vs.size
-    units = tuple(_unit(n, i) for i in range(n))
-    hess = MixedHessian(
-        vs, _entries(f, units, units), units, units, "hessian", (1, 1)
-    )
-    hess_cert = generic_rank(hess, config)
-    degenerate = hess_cert.rank < n
+    hess_cert = generic_rank(_hessian_of(f, units, units, "hessian", (1, 1)), config)
+    degenerate = hess_cert.rank < vs.size
 
     notes: list[str] = []
     if not dependent:

@@ -26,51 +26,58 @@ through an integer index of the cells built once per matrix, and
 hands the rank loop only the cells that are nonzero at the point.  The
 dual matrix adds up the cells of the plain one.
 
+Every matrix whose cells are derivatives of a polynomial f is built by
+one constructor, `_hessian_of`, which records f on the matrix as its
+`generator`: the mixed and dual Hessians, bigraded blocks, and the
+Perazzo Hessian and Jacobian of `families`.  Matrices without a
+generator are built by hand (tests, and the graph-side oracle
+`complexes.incidence_gradient_matrix`).
+
 Rank questions about these matrices are answered by `generic_rank`,
 which is exact whenever it can be and otherwise reports a sampled rank
 together with a Schwartz-Zippel failure bound.  Its ladder, in order:
 empty or constant matrices; a sampled rank that reaches min(shape); a
-sampled rank that meets the torus-slice bound below (mixed and
-bigraded Hessians only); a symbolic determinant, for square matrices
-up to a size cap; the probabilistic label.
+sampled rank that meets the torus-slice bound below (every matrix with
+a generator); a symbolic determinant, for square matrices up to a size
+cap; the probabilistic label.
 
 The torus-slice bound.  Let G be the torus of the t in (C*)^n with
-t^e the same value lambda(t) for every term e of f.  An entry of a
-mixed or bigraded Hessian is X^(a+b) f for row and column monomials a
-and b, and X^g f(t.x) = lambda(t) t^(-g) X^g f(x) for t in G, so
+t^e the same value lambda(t) for every term e of f.  A cell of a matrix
+built from f is X^(a+b) f for row and column monomials a and b, and
+X^g f(t.x) = lambda(t) t^(-g) X^g f(x) for t in G, so
 H(t.x) = lambda(t) D_r(t) H(x) D_c(t) with invertible diagonal D_r and
-D_c: the rank is constant on G-orbits.  Let m be the rank of the term
-differences e - e_0 and J a set of m variables on whose columns those
-differences still have rank m.  Every x in (C*)^n is G-equivalent to a
-point with x_k = 1 for k outside J: taking t_k = 1/x_k there, the
-conditions t^(e - e_0) = 1 ask the columns J to solve a linear system
-in log t whose right-hand side lies in the column space of the
-differences, which the columns J span.  So the generic rank of H is the
-generic rank of its slice, H with x_k = 1 outside J, a matrix over
-Q[x_J].  Write the slice as a constant matrix C: one row per line of
-the smaller side of H, one column per (index on the other side, slice
-monomial), holding the coefficient of that monomial.  A constant
-vector v with v C = 0 has v H = 0 on the slice, and constant vectors
-independent over Q stay independent over Q(x_J); so the generic rank
-is at most rank(C).  A sampled rank that meets rank(C) is therefore the
-generic rank.  J is taken greedily with the variables in fewest terms
-first (`_torus_slice`), which closes every deficient cell the
-repository ships; another valid J gives another valid, possibly looser,
-bound.  The bound is computed only after a sampled point falls short of
-min(shape), so full-rank cells never pay for it.
+D_c: the rank is constant on G-orbits.  The dual Hessian is P H with P
+constant and invertible, so the same holds for it, and its rank at each
+point and its rank(C) below are those of H.  Let m be the rank of the
+term differences e - e_0 and J a set of m variables on whose columns
+those differences still have rank m.  Every x in (C*)^n is
+G-equivalent to a point with x_k = 1 for k outside J: taking
+t_k = 1/x_k there, the conditions t^(e - e_0) = 1 ask the columns J to
+solve a linear system in log t whose right-hand side lies in the column
+space of the differences, which the columns J span.  So the generic
+rank of H is the generic rank of its slice, H with x_k = 1 outside J, a
+matrix over Q[x_J].  Write the slice as a constant matrix C: one row
+per line of the smaller side of H, one column per (index on the other
+side, slice monomial), holding the coefficient of that monomial.  A
+constant vector v with v C = 0 has v H = 0 on the slice, and constant
+vectors independent over Q stay independent over Q(x_J); so the
+generic rank is at most rank(C).  A sampled rank that meets rank(C) is
+therefore the generic rank.  J is taken greedily with the variables in
+fewest terms first (`_torus_slice`), which closes every deficient cell
+the repository ships; another valid J gives another valid, possibly
+looser, bound.  The bound is computed only after a sampled point falls
+short of min(shape), so full-rank cells never pay for it.
 
 Each matrix and each answer about it is computed once per algebra.
 `mixed_hessian` caches the order-(k, l) matrix on the algebra, so the
 Hessian ranks of a report, its WLP and SLP checks and the dual Hessians
 all read one object.  That object memoizes its rank at each point, its
-`generic_rank` certificate per `SamplingConfig`, and whether its
-symbolic determinant vanishes.  Each is a pure function of the matrix
-and its key (the sampled points come from an RNG seeded by the config
-and the matrix's kind, orders and shape), so a memoized answer is the
-one a fresh computation would give.  The torus-slice bound is memoized
-on the matrix too, and the slice variables sit in the algebra's Hessian
-cache.  The caches live on per-report objects: nothing is shared
-between algebras.
+`generic_rank` certificate per `SamplingConfig`, whether its symbolic
+determinant vanishes, and its torus-slice bound.  Each is a pure
+function of the matrix and its key (the sampled points come from an RNG
+seeded by the config and the matrix's kind, orders and shape), so a
+memoized answer is the one a fresh computation would give.  The caches
+live on per-report objects: nothing is shared between algebras.
 """
 
 from __future__ import annotations
@@ -109,7 +116,9 @@ class RankCertificate(NamedTuple):
     bound rank(C), or a symbolic determinant decided it) and
     "probabilistic" when it is the maximum rank seen over sampled
     points; in the latter case failure_bound bounds the probability
-    that the true generic rank is larger.
+    that the true generic rank is larger.  trials and sample_bound echo
+    the configured sampling budget, not the number of points ranked:
+    an exact certificate can stop after one point.
     """
 
     rank: int
@@ -133,11 +142,14 @@ class MixedHessian:
     the exponent tuples of the monomials indexing each side; for kind
     "dual" the rows stand for the dual-basis elements of those
     monomials.  orders records (k, l) for graded matrices and the pair
-    of bidegrees for bigraded blocks.  Two matrices compare by identity.
+    of bidegrees for bigraded blocks.  generator is the polynomial f
+    whose derivatives fill the cells (`_hessian_of` sets it), for the
+    torus-slice rung of `generic_rank`; None for a matrix built by hand.
+    Two matrices compare by identity.
     """
 
     def __init__(
-        self, varset, cells, row_basis, col_basis, kind, orders, algebra=None
+        self, varset, cells, row_basis, col_basis, kind, orders, generator=None
     ):
         self.varset: VarSet = varset
         self.cells: tuple[dict[int, Polynomial], ...] = cells
@@ -145,10 +157,7 @@ class MixedHessian:
         self.col_basis: tuple[tuple[int, ...], ...] = col_basis
         self.kind: str = kind
         self.orders: tuple = orders
-        # The algebra whose generator's torus scales the rows and columns
-        # (`mixed_hessian` and `bigraded_hessian` set it), for the
-        # torus-slice rung of `generic_rank`; None for every other kind.
-        self.algebra: GradedAlgebra | None = algebra
+        self.generator: Polynomial | None = generator
         # Rank facts computed once per matrix: the rank at a point, keyed
         # by the point's tuple; the `generic_rank` certificate, keyed by
         # ("generic", config); whether the symbolic determinant vanishes,
@@ -202,14 +211,30 @@ def mixed_hessian(alg: GradedAlgebra, k: int, l: int) -> MixedHessian:
         raise ValueError(f"orders ({k}, {l}) out of range for socle degree {d}")
     h = alg._hessian_cache.get((k, l))
     if h is None:
-        rows_b = alg.quotient_basis(k)
-        cols_b = alg.quotient_basis(l)
-        cells = _entries(alg.f, rows_b, cols_b)
-        h = MixedHessian(
-            alg.f.varset, cells, rows_b, cols_b, "mixed", (k, l), alg
+        h = alg._hessian_cache[(k, l)] = _hessian_of(
+            alg.f, alg.quotient_basis(k), alg.quotient_basis(l), "mixed", (k, l)
         )
-        alg._hessian_cache[(k, l)] = h
     return h
+
+
+def _hessian_of(
+    f: Polynomial,
+    rows_b: Sequence[tuple[int, ...]],
+    cols_b: Sequence[tuple[int, ...]],
+    kind: str,
+    orders: tuple,
+    cells: tuple[dict[int, Polynomial], ...] | None = None,
+) -> MixedHessian:
+    """The matrix of f with rows rows_b and columns cols_b, its cells
+    X^(a+b) f (`_entries`) unless given, and f as its generator.  Every
+    matrix built from f comes through here, so each gets the
+    torus-slice rung; only the dual Hessian passes its own cells, P
+    times those of a plain Hessian (module docstring)."""
+    if cells is None:
+        cells = _entries(f, rows_b, cols_b)
+    return MixedHessian(
+        f.varset, cells, tuple(rows_b), tuple(cols_b), kind, orders, f
+    )
 
 
 def _entries(
@@ -270,13 +295,9 @@ def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
             row = rows[i]
             for j, p in inner_row.items():
                 row[j] = row[j] + p.scale(c) if j in row else p.scale(c)
-    return MixedHessian(
-        alg.f.varset,
-        tuple({j: row[j] for j in sorted(row) if row[j].terms} for row in rows),
-        alg.quotient_basis(l),
-        inner.col_basis,
-        "dual",
-        (l, k),
+    cells = tuple({j: row[j] for j in sorted(row) if row[j].terms} for row in rows)
+    return _hessian_of(
+        alg.f, alg.quotient_basis(l), inner.col_basis, "dual", (l, k), cells
     )
 
 
@@ -287,17 +308,13 @@ def bigraded_hessian(
 ) -> MixedHessian:
     """Block of the mixed Hessian with rows and columns restricted to
     quotient-basis monomials of the given bidegrees."""
-    dec = bigraded_decomposition(alg)
-    rows_b = dec.pieces.get(row_bidegree, ())
-    cols_b = dec.pieces.get(col_bidegree, ())
-    return MixedHessian(
-        alg.f.varset,
-        _entries(alg.f, rows_b, cols_b),
-        tuple(rows_b),
-        tuple(cols_b),
+    pieces = bigraded_decomposition(alg).pieces
+    return _hessian_of(
+        alg.f,
+        pieces.get(row_bidegree, ()),
+        pieces.get(col_bidegree, ()),
         "bigraded",
         (row_bidegree, col_bidegree),
-        alg,
     )
 
 
@@ -461,32 +478,27 @@ def _det_vanishes(h: MixedHessian, cap: int) -> bool | None:
     return vanishes
 
 
-def _torus_slice(alg: GradedAlgebra) -> tuple[int, ...]:
-    """The slice variables J of the generator f: a basis of the column
-    space of the term differences e - e_0, one column per variable,
-    taken greedily with the variables in fewest terms first (ties by
-    index).  A variable enters only when its column raises the rank of
-    the columns already in J, so J ends with m variables, m the rank of
-    the differences.  Computed once per algebra, kept in the algebra's
-    Hessian cache under "slice"."""
-    J = alg._hessian_cache.get("slice")
-    if J is None:
-        exps = list(alg.f.terms)
-        occurs = [sum(1 for e in exps if e[k]) for k in range(alg.varset.size)]
-        space = RowSpace()
-        chosen = []
-        for k in sorted(range(alg.varset.size), key=occurs.__getitem__):
-            rem = space.reduce({i: e[k] - exps[0][k] for i, e in enumerate(exps)})
-            if rem:
-                space.pivots[max(rem)] = rem
-                chosen.append(k)
-        J = alg._hessian_cache["slice"] = tuple(chosen)
-    return J
+def _torus_slice(f: Polynomial) -> tuple[int, ...]:
+    """The slice variables J of f: a basis of the column space of the
+    term differences e - e_0, one column per variable, taken greedily
+    with the variables in fewest terms first (ties by index).  A variable
+    enters only when its column raises the rank of the columns already
+    in J, so J ends with m variables, m the rank of the differences."""
+    exps = list(f.terms)
+    occurs = [sum(1 for e in exps if e[k]) for k in range(f.varset.size)]
+    space = RowSpace()
+    chosen = []
+    for k in sorted(range(f.varset.size), key=occurs.__getitem__):
+        rem = space.reduce({i: e[k] - exps[0][k] for i, e in enumerate(exps)})
+        if rem:
+            space.pivots[max(rem)] = rem
+            chosen.append(k)
+    return tuple(chosen)
 
 
 def _slice_bound(h: MixedHessian) -> int:
-    """rank(C), an upper bound on the generic rank of a mixed or
-    bigraded Hessian (see the module docstring).  Each row of C is one
+    """rank(C), an upper bound on the generic rank of a matrix with a
+    generator (see the module docstring).  Each row of C is one
     line of the smaller side of h, and its columns are keyed by (index on
     the other side, slice monomial): the coefficient sums of h's entries
     with x_k set to 1 outside J.  Rows of `_int_rows` carry different
@@ -494,7 +506,7 @@ def _slice_bound(h: MixedHessian) -> int:
     Memoized on the matrix."""
     bound = h._memo.get("slice")
     if bound is None:
-        J = _torus_slice(h.algebra)
+        J = _torus_slice(h.generator)
         by_row = h.nrows <= h.ncols
         lines: list[dict] = [{} for _ in range(min(h.shape))]
         for i, row in enumerate(h._int_rows):
@@ -514,7 +526,7 @@ def generic_rank(
 
     Exactness ladder: empty or constant matrices are decided directly;
     a sampled rank that reaches min(nrows, ncols) is already proof; for
-    a mixed or bigraded Hessian, the first point that falls short of it
+    a matrix with a generator, the first point that falls short of it
     computes the torus-slice bound (module docstring), an upper bound
     on the generic rank, and sampling stops at the first point that
     meets it; square matrices within the symbolic cap get an exact
@@ -554,7 +566,7 @@ def _generic_rank(h: MixedHessian, config: SamplingConfig) -> RankCertificate:
         best = max(best, rank_at(h, point))
         if best == bound:
             note = "sampled rank reached the dimension bound"
-        elif h.algebra is None or best < _slice_bound(h):
+        elif h.generator is None or best < _slice_bound(h):
             continue
         elif best == _slice_bound(h):
             note = "sampled rank met the torus-slice bound"

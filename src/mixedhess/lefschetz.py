@@ -23,10 +23,11 @@ multiplication by l^j from A_i to A_{i+j}.  A property is a list of such
 cells (i, j), decided by one routine: WLP is the cell (floor(d/2), 1),
 SLP the cells (k, d-2k) for k = 1..floor(d/2).
 
-A verdict is *exact* when it is witnessed by a point (positive) or by a
-symbolic certificate such as a vanishing determinant (negative), and
-*probabilistic* when it relies on sampled ranks alone, in which case
-the attached certificates carry failure bounds.
+A verdict is *exact* when it is witnessed by a point (positive) or by an
+exact rank certificate of the failing cell (negative): a sampled rank
+that met the cell's torus-slice bound, or a vanishing symbolic
+determinant.  It is *probabilistic* when it relies on sampled ranks
+alone, in which case the attached certificates carry failure bounds.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .hessians import (
     MixedHessian,
     RankCertificate,
     _det_vanishes,
+    _slice_bound,
     dual_mixed_hessian,
     evaluate_matrix,
     generic_rank,
@@ -250,13 +252,14 @@ def _decide(
     does the property holds without a witness.
 
     The witness search stops at the first point where a cell loses rank
-    if that cell is square, within the symbolic cap, and its symbolic
-    determinant vanishes identically: then it is singular at every point
-    and no later point can be a witness.  The stop is exact, so the
-    verdict is the one the full search gives.  A cell with a nonzero
-    determinant never stops it.  The negative branch certifies the cell
-    through `generic_rank`, whose torus-slice rung or memoized
-    determinant makes a deficient cell exact."""
+    if that cell is proven short of full rank at every point: its
+    symbolic determinant vanishes identically (square cells within the
+    symbolic cap, tested first), or its torus-slice bound, an upper
+    bound on its generic rank, is below min(shape).  Then no later point
+    can be a witness, so the verdict is the one the full search gives.
+    The negative branch certifies the cell through `generic_rank`, whose
+    memoized torus-slice bound or determinant makes a deficient cell
+    exact."""
     mats = [_cell_hessian(alg, i, j) for i, j, *_ in cells]
     notes: list[str] = []
     points = sample_points(alg, config, f"{name.lower()}-witness")
@@ -283,7 +286,10 @@ def _decide(
                 name, True, witness, evidence, "exact", profile, None,
                 config.trials, config.seed, tuple(notes),
             )
-        if _det_vanishes(short, config.symbolic_cap):
+        if (
+            _det_vanishes(short, config.symbolic_cap)
+            or _slice_bound(short) < min(short.shape)
+        ):
             break
 
     evidence = []

@@ -270,15 +270,6 @@ class Polynomial:
 
     # -- calculus ------------------------------------------------------
 
-    def partial(self, var_index: int) -> "Polynomial":
-        out = {}
-        for e, c in self.terms.items():
-            k = e[var_index]
-            if k:
-                key = e[:var_index] + (k - 1,) + e[var_index + 1 :]
-                out[key] = out.get(key, _ZERO) + c * k
-        return _raw(self.varset, {e: c for e, c in out.items() if c})
-
     def evaluate(self, point: Sequence) -> Fraction:
         """Value at the point, as a Fraction.  Int coordinates stay ints,
         so at an integer point each term costs one Fraction multiply."""

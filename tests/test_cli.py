@@ -513,6 +513,21 @@ def test_family_perazzo_with_a_tail(capsys):
     assert rank["note"] == "vanishing symbolic determinant, sampled rank n-1"
 
 
+def test_family_perazzo_cubic_partials_rank_is_exact(capsys):
+    # The Hessian of x1*u^3 + x2*u^2*v + x3*u*v^2 + x4*v^3 is a Hessian of
+    # the generator, so it gets the torus-slice rung: its bound 4 meets
+    # the sampled rank.
+    code, out = _run(capsys, [
+        "family", "perazzo", "--partials", "u^3; u^2*v; u*v^2; v^3", "--seed", "1",
+    ])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["hessian_degenerate"] is True
+    rank = result["hessian_rank"]
+    assert (rank["mode"], rank["exact"], rank["rank"]) == ("exact", True, 4)
+    assert rank["note"] == "sampled rank met the torus-slice bound"
+
+
 def test_family_perazzo_tail_of_the_wrong_degree(capsys):
     code = main([
         "family", "perazzo", "--partials", "u^2; u*v; v^2", "--tail", "u^2",

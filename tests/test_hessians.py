@@ -344,19 +344,32 @@ def test_bigraded_entries_match_oracle(sample):
             _assert_entries_match_oracle(dense_cells(block), alg.f, rows_b, cols_b)
 
 
+def _perazzo_matrices(forms, tail, config):
+    """perazzo_form's polynomial, Jacobian and Hessian, as it hands the
+    two matrices to generic_rank."""
+    built = []
+
+    def recording(h, config):
+        built.append(h)
+        return generic_rank(h, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "generic_rank", recording)
+        f = perazzo_form(forms, tail, config).polynomial
+    jac, hess = built
+    return f, jac, hess
+
+
 @pytest.mark.parametrize(
     "names, partials", [("uv", "u^2; u*v; v^2"), ("uvw", "u^2; v^2; w^2")]
 )
 def test_perazzo_hessian_entries_match_oracle(config, names, partials):
-    # perazzo_form builds its (1, 1) Hessian with _entries on these units.
     vs = VarSet(tuple(names))
     forms = [parse_polynomial(t, vs) for t in partials.split("; ")]
-    f = perazzo_form(forms, config=config).polynomial
+    f, _, h = _perazzo_matrices(forms, None, config)
     n = f.varset.size
     units = tuple(tuple(int(t == i) for t in range(n)) for i in range(n))
-    h = MixedHessian(
-        f.varset, _entries(f, units, units), units, units, "hessian", (1, 1)
-    )
+    assert h.row_basis == h.col_basis == units
     _assert_entries_match_oracle(dense_cells(h), f, units, units)
 
 
@@ -435,33 +448,64 @@ def _slice_forms(draw):
     return Polynomial(VarSet(names, blocks), terms)
 
 
+@st.composite
+def _perazzo_inputs(draw):
+    """2-3 forms of one degree 1-3 in 2-3 variables with 1-3 terms each,
+    and a tail of degree one more or none."""
+    n, e = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    vs = VarSet(("u", "v", "w")[:n])
+    coeff = st.fractions(-9, 9, max_denominator=4).filter(bool)
+
+    def form(degree):
+        monomial = st.lists(
+            st.integers(0, n - 1), min_size=degree, max_size=degree
+        ).map(lambda picks: tuple(picks.count(i) for i in range(n)))
+        terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3))
+        return Polynomial(vs, terms)
+
+    forms = [form(e) for _ in range(draw(st.integers(2, 3)))]
+    return forms, draw(st.none() | st.just(e + 1).map(form))
+
+
 # x1 has one exponent in every term, so its column of differences is
 # zero and it must stay out of J: the slice x2 = x3 = 1 lies in the zero
 # locus of (x2 - x3)^2, where the (1, 1) Hessian drops to rank 1.
 _FIXED_X1 = "x1*x2^3*x3 - 2*x1*x2^2*x3^2 + x1*x2*x3^3"
 
 
+_UV = VarSet(("u", "v"))
+_CUBIC_PARTIALS = [parse_polynomial(t, _UV) for t in ("u^3", "u^2*v", "u*v^2", "v^3")]
+
+
 @settings(max_examples=60, deadline=None)
-@given(_slice_forms(), st.integers(0, 2**32 - 1))
-@example(parse_polynomial(_FIXED_X1), 0)
-def test_slice_bound_is_never_below_a_sampled_rank(f, seed):
+@given(_slice_forms(), _perazzo_inputs(), st.integers(0, 2**32 - 1))
+@example(parse_polynomial(_FIXED_X1), (_CUBIC_PARTIALS, None), 0)
+def test_slice_bound_is_never_below_a_sampled_rank(f, perazzo, seed):
     # rank(C) bounds the generic rank from above, and the rank at any
-    # point is at most the generic rank.
+    # point is at most the generic rank.  Every matrix with a generator
+    # is checked: mixed, dual and bigraded Hessians, and perazzo_form's
+    # Jacobian block and Hessian.
     rng = random.Random(seed)
     alg = build_algebra(f)
     d = alg.socle_degree
     cells = [mixed_hessian(alg, k, l) for k in range(d + 1) for l in range(d + 1 - k)]
+    cells += [dual_mixed_hessian(alg, l, k) for l in range(d + 1) for k in range(l + 1)]
     if alg.varset.blocks is not None:
         pieces = bigraded_decomposition(alg).pieces
         cells += [bigraded_hessian(alg, r, c) for r in pieces for c in pieces]
+    try:
+        cells += _perazzo_matrices(*perazzo, SamplingConfig(seed=0, trials=2))[1:]
+    except ValueError:  # linearly dependent forms
+        pass
     for h in cells:
-        point = [rng.randint(-50, 50) for _ in range(alg.varset.size)]
+        assert h.generator is not None
+        point = [rng.randint(-50, 50) for _ in range(h.varset.size)]
         assert rank_at(h, point) <= _slice_bound(h) <= min(h.shape)
 
 
 def test_torus_slice_keeps_only_variables_that_raise_the_rank():
     alg = build_algebra(parse_polynomial(_FIXED_X1))
-    assert _torus_slice(alg) == (1,)
+    assert _torus_slice(alg.f) == (1,)
     assert _slice_bound(mixed_hessian(alg, 1, 1)) == 3
 
 
@@ -473,7 +517,7 @@ def test_dual_generator_slice_holds_only_facet_variables(path):
     # 1, which keeps the grid syzygy constant.
     comp = _complex_from_json(path.read_text())
     alg = build_algebra(dual_generator(comp))
-    assert _torus_slice(alg) == tuple(range(len(comp.facets) - 1))
+    assert _torus_slice(alg.f) == tuple(range(len(comp.facets) - 1))
 
 
 def _tight_generators():
@@ -526,12 +570,12 @@ def test_slice_bound_on_perazzo_hessians(partials, tail, bound, config):
     # Both Perazzo forms have a (1, 1) Hessian of generic rank 4.  The
     # bound meets it without the tail only, so with the tail the
     # determinant rung is the one proof of the rank.
-    vs = VarSet(("u", "v"))
-    forms = [parse_polynomial(t, vs) for t in partials.split("; ")]
-    f = perazzo_form(forms, tail and parse_polynomial(tail, vs), config).polynomial
-    h = mixed_hessian(build_algebra(f), 1, 1)
+    forms = [parse_polynomial(t, _UV) for t in partials.split("; ")]
+    _, _, h = _perazzo_matrices(forms, tail and parse_polynomial(tail, _UV), config)
     assert _slice_bound(h) == bound
-    assert generic_rank(h, config).rank == 4
+    cert = generic_rank(h, config)
+    assert (cert.rank, cert.is_exact) == (4, True)
+    assert (cert.note == "sampled rank met the torus-slice bound") == (bound == 4)
 
 
 def _grid_witness(name, config):
@@ -600,25 +644,6 @@ def _assert_cells_match(h, oracle):
     assert dense_cells(h) == [list(row) for row in oracle]
 
 
-@st.composite
-def _perazzo_inputs(draw):
-    """2-3 forms of one degree 1-3 in 2-3 variables with 1-3 terms each,
-    and a tail of degree one more or none."""
-    n, e = draw(st.integers(2, 3)), draw(st.integers(1, 3))
-    vs = VarSet(("u", "v", "w")[:n])
-    coeff = st.fractions(-9, 9, max_denominator=4).filter(bool)
-
-    def form(degree):
-        monomial = st.lists(
-            st.integers(0, n - 1), min_size=degree, max_size=degree
-        ).map(lambda picks: tuple(picks.count(i) for i in range(n)))
-        terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3))
-        return Polynomial(vs, terms)
-
-    forms = [form(e) for _ in range(draw(st.integers(2, 3)))]
-    return forms, draw(st.none() | st.just(e + 1).map(form))
-
-
 @settings(max_examples=40, deadline=None)
 @given(_slice_forms(), _perazzo_inputs())
 def test_stored_cells_are_the_nonzero_cells_of_the_oracle(f, perazzo):
@@ -638,23 +663,22 @@ def test_stored_cells_are_the_nonzero_cells_of_the_oracle(f, perazzo):
                 h = bigraded_hessian(alg, r, c)
                 _assert_cells_match(h, _oracle_entries(alg.f, pieces[r], pieces[c]))
 
-    # perazzo_form's Jacobian and Hessian, as it hands them to generic_rank.
+    # perazzo_form's Jacobian and Hessian.  The Jacobian's cells are the
+    # partials of the forms written in g's variables, since
+    # d/du_j g_i = d/dx_i d/du_j g.
     forms, tail = perazzo
-    built = []
+    try:
+        g, jac, hess = _perazzo_matrices(forms, tail, SamplingConfig(seed=0, trials=2))
+    except ValueError:  # linearly dependent forms
+        assume(False)
+    s = len(forms)
 
-    def recording(h, config):
-        built.append(h)
-        return generic_rank(h, config)
+    def partial(u, p):
+        q = apolar_monomial(u[s:], p)
+        return Polynomial(g.varset, {(0,) * s + e: c for e, c in q.terms.items()})
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, "generic_rank", recording)
-        try:
-            g = perazzo_form(forms, tail, SamplingConfig(seed=0, trials=2)).polynomial
-        except ValueError:  # linearly dependent forms
-            assume(False)
-    jac, hess = built
-    n = forms[0].varset.size
-    _assert_cells_match(jac, [[p.partial(j) for j in range(n)] for p in forms])
+    _assert_cells_match(jac, [[partial(u, p) for u in jac.col_basis] for p in forms])
+    _assert_cells_match(jac, _oracle_entries(g, jac.row_basis, jac.col_basis))
     _assert_cells_match(hess, _oracle_entries(g, hess.row_basis, hess.col_basis))
 
 

@@ -306,3 +306,47 @@ def test_dead_definition_detector_flags_an_exported_unread_function():
     }
     # An export is not a read: only the call in b.py keeps `read`.
     assert _dead_definitions(modules) == {"a.py": ["exported (line 1)"]}
+
+
+# The one module that builds matrices, so that every matrix of a
+# generator carries it (`hessians._hessian_of`), with the matrices built
+# elsewhere on purpose: module.function -> reason.
+BUILDS_MATRICES_BY_HAND = {
+    "complexes.incidence_gradient_matrix": (
+        "the tests' graph-side oracle, built without the algebra"
+    ),
+}
+
+
+def _matrix_builders(modules: dict[str, str]) -> list[str]:
+    """module.function for each top-level function outside hessians.py
+    that calls `MixedHessian(...)` (module-level calls as module.<module>)."""
+    found = []
+    for name, source in sorted(modules.items()):
+        if name == "hessians.py":
+            continue
+        module = name.removesuffix(".py")
+        for node in ast.parse(source).body:
+            where = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+            if any(
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "MixedHessian"
+                for n in ast.walk(node)
+            ):
+                found.append(f"{module}.{where}")
+    return found
+
+
+def test_only_hessians_builds_matrices():
+    modules = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _matrix_builders(modules) == sorted(BUILDS_MATRICES_BY_HAND)
+
+
+def test_matrix_builder_detector_flags_a_call():
+    modules = {
+        "hessians.py": "def _hessian_of(f):\n    return MixedHessian(f)\n",
+        "families.py": "def perazzo(f):\n    return MixedHessian(f)\n",
+        "cli.py": "h = MixedHessian\n",
+    }
+    assert _matrix_builders(modules) == ["families.perazzo"]

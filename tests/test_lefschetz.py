@@ -14,12 +14,14 @@ from mixedhess import (
     SamplingConfig,
     boolean_form,
     build_algebra,
+    dual_generator,
     full_profile,
     generalization_check,
     mult_map_matrix,
     parse_polynomial,
     rank_profile,
     slp_check,
+    turan_complex,
     wlp_check,
     unimodality_check,
 )
@@ -369,14 +371,39 @@ def test_vanishing_determinant_stops_the_witness_search(check, catalog, monkeypa
     assert verdict.mode == "exact"
     assert len(seen) == 1
 
-    # With no symbolic determinant the search ranks every point, and
-    # reaches the same verdict.
+    # With no symbolic determinant the cell's torus-slice bound, below
+    # full rank, stops the search at the same point.  With neither stop
+    # the search ranks every point, and all three reach one verdict.
     seen.clear()
     no_det = check(build_algebra(f), SamplingConfig(seed=0, symbolic_cap=0))
+    assert len(seen) == 1
+    seen.clear()
+    monkeypatch.setattr(lefschetz, "_slice_bound", lambda h: min(h.shape))
+    full = check(build_algebra(f), SamplingConfig(seed=0, symbolic_cap=0))
     assert len(seen) == SamplingConfig().trials
-    assert (no_det.holds, no_det.witness, no_det.failing_step, no_det.profile) == (
-        verdict.holds, verdict.witness, verdict.failing_step, verdict.profile
-    )
+    for other in (no_det, full):
+        assert (other.holds, other.witness, other.failing_step, other.profile) == (
+            verdict.holds, verdict.witness, verdict.failing_step, verdict.profile
+        )
+
+
+@pytest.mark.parametrize("check", [wlp_check, slp_check])
+def test_torus_slice_bound_stops_the_witness_search(check, monkeypatch):
+    # tk222's WLP cell (1, 2) is 14 x 24 and its SLP cell (1, 1) is
+    # 14 x 14, beyond no cap, yet neither has full rank anywhere: their
+    # torus-slice bounds are 13 and 10.  So each check ranks one witness
+    # point and the confirmation reuses it: 2 point ranks, not 13.
+    calls = []
+
+    def counting(h, point):
+        calls.append(h.orders)
+        return rank_at(h, point)
+
+    monkeypatch.setattr(lefschetz, "rank_at", counting)
+    alg = build_algebra(dual_generator(turan_complex((2, 2, 2))))
+    verdict = check(alg, SamplingConfig(seed=1))
+    assert not verdict.holds and verdict.mode == "exact"
+    assert len(calls) == 2
 
 
 def test_nonvanishing_determinant_keeps_searching(monkeypatch):
@@ -404,5 +431,6 @@ def test_witness_stop_changes_no_verdict(monkeypatch):
             late_witnesses += verdict.witness is not None and len(seen) > 1
             with monkeypatch.context() as m:
                 m.setattr(lefschetz, "_det_vanishes", lambda h, cap: None)
+                m.setattr(lefschetz, "_slice_bound", lambda h: min(h.shape))
                 assert check(build_algebra(f), config) == verdict, (f, check)
     assert late_witnesses > 0

@@ -90,7 +90,7 @@ def test_format_is_canonical():
 def test_evaluate_and_partial():
     f = parse_polynomial("x^3 - 2*x*y^2")
     assert f.evaluate((Fraction(2), Fraction(3))) == 8 - 2 * 2 * 9
-    fx = f.partial(0)
+    fx = apolar_monomial((1, 0), f)
     assert fx == parse_polynomial("3*x^2 - 2*y^2", f.varset)
 
 
