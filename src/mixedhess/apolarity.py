@@ -71,7 +71,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import RowSpace, sparse_rref
+from .linalg import RowSpace, _integer_rref, sparse_rref
 from .polyring import (
     Polynomial,
     _int_scaled,
@@ -143,8 +143,9 @@ class GradedAlgebra:
     annihilator vectors supported on D_k, off that catalecticant on each
     call, uncached.  The monomials outside D_k, which complete K_k to
     Ann_k, are never listed.  The inverse of the pairing between
-    complementary degrees is cached on first use, as sparse rows; the
-    pairing itself is rebuilt from the terms of f.
+    complementary degrees is cached on first use, as sparse integer rows
+    over one common denominator; the pairing itself is rebuilt from the
+    terms of f.
     `hessians.mixed_hessian` caches each order-(k, l) Hessian here too,
     so every check of one report reads the same matrix and with it the
     rank facts memoized on that matrix.
@@ -167,7 +168,7 @@ class GradedAlgebra:
         self.warnings = warnings
         self.i1_zero = hilbert[1] == f.varset.size if self.socle_degree >= 1 else False
         self._support_cache: dict[int, frozenset[tuple[int, ...]]] = {}
-        self._pairing_inv_cache: dict[int, list[dict[int, Fraction]]] = {}
+        self._pairing_inv_cache: dict[int, tuple[int, list[dict[int, int]]]] = {}
         self._hessian_cache: dict = {}
 
     # -- basic queries -------------------------------------------------
@@ -232,30 +233,37 @@ class GradedAlgebra:
                 rows.setdefault(a, {})[j] = apolar_pairing(a, g, self.f)
         return [rows.get(a, {}) for a in self.quotient_basis(k)]
 
-    def pairing_inverse(self, k: int) -> list[dict[int, Fraction]]:
-        """Sparse rows of the inverse of `pairing_matrix(k)`, one per
-        element of B_{d-k}: row t maps i to entry (t, i) wherever that
-        is nonzero.
+    def pairing_inverse(self, k: int) -> tuple[int, list[dict[int, int]]]:
+        """The inverse of `pairing_matrix(k)` as (D, rows): a positive int
+        D and sparse integer rows, one per element of B_{d-k}, where row t
+        maps i to D times entry (t, i) wherever that is nonzero.  D is the
+        least common denominator of the inverse.
 
-        Read off the reduced echelon form of the rows [P | I], with
-        column j of P keyed h + j above column i of I keyed i.  P is
-        invertible iff it takes every pivot, and then the row with
-        pivot h + t is the unit vector t followed by row t of the
-        inverse."""
+        Read off the fully reduced integer echelon form of the rows
+        [P | I], with column j of P keyed h + j above column i of I keyed
+        i.  P is invertible iff it takes every pivot, and then the row
+        with pivot h + t is p_t times the unit vector t followed by p_t
+        times row t of the inverse, for a nonzero int p_t.  That row is
+        primitive, so row t of the inverse has least denominator |p_t|,
+        and D is the lcm of the p_t."""
         cached = self._pairing_inv_cache.get(k)
         if cached is not None:
             return cached
         pairing = self.pairing_matrix(k)
         h = len(pairing)
-        reduced = sparse_rref(
+        reduced = _integer_rref(
             {h + j: v for j, v in row.items()} | {i: 1}
             for i, row in enumerate(pairing)
         )
         if any(top < h for top in reduced):
             raise InvariantViolation(f"pairing matrix in degree {k} is singular")
-        inv = [{i: v for i, v in row.items() if i < h} for row in reduced.values()]
-        self._pairing_inv_cache[k] = inv
-        return inv
+        denom = math.lcm(*(row[top] for top, row in reduced.items()))
+        inv = []
+        for top, row in reduced.items():
+            scale = denom // row[top]
+            inv.append({i: v * scale for i, v in row.items() if i < h})
+        self._pairing_inv_cache[k] = denom, inv
+        return denom, inv
 
 
 def build_algebra(f: Polynomial) -> GradedAlgebra:

@@ -652,143 +652,107 @@ def _four_cycle_form(extra: str = "") -> Polynomial:
     return parse_polynomial(text, VarSet(names, (0, 0, 0, 0, 1, 1, 1, 1)))
 
 
-def example_catalog() -> tuple[CatalogEntry, ...]:
+def _expected(hilbert: tuple[int, ...], lefschetz: bool) -> dict:
+    """Expected results of a catalog entry: every one is presented by
+    quadrics and has WLP exactly when it has SLP."""
+    return {
+        "hilbert": hilbert,
+        "codimension": hilbert[1],
+        "quadrics": True,
+        "wlp": lefschetz,
+        "slp": lefschetz,
+    }
+
+
+# (identifier, description, builder of the polynomial, expected results)
+_CATALOG = (
+    (
+        "four-cycle",
+        "cubic from the edges of a square: the smallest facet "
+        "algebra presented by quadrics whose middle Hessian "
+        "vanishes identically",
+        _four_cycle_form,
+        _expected((1, 8, 8, 1), False),
+    ),
+    (
+        "determinantal-3x3",
+        "cubic from a three-by-three determinant with repeated "
+        "entries; matches the four-cycle dimensions with a "
+        "different support",
+        lambda: parse_polynomial("-x0*x5*x7 + x1*x5*x6 + x2*x3*x7 - x2*x4*x6"),
+        _expected((1, 8, 8, 1), False),
+    ),
+    (
+        "four-cycle-9",
+        "four-cycle cubic plus a squared auxiliary variable: "
+        "odd codimension with the same vanishing Hessian",
+        lambda: _four_cycle_form(" + w^2*u1"),
+        _expected((1, 9, 9, 1), False),
+    ),
+    (
+        "four-cycle-11",
+        "four-cycle cubic with one pendant edge and a squared "
+        "auxiliary variable",
+        lambda: _four_cycle_form(" + x5*u5*u1 + w^2*u1"),
+        _expected((1, 11, 11, 1), False),
+    ),
+    (
+        "boolean-3",
+        "product of three variables: annihilator the squares, "
+        "all Lefschetz properties hold",
+        lambda: boolean_form(3),
+        _expected((1, 3, 3, 1), True),
+    ),
+    (
+        "boolean-4",
+        "product of four variables",
+        lambda: boolean_form(4),
+        _expected((1, 4, 6, 4, 1), True),
+    ),
+    (
+        "boolean-5",
+        "product of five variables",
+        lambda: boolean_form(5),
+        _expected((1, 5, 10, 10, 5, 1), True),
+    ),
+    (
+        "turan-222",
+        "complete three-partite complex with groups of two: the "
+        "smallest quartic facet algebra whose multiplication "
+        "A_1 -> A_2 is never injective",
+        lambda: dual_generator(turan_complex((2, 2, 2))),
+        _expected((1, 14, 24, 14, 1), False),
+    ),
+    (
+        "turan-223",
+        "complete three-partite complex with groups (2, 2, 3)",
+        lambda: dual_generator(turan_complex((2, 2, 3))),
+        _expected((1, 19, 32, 19, 1), False),
+    ),
+    (
+        "turan-223-cut",
+        "groups (2, 2, 3) with one edge removed: odd codimension "
+        "while the grid certificate survives",
+        lambda: dual_generator(
+            without_face(turan_complex((2, 2, 3)), ("a1", "c3"))
+        ),
+        _expected((1, 17, 30, 17, 1), False),
+    ),
+)
+
+
+def example_catalog(only: str | None = None) -> tuple[CatalogEntry, ...]:
     """Worked examples with their expected analysis results, used by
-    the command line interface and pinned down in the test suite."""
-    entries = [
-        CatalogEntry(
-            "four-cycle",
-            "cubic from the edges of a square: the smallest facet "
-            "algebra presented by quadrics whose middle Hessian "
-            "vanishes identically",
-            _four_cycle_form(),
-            {
-                "hilbert": (1, 8, 8, 1),
-                "codimension": 8,
-                "quadrics": True,
-                "wlp": False,
-                "slp": False,
-            },
-        ),
-        CatalogEntry(
-            "determinantal-3x3",
-            "cubic from a three-by-three determinant with repeated "
-            "entries; matches the four-cycle dimensions with a "
-            "different support",
-            parse_polynomial(
-                "-x0*x5*x7 + x1*x5*x6 + x2*x3*x7 - x2*x4*x6"
-            ),
-            {
-                "hilbert": (1, 8, 8, 1),
-                "codimension": 8,
-                "quadrics": True,
-                "wlp": False,
-                "slp": False,
-            },
-        ),
-        CatalogEntry(
-            "four-cycle-9",
-            "four-cycle cubic plus a squared auxiliary variable: "
-            "odd codimension with the same vanishing Hessian",
-            _four_cycle_form(" + w^2*u1"),
-            {
-                "hilbert": (1, 9, 9, 1),
-                "codimension": 9,
-                "quadrics": True,
-                "wlp": False,
-                "slp": False,
-            },
-        ),
-        CatalogEntry(
-            "four-cycle-11",
-            "four-cycle cubic with one pendant edge and a squared "
-            "auxiliary variable",
-            _four_cycle_form(" + x5*u5*u1 + w^2*u1"),
-            {
-                "hilbert": (1, 11, 11, 1),
-                "codimension": 11,
-                "quadrics": True,
-                "wlp": False,
-                "slp": False,
-            },
-        ),
-        CatalogEntry(
-            "boolean-3",
-            "product of three variables: annihilator the squares, "
-            "all Lefschetz properties hold",
-            boolean_form(3),
-            {
-                "hilbert": (1, 3, 3, 1),
-                "codimension": 3,
-                "quadrics": True,
-                "wlp": True,
-                "slp": True,
-            },
-        ),
-        CatalogEntry(
-            "boolean-4",
-            "product of four variables",
-            boolean_form(4),
-            {
-                "hilbert": (1, 4, 6, 4, 1),
-                "codimension": 4,
-                "quadrics": True,
-                "wlp": True,
-                "slp": True,
-            },
-        ),
-        CatalogEntry(
-            "boolean-5",
-            "product of five variables",
-            boolean_form(5),
-            {
-                "hilbert": (1, 5, 10, 10, 5, 1),
-                "codimension": 5,
-                "quadrics": True,
-                "wlp": True,
-                "slp": True,
-            },
-        ),
-        CatalogEntry(
-            "turan-222",
-            "complete three-partite complex with groups of two: the "
-            "smallest quartic facet algebra whose multiplication "
-            "A_1 -> A_2 is never injective",
-            dual_generator(turan_complex((2, 2, 2))),
-            {
-                "hilbert": (1, 14, 24, 14, 1),
-                "codimension": 14,
-                "quadrics": True,
-                "wlp": False,
-                "slp": False,
-            },
-        ),
-        CatalogEntry(
-            "turan-223",
-            "complete three-partite complex with groups (2, 2, 3)",
-            dual_generator(turan_complex((2, 2, 3))),
-            {
-                "hilbert": (1, 19, 32, 19, 1),
-                "codimension": 19,
-                "quadrics": True,
-                "wlp": False,
-                "slp": False,
-            },
-        ),
-        CatalogEntry(
-            "turan-223-cut",
-            "groups (2, 2, 3) with one edge removed: odd codimension "
-            "while the grid certificate survives",
-            dual_generator(
-                without_face(turan_complex((2, 2, 3)), ("a1", "c3"))
-            ),
-            {
-                "hilbert": (1, 17, 30, 17, 1),
-                "codimension": 17,
-                "quadrics": True,
-                "wlp": False,
-                "slp": False,
-            },
-        ),
-    ]
-    return tuple(entries)
+    the command line interface and pinned down in the test suite.
+
+    With `only`, just the entry of that identifier, and only its
+    polynomial is built; an unknown identifier raises ValueError
+    naming the known ones."""
+    specs = [spec for spec in _CATALOG if only in (None, spec[0])]
+    if not specs:
+        known = ", ".join(spec[0] for spec in _CATALOG)
+        raise ValueError(f"unknown example {only!r}; known: {known}")
+    return tuple(
+        CatalogEntry(name, description, build(), dict(expected))
+        for name, description, build, expected in specs
+    )

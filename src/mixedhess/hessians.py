@@ -282,16 +282,19 @@ def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
     (d - l, k) Hessian given by the i-th column of the inverse pairing
     matrix in degree l.  Entries are polynomials of degree l - k.  Each
     row t of the inverse is read once, and the cells of inner row t are
-    added into the rows it has an entry for, in ascending t per cell;
-    sums that cancel are dropped.
+    added into the rows it has an entry for, in ascending t per cell,
+    each scaled by its inverse entry (integer over the inverse's common
+    denominator); sums that cancel are dropped.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
         raise ValueError(f"need 0 <= k <= l <= socle degree, got ({l}, {k})")
     inner = mixed_hessian(alg, d - l, k)
     rows: list[dict[int, Polynomial]] = [{} for _ in alg.quotient_basis(l)]
-    for inv_row, inner_row in zip(alg.pairing_inverse(l), inner.cells):
-        for i, c in inv_row.items():
+    denom, inverse = alg.pairing_inverse(l)
+    for inv_row, inner_row in zip(inverse, inner.cells):
+        for i, v in inv_row.items():
+            c = Fraction(v, denom)
             row = rows[i]
             for j, p in inner_row.items():
                 row[j] = row[j] + p.scale(c) if j in row else p.scale(c)

@@ -5,9 +5,11 @@ The decision procedures here rest on two routes to the same rank:
 * the *multiplication route* builds the matrix of mu : A_k -> A_l,
   v |-> (power of a linear form) * v, directly from the algebra: apply
   the linear operator repeatedly to each basis monomial's action on the
-  dual generator, then read coordinates off the socle pairing.  It
-  works on integer term maps (f and the form each scaled by the lcm of
-  their denominators) and divides each nonzero entry once at the end;
+  dual generator, then read coordinates off the socle pairing.  It runs
+  in integers from f to the rank: f, the form and the inverse pairing
+  are each integers over one common denominator, so the route yields
+  the integer matrix D*M for one positive D, which has the rank of M.
+  Only `generalization_check` divides by D;
 * the *Hessian route* evaluates a dual mixed Hessian at the point of
   coefficients of the linear form and scales by a factorial.
 
@@ -81,20 +83,21 @@ class LefschetzVerdict(NamedTuple):
 
 def mult_map_matrix(
     alg: GradedAlgebra, k: int, l: int, L: LinearForm
-) -> list[list[Fraction]]:
-    """Matrix of multiplication by L^(l-k) from A_k to A_l in the chosen
-    quotient bases (rows indexed by B_l, columns by B_k).
+) -> list[list[int]]:
+    """The matrix N = D*M, for M the matrix of multiplication by
+    L^(l-k) from A_k to A_l in the chosen quotient bases (rows indexed
+    by B_l, columns by B_k) and D = `_mult_map_denominator(alg, k, l, L)`.
+    N has M's rank; its entries are ints.
 
     Built without Hessians, in integers from the terms of f: the
-    coefficients of f are scaled once by the lcm of their denominators
-    and those of L by theirs.  Each column is X^beta f, read off
+    coefficients of f are scaled once by the lcm of their denominators,
+    those of L by theirs, and the inverse pairing comes as integer rows
+    over its common denominator.  Each column is X^beta f, read off
     `_apolar_terms`, with the linear operator applied l-k times to its
     term map; the power is never expanded.  Coordinates in degree l are
     read off the inverse socle pairing: a term c*x^e of the result pairs
     to c*e! when x^e lies in B_(d-l), and only against the nonzero
-    entries of that row of `alg.pairing_inverse(l)`.  Each nonzero cell
-    is divided once by lcm_f * lcm_L^(l-k); the sums are exact, so every
-    entry equals the one the Fraction route gives.
+    entries of that row of the inverse.  Every sum is of ints.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
@@ -102,9 +105,8 @@ def mult_map_matrix(
     if L.varset != alg.f.varset:
         raise ValueError("linear form lives in a different variable set")
     f = alg.f
-    lcm_f, f_ints = _int_scaled(f.terms.values())
-    f_coeffs = dict(zip(f.terms, f_ints))
-    lcm_l, l_coeffs = _int_scaled(L.coeffs)
+    f_coeffs = dict(zip(f.terms, _int_scaled(f.terms.values())[1]))
+    l_coeffs = _int_scaled(L.coeffs)[1]
     cols_b = alg.quotient_basis(k)
     actions: dict = {beta: {} for beta in cols_b}
     for b, a, rest, falling in _apolar_terms(f, k):
@@ -112,26 +114,31 @@ def mult_map_matrix(
         if g is not None:
             g[rest] = f_coeffs[b] * falling
     inverse = {}
-    for gamma, row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)):
+    for gamma, row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)[1]):
         fact = math.prod(map(math.factorial, gamma))
         inverse[gamma] = [(i, v * fact) for i, v in row.items()]
-    scale = lcm_f * lcm_l ** (l - k)
-    zero = Fraction(0)
-    matrix = [[zero] * len(cols_b) for _ in range(alg.dim(l))]
+    matrix = [[0] * len(cols_b) for _ in range(alg.dim(l))]
     for j, beta in enumerate(cols_b):
-        col: dict = {}
         for e, c in _linear_power_terms(l_coeffs, actions[beta], l - k).items():
             for i, v in inverse.get(e, ()):
-                prev = col.get(i)
-                col[i] = v * c if prev is None else prev + v * c
-        for i, v in col.items():
-            if v:
-                matrix[i][j] = v / scale
+                matrix[i][j] += v * c
     return matrix
 
 
+def _mult_map_denominator(
+    alg: GradedAlgebra, k: int, l: int, L: LinearForm
+) -> int:
+    """The D with `mult_map_matrix(alg, k, l, L)` = D*M: lcm_f *
+    lcm_L^(l-k) * D_l, the lcms of the denominators of f and of L and the
+    common denominator of the degree-l inverse pairing."""
+    lcm_f = _int_scaled(alg.f.terms.values())[0]
+    lcm_l = _int_scaled(L.coeffs)[0]
+    return lcm_f * lcm_l ** (l - k) * alg.pairing_inverse(l)[0]
+
+
 def rank_profile(alg: GradedAlgebra, L: LinearForm) -> tuple[int, ...]:
-    """Ranks of multiplication by L on each step A_i -> A_{i+1}.
+    """Ranks of multiplication by L on each step A_i -> A_{i+1}, each
+    the rank of the integer matrix `mult_map_matrix` returns.
 
     The Gorenstein pairing forces the profile to be palindromic
     (rank at step i equals rank at step d-1-i); a violation would mean
@@ -162,8 +169,11 @@ def generalization_check(
     """Entrywise comparison of the two routes to the matrix of
     multiplication by L^(l-k): the multiplication route against the
     dual mixed Hessian evaluated at the coefficient point and scaled
-    by (l-k)!.  Exact arithmetic; returns a report dict with the matrix."""
-    m = mult_map_matrix(alg, k, l, L)
+    by (l-k)!.  Exact arithmetic; returns a report dict with the matrix
+    of the multiplication route, the one place its integer matrix is
+    divided by its denominator."""
+    denom = _mult_map_denominator(alg, k, l, L)
+    m = [[Fraction(v, denom) for v in row] for row in mult_map_matrix(alg, k, l, L)]
     dual = dual_mixed_hessian(alg, l, k)
     factor = math.factorial(l - k)
     evaluated = evaluate_matrix(dual, L.perp())
@@ -211,13 +221,19 @@ def _linear_form(alg: GradedAlgebra, point) -> LinearForm:
 
 
 def _confirm_routes(
-    alg: GradedAlgebra, h: MixedHessian, point, step: tuple[int, int]
+    alg: GradedAlgebra, h: MixedHessian, point, step: tuple[int, int],
+    profile: tuple[int, ...] | None = None,
 ) -> int:
     """Check at one point that the Hessian-route rank equals the
-    multiplication-route rank for the named step, and return it."""
+    multiplication-route rank for the named step, and return it.  Given
+    the rank profile at the same point, a one-degree step's rank is read
+    off it instead of building the map again."""
     hess_rank = rank_at(h, point)
-    m = mult_map_matrix(alg, step[0], step[1], _linear_form(alg, point))
-    mult_rank = matrix_rank(m)
+    if profile is not None:
+        mult_rank = profile[step[0]]
+    else:
+        m = mult_map_matrix(alg, step[0], step[1], _linear_form(alg, point))
+        mult_rank = matrix_rank(m)
     if hess_rank != mult_rank:
         raise InvariantViolation(
             f"rank disagreement at step {step}: Hessian route {hess_rank}, "
@@ -259,7 +275,9 @@ def _decide(
     can be a witness, so the verdict is the one the full search gives.
     The negative branch certifies the cell through `generic_rank`, whose
     memoized torus-slice bound or determinant makes a deficient cell
-    exact."""
+    exact, and confirms its rank at the first point against the
+    multiplication route, read off the rank profile there when the
+    verdict carries one."""
     mats = [_cell_hessian(alg, i, j) for i, j, *_ in cells]
     notes: list[str] = []
     points = sample_points(alg, config, f"{name.lower()}-witness")
@@ -299,9 +317,9 @@ def _decide(
         if cert.rank < min(m.shape):
             profile = None
             if points:
-                confirmed = _confirm_routes(alg, m, points[0], step)
                 if profile_on_failure:
                     profile = rank_profile(alg, _linear_form(alg, points[0]))
+                confirmed = _confirm_routes(alg, m, points[0], step, profile)
                 notes.append(confirm_note.format(confirmed))
             return LefschetzVerdict(
                 name, False, None, tuple(evidence), cert.mode, profile, step,

@@ -3,8 +3,9 @@
 Everything verdict-bearing in this package reduces to ranks, spans and
 echelon forms of matrices over Q, and all of them run through
 :class:`RowSpace`, a sparse fraction-free elimination over the integers.
-The one inverse, of the socle pairing, is read off :func:`sparse_rref`
-by `apolarity`.
+The one inverse, of the socle pairing, is read off
+:func:`_integer_rref` by `apolarity`, as integer rows over one common
+denominator.
 
 * Vectors are dicts keyed by totally-ordered keys (exponent tuples in
   practice).  A vector entering the loop is scaled once by the lcm of
@@ -19,12 +20,13 @@ by `apolarity`.
   decreases, so reduction terminates.
 * :func:`matrix_rank` runs rows through that loop, each given either
   as a ``{column: value}`` mapping of its nonzero cells or as a dense
-  sequence, and :func:`sparse_rref` back-substitutes its pivot rows
+  sequence, and :func:`_integer_rref` back-substitutes its pivot rows
   with the same update.  A row whose entries are all ints enters the
-  loop without a denominator pass.  Fractions appear only in the
-  output of :func:`sparse_rref`, where each row is divided by its pivot
-  entry; :func:`rref` runs dense matrices through it with column j
-  keyed -j.
+  loop without a denominator pass; evaluated Hessians and
+  multiplication maps arrive that way.  The only Fractions this module
+  makes are in the output of :func:`sparse_rref`, which divides each
+  row of :func:`_integer_rref` by its pivot entry; :func:`rref` runs
+  dense matrices through it with column j keyed -j.
 """
 
 from __future__ import annotations
@@ -159,12 +161,26 @@ def sparse_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
     """Fully reduced echelon form of sparse rows.
 
     Returns a map pivot-key -> row (pivot coefficient 1, other pivot
-    keys eliminated everywhere), in ascending pivot order.  The rows go
-    through a :class:`RowSpace`, whose pivot keys are the leading keys of
-    the span and so do not depend on the order rows arrive in; one
-    integer back-substitution pass and a division by each pivot entry
-    then make the form unique.  As in :func:`matrix_rank`, each nonzero
-    remainder is stored as a pivot directly.
+    keys eliminated everywhere), in ascending pivot order: the rows of
+    :func:`_integer_rref`, each divided by its pivot entry, which makes
+    the form unique.
+    """
+    return {
+        top: {k: Fraction(c, row[top]) for k, c in row.items()}
+        for top, row in _integer_rref(rows).items()
+    }
+
+
+def _integer_rref(rows: Iterable[dict]) -> dict[Hashable, dict[Hashable, int]]:
+    """The fully reduced echelon form before its division: a map
+    pivot-key -> primitive integer row, in ascending pivot order, whose
+    other pivot keys are eliminated everywhere.
+
+    The rows go through a :class:`RowSpace`, whose pivot keys are the
+    leading keys of the span and so do not depend on the order rows
+    arrive in; one integer back-substitution pass follows.  As in
+    :func:`matrix_rank`, each nonzero remainder is stored as a pivot
+    directly.
     """
     space = RowSpace()
     for vec in rows:
@@ -179,7 +195,4 @@ def sparse_rref(rows: Iterable[dict]) -> dict[Hashable, dict]:
         for k in [k for k in row if k in reduced]:
             row = _eliminate(row, k, reduced[k])
         reduced[top] = row
-    return {
-        top: {k: Fraction(c, row[top]) for k, c in row.items()}
-        for top, row in reduced.items()
-    }
+    return reduced

@@ -95,6 +95,13 @@ def densify(rows, ncols: int) -> list[list[Fraction]]:
     return [[row.get(j, zero) for j in range(ncols)] for row in rows]
 
 
+def dense_pairing_inverse(alg, k: int) -> list[list[Fraction]]:
+    """The inverse of the degree-k socle pairing as dense Fraction rows,
+    by dense Gauss-Jordan elimination of `pairing_matrix(k)`: an oracle
+    that does not read ``alg.pairing_inverse``."""
+    return dense_inverse(densify(alg.pairing_matrix(k), alg.dim(alg.socle_degree - k)))
+
+
 def dense_rref(rows):
     """The dense Gauss-Jordan elimination rref replaced; kept as an oracle."""
     m = [[Fraction(c) for c in row] for row in rows]

@@ -32,7 +32,12 @@ from mixedhess.apolarity import _degree_step_spanned, _splits, _step_coordinates
 from mixedhess.linalg import RowSpace, matrix_rank, sparse_rref
 from mixedhess.polyring import apolar_pairing, falling_product
 
-from conftest import dense_inverse, dense_random_form, densify, rational_random_form
+from conftest import (
+    dense_inverse,
+    dense_random_form,
+    densify,
+    rational_random_form,
+)
 
 
 def test_four_cycle_dimensions(four_cycle_alg):
@@ -138,15 +143,19 @@ def test_pairing_inverse_matches_dense_inverse(seed):
     for k in range(alg.socle_degree + 1):
         h = alg.dim(k)
         pairing = alg.pairing_matrix(k)
-        inv = alg.pairing_inverse(k)
-        assert all(v for row in inv for v in row.values()), k
-        assert densify(inv, h) == dense_inverse(densify(pairing, h)), k
+        denom, inv = alg.pairing_inverse(k)
+        assert type(denom) is int and denom > 0, k
+        assert all(type(v) is int and v for row in inv for v in row.values()), k
+        divided = [{i: Fraction(v, denom) for i, v in row.items()} for row in inv]
+        assert densify(divided, h) == dense_inverse(densify(pairing, h)), k
+        # The common denominator is the least one.
+        assert math.gcd(denom, *(v for row in inv for v in row.values())) == 1, k
         for t, row in enumerate(inv):
             product: dict = {}
             for i, v in row.items():
                 for j, w in pairing[i].items():
                     product[j] = product.get(j, 0) + v * w
-            assert {j: v for j, v in product.items() if v} == {t: 1}, (k, t)
+            assert {j: v for j, v in product.items() if v} == {t: denom}, (k, t)
 
 
 def test_quadrics_presented_for_four_cycle(four_cycle_alg):

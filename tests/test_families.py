@@ -422,6 +422,20 @@ def test_catalog_identifiers_and_expectations(catalog):
         assert h == tuple(reversed(h))
 
 
+def test_catalog_entry_by_identifier_builds_only_it(catalog, monkeypatch):
+    # One entry is built alone (the Turan generators are not), and equals
+    # the entry of the whole catalog; an unknown one names the known ids.
+    def refuse(*args):
+        raise AssertionError("built a Turan generator")
+
+    monkeypatch.setattr(families, "dual_generator", refuse)
+    for identifier in ("four-cycle", "boolean-5"):
+        (entry,) = example_catalog(identifier)
+        assert entry == catalog[identifier]
+    with pytest.raises(ValueError, match="unknown example 'missing'; known: four-cycle"):
+        example_catalog("missing")
+
+
 def test_catalog_expectations_hold(catalog, config):
     for identifier in ("four-cycle", "boolean-3", "four-cycle-9"):
         entry = catalog[identifier]

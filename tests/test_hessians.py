@@ -44,7 +44,12 @@ from mixedhess.hessians import _entries, _slice_bound, _torus_slice
 from mixedhess.lefschetz import wlp_criterion_matrix
 from mixedhess.linalg import matrix_rank
 
-from conftest import dense_cells, dense_random_form, densify, rational_random_form
+from conftest import (
+    dense_cells,
+    dense_pairing_inverse,
+    dense_random_form,
+    rational_random_form,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -381,7 +386,7 @@ def _oracle_dual_entries(alg, l, k):
     inner cell (t, j) over every inner row t, zero cells included."""
     d = alg.socle_degree
     inner = mixed_hessian(alg, d - l, k)
-    inv = densify(alg.pairing_inverse(l), alg.dim(l))
+    inv = dense_pairing_inverse(alg, l)
     inner_entries = dense_cells(inner)
     zero = Polynomial.zero(alg.f.varset)
     entries = []

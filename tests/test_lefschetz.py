@@ -37,8 +37,8 @@ from mixedhess.polyring import (
 )
 
 from conftest import (
+    dense_pairing_inverse,
     dense_random_form,
-    densify,
     random_linear_avoiding,
     rational_random_form,
 )
@@ -50,20 +50,41 @@ def _ones(alg):
     )
 
 
+def _mult_map_fractions(alg, k, l, L):
+    """M = N/D for the integer matrix N that `mult_map_matrix` returns,
+    after checking that N holds ints."""
+    N = mult_map_matrix(alg, k, l, L)
+    assert all(type(v) is int for row in N for v in row), (k, l)
+    denom = lefschetz._mult_map_denominator(alg, k, l, L)
+    return [[Fraction(v, denom) for v in row] for row in N]
+
+
 def test_boolean_mult_map_frozen_matrix(boolean3_alg):
     M = mult_map_matrix(boolean3_alg, 1, 2, _ones(boolean3_alg))
-    assert M == [
-        [Fraction(1), Fraction(1), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-    ]
+    assert M == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    assert lefschetz._mult_map_denominator(boolean3_alg, 1, 2, _ones(boolean3_alg)) == 1
     assert matrix_rank(M) == 3
+
+
+def test_mult_map_denominator_scales_the_integer_matrix():
+    # f = (2/3)xyz and L = (x+y+z)/2: lcm_f = 3, lcm_L = 2, and the
+    # degree-2 pairing has entries 2/3, so its inverse 3/2 has D_2 = 2.
+    # A map of one degree carries D = 3 * 2 * 2 and cells D/2 = 6.
+    alg = build_algebra(parse_polynomial("2/3*x*y*z"))
+    L = LinearForm(alg.varset, (Fraction(1, 2),) * 3)
+    denom, rows = alg.pairing_inverse(2)
+    assert (denom, [list(row.values()) for row in rows]) == (2, [[3], [3], [3]])
+    assert lefschetz._mult_map_denominator(alg, 1, 2, L) == 12
+    assert mult_map_matrix(alg, 1, 2, L) == [[6, 6, 0], [6, 0, 6], [0, 6, 6]]
+    assert _mult_map_fractions(alg, 1, 2, L) == [
+        [Fraction(v, 2) for v in row] for row in ([1, 1, 0], [1, 0, 1], [0, 1, 1])
+    ]
 
 
 def _dense_mult_map(alg, k, l, L):
     """Multiplication map by the dense formula sum_t inv[t][i] * pair[t]."""
     d = alg.socle_degree
-    inv = densify(alg.pairing_inverse(l), alg.dim(l))
+    inv = dense_pairing_inverse(alg, l)
     s = len(inv)
     zero = (0,) * alg.varset.size
     columns = []
@@ -85,9 +106,8 @@ def _assert_mult_maps_match_dense(alg, L):
     d = alg.socle_degree
     for k in range(d + 1):
         for l in range(k, d + 1):
-            M = mult_map_matrix(alg, k, l, L)
+            M = _mult_map_fractions(alg, k, l, L)
             assert M == _dense_mult_map(alg, k, l, L), (k, l)
-            assert all(type(v) is Fraction for row in M for v in row)
 
 
 @settings(max_examples=15, deadline=None)
@@ -130,7 +150,7 @@ def _oracle_mult_map_matrix(alg, k, l, L):
     comp_b = alg.quotient_basis(d - l)
     inv_rows = [
         [(i, v) for i, v in enumerate(row) if v]
-        for row in densify(alg.pairing_inverse(l), alg.dim(l))
+        for row in dense_pairing_inverse(alg, l)
     ]
     s = len(alg.quotient_basis(l))
     zero_exps = (0,) * alg.f.varset.size
@@ -165,9 +185,8 @@ def test_mult_map_matches_fraction_oracle(seed):
     d = alg.socle_degree
     for k in range(d + 1):
         for l in range(k, d + 1):
-            M = mult_map_matrix(alg, k, l, L)
+            M = _mult_map_fractions(alg, k, l, L)
             assert M == _oracle_mult_map_matrix(alg, k, l, L), (k, l)
-            assert all(type(v) is Fraction for row in M for v in row)
 
 
 def _corrupt_basis(alg, k, basis):
@@ -194,7 +213,7 @@ def test_rank_profile_raises_on_a_singular_pairing(boolean3_alg, basis):
     with pytest.raises(InvariantViolation, match="singular"):
         mult_map_matrix(alg, 0, 1, L)
     # The socle pairing does not see B_1, so this map is still defined.
-    assert mult_map_matrix(alg, 1, 3, L) == _oracle_mult_map_matrix(alg, 1, 3, L)
+    assert _mult_map_fractions(alg, 1, 3, L) == _oracle_mult_map_matrix(alg, 1, 3, L)
 
 
 def test_mult_map_validates_input(boolean3_alg):
@@ -212,9 +231,7 @@ def test_mult_map_validates_input(boolean3_alg):
 
 def test_identity_step_is_identity(boolean3_alg):
     M = mult_map_matrix(boolean3_alg, 1, 1, _ones(boolean3_alg))
-    assert M == [
-        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
-    ]
+    assert M == [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def test_rank_profile_palindromic(four_cycle_alg, boolean3_alg):
@@ -309,6 +326,43 @@ def test_wlp_false_for_four_cycle(four_cycle_alg, config):
     assert not verdict.holds
     assert verdict.failing_step == (1, 2)
     assert verdict.seed == config.seed
+
+
+def test_wlp_failure_builds_each_step_map_once(four_cycle_alg, config, monkeypatch):
+    # The failing step's multiplication rank is read off the profile at
+    # the first sampled point, so the failure builds one map per step of
+    # the profile and no second map for the step.
+    calls = []
+
+    def counting(alg, k, l, L):
+        calls.append((k, l))
+        return mult_map_matrix(alg, k, l, L)
+
+    monkeypatch.setattr(lefschetz, "mult_map_matrix", counting)
+    verdict = wlp_check(four_cycle_alg, config)
+    assert not verdict.holds and verdict.failing_step == (1, 2)
+    assert verdict.profile is not None
+    assert calls == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("name", ["four-cycle", "boolean-4"])
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(2, 3)])
+def test_multiplication_ranks_see_only_ints(catalog, config, monkeypatch, name, scale):
+    # Both checks rank multiplication maps (a witness's profile, a
+    # failing cell's confirmation) on integer matrices, also when f has
+    # rational coefficients.
+    seen = []
+
+    def guarded(rows):
+        seen.append(all(type(v) is int for row in rows for v in row))
+        return matrix_rank(rows)
+
+    monkeypatch.setattr(lefschetz, "matrix_rank", guarded)
+    alg = build_algebra(catalog[name].polynomial.scale(scale))
+    for check in (wlp_check, slp_check):
+        seen.clear()
+        check(alg, config)
+        assert seen and all(seen), check
 
 
 def test_wlp_true_for_boolean(boolean3_alg, config):
