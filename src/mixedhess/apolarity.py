@@ -8,6 +8,17 @@ its pivot columns (graded-lex order) give a deterministic monomial basis
 of the degree-k piece of the quotient algebra, and its kernel is the
 degree-k slice of the annihilator.
 
+One integer table of F = m*f, m the lcm of the denominators of f's
+coefficients, gives the catalecticant, the socle pairing and (in
+`lefschetz`) the multiplication maps, in divided powers x^[b] = x^b/b!
+(Iarrobino-Kanev): F = sum phi(b) x^[b] with phi(b) = m*c_b*b! an int.
+X^r F = sum_a phi(a + r) x^[a], so row x^r of the degree-k catalecticant
+maps column x^a to phi(a + r), r! times the row m*c_b*falling(b, a) of
+ordinary derivatives: the reduced forms, quotient bases and Hilbert
+values are f's.  (X^a X^g)(F) = phi(a + g), so the pairing of A_k with
+A_(d-k) against F is the block of the degree-(d-k) catalecticant on
+rows B_k and columns B_(d-k).
+
 The quadric-generation test works degree by degree.  For 3 <= k <= d
 it asks whether x*Ann_{k-1}, the span of (variable * annihilator_{k-1}),
 is all of Ann_k; it always lies inside.  Let D_j be the degree-j
@@ -72,12 +83,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import RowSpace, _integer_rref, sparse_rref
-from .polyring import (
-    Polynomial,
-    _int_scaled,
-    apolar_pairing,
-    grlex_key,
-)
+from .polyring import Polynomial, _int_scaled, grlex_key
 
 
 class InvariantViolation(RuntimeError):
@@ -118,17 +124,15 @@ def _apolar_terms(f: Polynomial, k: int) -> Iterator[tuple]:
             yield b, a, rest, falling
 
 
-def _sparse_catalecticant_rows(f: Polynomial, k: int) -> dict:
-    """Rows of the degree-k catalecticant restricted to columns that can
-    act nontrivially (divisors of the support of f).  Dropped columns
-    are identically zero, so ranks and pivot columns are unaffected.
-    The coefficients of f are scaled once by the lcm of their
-    denominators, so every entry is an int; that scales every row by
-    the same nonzero number and keeps the reduced echelon form."""
-    coeffs = dict(zip(f.terms, _int_scaled(f.terms.values())[1]))
+def _catalecticant_rows(f: Polynomial, phi: dict, k: int) -> dict:
+    """Rows of the degree-k catalecticant of F in divided powers, given
+    phi, F's divided-power coefficient of each term of f (module
+    docstring): row x^r maps column x^a to phi(a + r).  Only columns
+    that divide a term of f are kept; the dropped ones are identically
+    zero, so ranks and pivot columns are unaffected."""
     rows: dict = {}
-    for b, a, rest, falling in _apolar_terms(f, k):
-        rows.setdefault(rest, {})[a] = coeffs[b] * falling
+    for b, a, rest, _ in _apolar_terms(f, k):
+        rows.setdefault(rest, {})[a] = phi[b]
     return rows
 
 
@@ -136,16 +140,17 @@ class GradedAlgebra:
     """The standard graded Artinian Gorenstein quotient attached to a
     homogeneous dual generator f of degree d >= 1.
 
-    Carries, per degree k = 0..d: the Hilbert value h_k, a deterministic
+    Carries scale, the lcm m of the denominators of f's coefficients,
+    and per degree k = 0..d: the Hilbert value h_k, a deterministic
     quotient basis of monomials named by their exponent tuples (the
-    catalecticant pivot columns, graded-lex descending), the reduced
-    catalecticant it was read from.  `ann_basis` reads K_k, the
-    annihilator vectors supported on D_k, off that catalecticant on each
-    call, uncached.  The monomials outside D_k, which complete K_k to
-    Ann_k, are never listed.  The inverse of the pairing between
-    complementary degrees is cached on first use, as sparse integer rows
-    over one common denominator; the pairing itself is rebuilt from the
-    terms of f.
+    catalecticant pivot columns, graded-lex descending), and the
+    integer catalecticant of F = m*f in divided powers together with
+    its reduced form (module docstring).  `ann_basis` reads K_k, the
+    annihilator vectors supported on D_k, off the reduced catalecticant
+    on each call, uncached.  The monomials outside D_k, which complete
+    K_k to Ann_k, are never listed.  The pairing between complementary
+    degrees is a block of the catalecticant; its inverse is cached on
+    first use, as sparse integer rows over one common denominator.
     `hessians.mixed_hessian` caches each order-(k, l) Hessian here too,
     so every check of one report reads the same matrix and with it the
     rank facts memoized on that matrix.
@@ -154,16 +159,20 @@ class GradedAlgebra:
     def __init__(
         self,
         f: Polynomial,
+        scale: int,
         hilbert: tuple[int, ...],
         quotient_bases: tuple[tuple[tuple[int, ...], ...], ...],
+        catalecticants: tuple[dict, ...],
         reduced_catalecticants: tuple[dict, ...],
         warnings: tuple[str, ...],
     ):
         self.f = f
+        self.scale = scale
         self.varset = f.varset
         self.socle_degree = len(hilbert) - 1
         self.hilbert = hilbert
         self._quotient_bases = quotient_bases
+        self._catalecticants = catalecticants
         self._reduced = reduced_catalecticants
         self.warnings = warnings
         self.i1_zero = hilbert[1] == f.varset.size if self.socle_degree >= 1 else False
@@ -215,23 +224,21 @@ class GradedAlgebra:
 
     # -- pairing -------------------------------------------------------
 
-    def pairing_matrix(self, k: int) -> list[dict[int, Fraction]]:
-        """Sparse rows of the perfect pairing A_k x A_{d-k} -> K in the
-        chosen quotient bases: row i maps j to (alpha_i * gamma_j)(f)
-        wherever that is nonzero.
+    def pairing_matrix(self, k: int) -> list[dict[int, int]]:
+        """Sparse integer rows of the perfect pairing A_k x A_{d-k} -> K
+        against F = scale*f, in the chosen quotient bases: row i maps j to
+        (alpha_i * gamma_j)(F) wherever that is nonzero (0 <= k <= d).
 
-        An entry is nonzero only when alpha_i * gamma_j is a term x^b of
-        f, so only the pairs (b, a) of `_apolar_terms` are paired, a
-        against b - a."""
+        That is the block of the degree-(d-k) catalecticant on rows B_k
+        and columns B_(d-k) (module docstring)."""
+        rows = self._catalecticants[self.socle_degree - k]
         col_of = {
             g: j for j, g in enumerate(self.quotient_basis(self.socle_degree - k))
         }
-        rows: dict = {}
-        for _, a, g, _ in _apolar_terms(self.f, k):
-            j = col_of.get(g)
-            if j is not None:
-                rows.setdefault(a, {})[j] = apolar_pairing(a, g, self.f)
-        return [rows.get(a, {}) for a in self.quotient_basis(k)]
+        return [
+            {col_of[g]: v for g, v in rows.get(a, {}).items() if g in col_of}
+            for a in self.quotient_basis(k)
+        ]
 
     def pairing_inverse(self, k: int) -> tuple[int, list[dict[int, int]]]:
         """The inverse of `pairing_matrix(k)` as (D, rows): a positive int
@@ -293,11 +300,18 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
             {tuple(e[i] for i in used): c for e, c in f.terms.items()},
         )
 
+    scale, coeffs = _int_scaled(f.terms.values())
+    phi = {
+        b: n * math.prod(map(math.factorial, b)) for b, n in zip(f.terms, coeffs)
+    }
     hilbert: list[int] = []
     bases: list[tuple[tuple[int, ...], ...]] = []
+    catalecticants: list[dict] = []
     reduced: list[dict] = []
     for k in range(d + 1):
-        red = sparse_rref(_sparse_catalecticant_rows(f, k).values())
+        rows = _catalecticant_rows(f, phi, k)
+        catalecticants.append(rows)
+        red = sparse_rref(rows.values())
         reduced.append(red)
         bases.append(tuple(sorted(red, key=grlex_key, reverse=True)))
         hilbert.append(len(red))
@@ -316,7 +330,8 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
             "first partials); algebra kept in the given variables"
         )
     return GradedAlgebra(
-        f, tuple(hilbert), tuple(bases), tuple(reduced), tuple(warnings)
+        f, scale, tuple(hilbert), tuple(bases), tuple(catalecticants),
+        tuple(reduced), tuple(warnings),
     )
 
 

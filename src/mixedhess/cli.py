@@ -259,10 +259,10 @@ def _analysis_body(
             warnings.append("the SLP verdict is probabilistic")
     if "profile" in checks:
         # Rank profile at one seeded random linear form avoiding f = 0.
-        points = sample_points(alg, config, "cli-profile")
+        point = next(sample_points(alg, config, "cli-profile"), None)
         profile = {"at_sampled_form": None, "maximal": full_profile(alg)}
-        if points:
-            L = LinearForm(alg.varset, points[0])
+        if point is not None:
+            L = LinearForm(alg.varset, point)
             profile["at_sampled_form"] = rank_profile(alg, L)
         else:
             profile["note"] = "no sampled form avoided the vanishing locus"
@@ -582,7 +582,9 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--seed",
         type=int,
@@ -615,6 +617,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="write the report to this file (atomically) instead of stdout",
     )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,33 +630,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "analyze", help="analyze a polynomial file ('-' for stdin)"
-    )
-    p.add_argument("path", help="polynomial file, or - for stdin")
-    p.add_argument(
+    common = _common_parser()
+    checks = argparse.ArgumentParser(add_help=False, parents=[common])
+    checks.add_argument(
         "--checks",
         default=",".join(ALL_CHECKS),
         help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}",
     )
-    _add_common(p)
+
+    p = sub.add_parser(
+        "analyze", parents=[checks],
+        help="analyze a polynomial file ('-' for stdin)",
+    )
+    p.add_argument("path", help="polynomial file, or - for stdin")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
-        "from-complex",
+        "from-complex", parents=[checks],
         help="analyze the dual generator of a JSON simplicial complex",
     )
     p.add_argument("path", help="complex JSON file, or - for stdin")
-    p.add_argument(
-        "--checks",
-        default=",".join(ALL_CHECKS),
-        help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}",
-    )
-    _add_common(p)
     p.set_defaults(func=cmd_from_complex)
 
-    p = sub.add_parser("family", help="generate a family member")
+    p = sub.add_parser(
+        "family", parents=[common], help="generate a family member"
+    )
     p.add_argument(
         "kind",
         choices=("boolean", "odd", "even", "times-u", "times-uv", "perazzo"),
@@ -685,18 +686,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the generated polynomial to this file",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser(
-        "examples", help="run the worked-example catalog against expectations"
+        "examples", parents=[common],
+        help="run the worked-example catalog against expectations",
     )
     p.add_argument("--only", default=None, help="run a single catalog entry")
-    _add_common(p)
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser(
-        "mult-map",
+        "mult-map", parents=[common],
         help="compare the multiplication map against the scaled dual Hessian",
     )
     p.add_argument("path", help="polynomial file, or - for stdin")
@@ -719,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="coefficients of the linear form, in variable order",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_mult_map)
 
     return parser

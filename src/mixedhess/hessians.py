@@ -283,8 +283,9 @@ def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
     matrix in degree l.  Entries are polynomials of degree l - k.  Each
     row t of the inverse is read once, and the cells of inner row t are
     added into the rows it has an entry for, in ascending t per cell,
-    each scaled by its inverse entry (integer over the inverse's common
-    denominator); sums that cancel are dropped.
+    each scaled by its inverse entry; sums that cancel are dropped.  The
+    algebra inverts the pairing against F = scale*f, so f's inverse is
+    scale times its integer rows over their common denominator.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
@@ -294,7 +295,7 @@ def dual_mixed_hessian(alg: GradedAlgebra, l: int, k: int) -> MixedHessian:
     denom, inverse = alg.pairing_inverse(l)
     for inv_row, inner_row in zip(inverse, inner.cells):
         for i, v in inv_row.items():
-            c = Fraction(v, denom)
+            c = Fraction(v * alg.scale, denom)
             row = rows[i]
             for j, p in inner_row.items():
                 row[j] = row[j] + p.scale(c) if j in row else p.scale(c)

@@ -3,13 +3,16 @@
 The decision procedures here rest on two routes to the same rank:
 
 * the *multiplication route* builds the matrix of mu : A_k -> A_l,
-  v |-> (power of a linear form) * v, directly from the algebra: apply
-  the linear operator repeatedly to each basis monomial's action on the
-  dual generator, then read coordinates off the socle pairing.  It runs
-  in integers from f to the rank: f, the form and the inverse pairing
-  are each integers over one common denominator, so the route yields
-  the integer matrix D*M for one positive D, which has the rank of M.
-  Only `generalization_check` divides by D;
+  v |-> (power of a linear form) * v, directly from the algebra, in
+  the divided powers of `apolarity` (F = m*f = sum phi(b) x^[b]).
+  Column x^beta is X^beta F = sum_a phi(a + beta) x^[a], row x^beta of
+  the degree-(d-k) catalecticant.  L = sum a_v X_v contracts,
+  X_v x^[a] = x^[a - e_v], and the coefficient of L^(l-k) X^beta F at
+  x^[g] is (X^g L^(l-k) X^beta)(F), which the inverse pairing turns into
+  coordinates in B_l.  The form and the inverse pairing are integers
+  over common denominators, so the route yields the integer matrix D*M
+  for one positive D, with the rank of M.  Only `generalization_check`
+  divides by D;
 * the *Hessian route* evaluates a dual mixed Hessian at the point of
   coefficients of the linear form and scales by a factorial.
 
@@ -38,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .apolarity import GradedAlgebra, InvariantViolation, _apolar_terms
+from .apolarity import GradedAlgebra, InvariantViolation
 from .config import DEFAULT_CONFIG, SamplingConfig
 from .hessians import (
     MixedHessian,
@@ -89,38 +92,26 @@ def mult_map_matrix(
     by B_l, columns by B_k) and D = `_mult_map_denominator(alg, k, l, L)`.
     N has M's rank; its entries are ints.
 
-    Built without Hessians, in integers from the terms of f: the
-    coefficients of f are scaled once by the lcm of their denominators,
-    those of L by theirs, and the inverse pairing comes as integer rows
-    over its common denominator.  Each column is X^beta f, read off
-    `_apolar_terms`, with the linear operator applied l-k times to its
-    term map; the power is never expanded.  Coordinates in degree l are
-    read off the inverse socle pairing: a term c*x^e of the result pairs
-    to c*e! when x^e lies in B_(d-l), and only against the nonzero
-    entries of that row of the inverse.  Every sum is of ints.
+    Built without Hessians, in divided powers (module docstring): column
+    beta is the stored catalecticant row X^beta F, the coefficients of L
+    scaled by the lcm of their denominators contract it l-k times (the
+    power is never expanded), and its coefficients at B_(d-l) meet only
+    the nonzero entries of the integer inverse pairing rows.  Every sum
+    is of ints.
     """
     d = alg.socle_degree
     if not (0 <= k <= l <= d):
         raise ValueError(f"need 0 <= k <= l <= {d}, got ({k}, {l})")
     if L.varset != alg.f.varset:
         raise ValueError("linear form lives in a different variable set")
-    f = alg.f
-    f_coeffs = dict(zip(f.terms, _int_scaled(f.terms.values())[1]))
     l_coeffs = _int_scaled(L.coeffs)[1]
+    rows = alg._catalecticants[d - k]
+    inverse = dict(zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)[1]))
     cols_b = alg.quotient_basis(k)
-    actions: dict = {beta: {} for beta in cols_b}
-    for b, a, rest, falling in _apolar_terms(f, k):
-        g = actions.get(a)
-        if g is not None:
-            g[rest] = f_coeffs[b] * falling
-    inverse = {}
-    for gamma, row in zip(alg.quotient_basis(d - l), alg.pairing_inverse(l)[1]):
-        fact = math.prod(map(math.factorial, gamma))
-        inverse[gamma] = [(i, v * fact) for i, v in row.items()]
     matrix = [[0] * len(cols_b) for _ in range(alg.dim(l))]
     for j, beta in enumerate(cols_b):
-        for e, c in _linear_power_terms(l_coeffs, actions[beta], l - k).items():
-            for i, v in inverse.get(e, ()):
+        for e, c in _linear_power_terms(l_coeffs, rows.get(beta, {}), l - k).items():
+            for i, v in inverse.get(e, {}).items():
                 matrix[i][j] += v * c
     return matrix
 
@@ -128,12 +119,11 @@ def mult_map_matrix(
 def _mult_map_denominator(
     alg: GradedAlgebra, k: int, l: int, L: LinearForm
 ) -> int:
-    """The D with `mult_map_matrix(alg, k, l, L)` = D*M: lcm_f *
-    lcm_L^(l-k) * D_l, the lcms of the denominators of f and of L and the
-    common denominator of the degree-l inverse pairing."""
-    lcm_f = _int_scaled(alg.f.terms.values())[0]
-    lcm_l = _int_scaled(L.coeffs)[0]
-    return lcm_f * lcm_l ** (l - k) * alg.pairing_inverse(l)[0]
+    """The D with `mult_map_matrix(alg, k, l, L)` = D*M: lcm_L^(l-k) *
+    D_l, the lcm of the denominators of L and the common denominator of
+    the degree-l inverse pairing.  The scale m of F = m*f cancels: the
+    columns carry it and the inverse pairing divides it out."""
+    return _int_scaled(L.coeffs)[0] ** (l - k) * alg.pairing_inverse(l)[0]
 
 
 def rank_profile(alg: GradedAlgebra, L: LinearForm) -> tuple[int, ...]:
@@ -195,23 +185,24 @@ def generalization_check(
 
 
 def sample_points(alg: GradedAlgebra, config: SamplingConfig, tag: str):
-    """Up to `trials` integer points at which the dual generator does
-    not vanish (degenerate draws are re-rolled a bounded number of
-    times instead of consuming a trial)."""
+    """Yield up to `trials` integer points at which the dual generator
+    does not vanish (degenerate draws are re-rolled a bounded number of
+    times instead of consuming a trial), within 4*trials draws.  Points
+    are drawn as they are asked for, so a caller that stops early draws
+    no more."""
     rng = config.rng(tag, alg.socle_degree, alg.hilbert)
     n = alg.f.varset.size
-    points = []
-    attempts = 0
-    limit = 4 * config.trials
-    while len(points) < config.trials and attempts < limit:
-        attempts += 1
+    found = 0
+    for _ in range(4 * config.trials):
         pt = tuple(
             rng.randint(-config.sample_bound, config.sample_bound)
             for _ in range(n)
         )
         if alg.f.evaluate(pt) != 0:
-            points.append(pt)
-    return points
+            yield pt
+            found += 1
+            if found == config.trials:
+                return
 
 
 def _linear_form(alg: GradedAlgebra, point) -> LinearForm:
@@ -277,15 +268,14 @@ def _decide(
     memoized torus-slice bound or determinant makes a deficient cell
     exact, and confirms its rank at the first point against the
     multiplication route, read off the rank profile there when the
-    verdict carries one."""
+    verdict carries one.  Points are drawn only as the search asks for
+    them."""
     mats = [_cell_hessian(alg, i, j) for i, j, *_ in cells]
     notes: list[str] = []
-    points = sample_points(alg, config, f"{name.lower()}-witness")
-    if not points:
-        notes.append(
-            "no sample point avoided the vanishing locus of the generator"
-        )
-    for pt in points:
+    first = None
+    for pt in sample_points(alg, config, f"{name.lower()}-witness"):
+        if first is None:
+            first = pt
         short = next((m for m in mats if rank_at(m, pt) != min(m.shape)), None)
         if short is None:
             witness = _linear_form(alg, pt)
@@ -309,6 +299,10 @@ def _decide(
             or _slice_bound(short) < min(short.shape)
         ):
             break
+    if first is None:
+        notes.append(
+            "no sample point avoided the vanishing locus of the generator"
+        )
 
     evidence = []
     for (_, _, step, _, confirm_note), m in zip(cells, mats):
@@ -316,10 +310,10 @@ def _decide(
         evidence.append(cert)
         if cert.rank < min(m.shape):
             profile = None
-            if points:
+            if first is not None:
                 if profile_on_failure:
-                    profile = rank_profile(alg, _linear_form(alg, points[0]))
-                confirmed = _confirm_routes(alg, m, points[0], step, profile)
+                    profile = rank_profile(alg, _linear_form(alg, first))
+                confirmed = _confirm_routes(alg, m, first, step, profile)
                 notes.append(confirm_note.format(confirmed))
             return LefschetzVerdict(
                 name, False, None, tuple(evidence), cert.mode, profile, step,

@@ -221,19 +221,7 @@ class Polynomial:
         return _raw(self.varset, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = -c
-            else:
-                s = s - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return _raw(self.varset, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return _raw(self.varset, {e: -c for e, c in self.terms.items()})
@@ -372,14 +360,7 @@ def falling_product(b: tuple[int, ...], a: tuple[int, ...]) -> int:
 
 def apolar_monomial(a: tuple[int, ...], f: Polynomial) -> Polynomial:
     """Action of the single monomial operator X^a on f."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for b, c in f.terms.items():
-        coef = falling_product(b, a)
-        if coef:
-            key = tuple(x - y for x, y in zip(b, a))
-            prev = out.get(key)
-            out[key] = c * coef if prev is None else prev + c * coef
-    return _raw(f.varset, {e: c for e, c in out.items() if c})
+    return apolar_apply(_raw(f.varset, {a: Fraction(1)}), f)
 
 
 def apolar_apply(op: Polynomial, f: Polynomial) -> Polynomial:
@@ -416,8 +397,10 @@ def apolar_pairing(a: tuple[int, ...], g: tuple[int, ...], f: Polynomial) -> Fra
 
 def _linear_power_terms(coeffs: Sequence, terms: dict, power: int) -> dict:
     """The operator sum(a_v * X_v) applied power times to a term map
-    {exponents: coefficient}; ints in give ints out, and zero
-    coefficients are dropped after each application."""
+    {exponents: coefficient} in divided powers, where X_v contracts:
+    X_v x^[b] = x^[b - e_v] for x^[b] = x^b / b!, zero when b_v = 0.  Ints
+    in give ints out, and zero coefficients are dropped after each
+    application."""
     nonzero = [(v, a) for v, a in enumerate(coeffs) if a]
     for _ in range(power):
         if not terms:
@@ -427,9 +410,8 @@ def _linear_power_terms(coeffs: Sequence, terms: dict, power: int) -> dict:
             for v, a in nonzero:
                 if b[v]:
                     key = b[:v] + (b[v] - 1,) + b[v + 1 :]
-                    val = c * a * b[v]
                     prev = out.get(key)
-                    out[key] = val if prev is None else prev + val
+                    out[key] = c * a if prev is None else prev + c * a
         terms = {e: c for e, c in out.items() if c}
     return terms
 
@@ -442,8 +424,15 @@ def _int_scaled(values: Collection[Fraction]) -> tuple[int, list[int]]:
 
 
 def linear_apply(coeffs: Sequence[Fraction], f: Polynomial) -> Polynomial:
-    """One application of the operator sum(a_v * X_v) to f."""
-    return _raw(f.varset, _linear_power_terms(coeffs, f.terms, 1))
+    """One application of the operator sum(a_v * X_v) to f, by ordinary
+    differentiation."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for b, c in f.terms.items():
+        for v, a in enumerate(coeffs):
+            if a and b[v]:
+                key = b[:v] + (b[v] - 1,) + b[v + 1 :]
+                out[key] = out.get(key, _ZERO) + c * a * b[v]
+    return Polynomial(f.varset, out)
 
 
 # -- parsing -------------------------------------------------------------

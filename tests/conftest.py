@@ -16,6 +16,7 @@ from mixedhess import (
     SamplingConfig,
     SimplicialComplex,
     VarSet,
+    apolar_pairing,
     build_algebra,
     example_catalog,
     parse_polynomial,
@@ -96,10 +97,14 @@ def densify(rows, ncols: int) -> list[list[Fraction]]:
 
 
 def dense_pairing_inverse(alg, k: int) -> list[list[Fraction]]:
-    """The inverse of the degree-k socle pairing as dense Fraction rows,
-    by dense Gauss-Jordan elimination of `pairing_matrix(k)`: an oracle
-    that does not read ``alg.pairing_inverse``."""
-    return dense_inverse(densify(alg.pairing_matrix(k), alg.dim(alg.socle_degree - k)))
+    """The inverse of the degree-k socle pairing of ``alg.f`` as dense
+    Fraction rows: every cell (alpha * gamma)(f) through `apolar_pairing`,
+    then dense Gauss-Jordan elimination.  An oracle that reads neither
+    ``alg.pairing_matrix`` nor ``alg.pairing_inverse``."""
+    return dense_inverse([
+        [apolar_pairing(a, g, alg.f) for g in alg.quotient_basis(alg.socle_degree - k)]
+        for a in alg.quotient_basis(k)
+    ])
 
 
 def dense_rref(rows):

@@ -121,18 +121,20 @@ def test_pairing_matrices_invertible(four_cycle_alg, boolean3_alg):
 @given(st.integers(0, 2**32 - 1))
 def test_pairing_matrix_matches_dense_pairing(seed):
     # Every cell through apolar_pairing, on forms with a random support
-    # and mixed-denominator coefficients.
+    # and mixed-denominator coefficients: the pairing against F = m*f,
+    # m the lcm of the denominators, in ints.
     rng = random.Random(seed)
     alg = build_algebra(rational_random_form(rng, rng.randint(1, 4), rng.randint(1, 5)))
+    assert alg.scale == math.lcm(*(c.denominator for c in alg.f.terms.values()))
     for k in range(alg.socle_degree + 1):
         dense = [
-            [apolar_pairing(a, g, alg.f)
+            [alg.scale * apolar_pairing(a, g, alg.f)
              for g in alg.quotient_basis(alg.socle_degree - k)]
             for a in alg.quotient_basis(k)
         ]
         m = alg.pairing_matrix(k)
         assert densify(m, alg.dim(alg.socle_degree - k)) == dense, k
-        assert all(type(v) is Fraction and v for row in m for v in row.values())
+        assert all(type(v) is int and v for row in m for v in row.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,14 +178,14 @@ def test_quadrics_fail_for_fermat_cubic():
 def test_each_catalecticant_is_reduced_once(monkeypatch):
     # build_algebra reduces the catalecticant of every degree, and the
     # annihilator bases read those reductions instead of redoing them.
-    real = apolarity._sparse_catalecticant_rows
+    real = apolarity._catalecticant_rows
     degrees = []
 
-    def counted(f, k):
+    def counted(f, phi, k):
         degrees.append(k)
-        return real(f, k)
+        return real(f, phi, k)
 
-    monkeypatch.setattr(apolarity, "_sparse_catalecticant_rows", counted)
+    monkeypatch.setattr(apolarity, "_catalecticant_rows", counted)
     member = odd_counterexample(5, 10, verify="none")
     alg = build_algebra(member.polynomial)
     assert ann_generated_by_quadrics(alg).presented
@@ -429,16 +431,20 @@ def fraction_forms(draw):
 @settings(max_examples=100, deadline=None)
 @given(fraction_forms())
 def test_int_catalecticant_matches_fraction_oracle(f):
+    # The stored rows are the catalecticant of F = lcm*f in divided
+    # powers: row x^r is r! * lcm times the row of ordinary derivatives.
     alg = build_algebra(f)
     g = alg.f
     lcm = math.lcm(*(c.denominator for c in g.terms.values()))
+    assert alg.scale == lcm
     for k in range(alg.socle_degree + 1):
-        rows = apolarity._sparse_catalecticant_rows(g, k)
+        rows = alg._catalecticants[k]
         oracle_rows = _fraction_catalecticant_rows(g, k)
         assert rows.keys() == oracle_rows.keys()
         for key, row in rows.items():
             assert all(type(v) is int for v in row.values())
-            assert row == {a: lcm * v for a, v in oracle_rows[key].items()}
+            r_fact = math.prod(map(math.factorial, key))
+            assert row == {a: lcm * r_fact * v for a, v in oracle_rows[key].items()}
         reduced = sparse_rref(oracle_rows.values())
         assert alg._reduced[k] == reduced
         assert all(

@@ -228,6 +228,15 @@ GOLDEN = {
     # The whole catalog.  The squared auxiliary variables of four-cycle-9
     # and four-cycle-11 put exponents above 1 into every apolar walk.
     "examples_seed1.json": ["examples", "--seed", "1"],
+    # A generator with denominators: f is scaled by the lcm 30 of its
+    # coefficients' denominators before any integer table is built.
+    "analyze_rational_quintic_seed1.json": [
+        "analyze", "samples/rational_quintic.poly", "--seed", "1",
+    ],
+    "mult_map_rational_quintic_1_3_seed1.json": [
+        "mult-map", "samples/rational_quintic.poly", "--from", "1", "--to", "3",
+        "--linear", "1/2,-2/3,1/5,3", "--seed", "1",
+    ],
 }
 
 

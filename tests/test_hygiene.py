@@ -197,6 +197,10 @@ KEPT_UNREAD = {
     "linalg.rref": (
         "declared as `linalg.rref.self_s` in BENCHMARK.json; goes with benchmark v2"
     ),
+    "polyring.apolar_pairing": (
+        "the tests' per-cell pairing oracle: conftest.dense_pairing_inverse, "
+        "test_apolarity and the mult-map oracles in test_lefschetz"
+    ),
     "polyring.Polynomial.degree": (
         "the tests' oracle for `max_entry_degree` in test_hessians.py"
     ),
@@ -318,24 +322,43 @@ BUILDS_MATRICES_BY_HAND = {
 }
 
 
-def _matrix_builders(modules: dict[str, str]) -> list[str]:
-    """module.function for each top-level function outside hessians.py
-    that calls `MixedHessian(...)` (module-level calls as module.<module>)."""
+def _callers(modules: dict[str, str], callee: str) -> list[str]:
+    """module.function for each top-level function that calls `callee`
+    by name, module.Class.method for a method of a top-level class, and
+    module.<module> for any other top-level statement."""
     found = []
     for name, source in sorted(modules.items()):
-        if name == "hessians.py":
-            continue
         module = name.removesuffix(".py")
         for node in ast.parse(source).body:
-            where = node.name if isinstance(node, ast.FunctionDef) else "<module>"
-            if any(
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Name)
-                and n.func.id == "MixedHessian"
-                for n in ast.walk(node)
-            ):
-                found.append(f"{module}.{where}")
+            if isinstance(node, ast.ClassDef):
+                scopes = [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+            elif isinstance(node, ast.FunctionDef):
+                scopes = [(node.name, node)]
+            else:
+                scopes = [("<module>", node)]
+            found.extend(
+                f"{module}.{where}"
+                for where, scope in scopes
+                if any(
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)
+                    and n.func.id == callee
+                    for n in ast.walk(scope)
+                )
+            )
     return found
+
+
+def _matrix_builders(modules: dict[str, str]) -> list[str]:
+    """The callers of `MixedHessian(...)` outside hessians.py."""
+    return [
+        where for where in _callers(modules, "MixedHessian")
+        if not where.startswith("hessians.")
+    ]
 
 
 def test_only_hessians_builds_matrices():
@@ -350,3 +373,24 @@ def test_matrix_builder_detector_flags_a_call():
         "cli.py": "h = MixedHessian\n",
     }
     assert _matrix_builders(modules) == ["families.perazzo"]
+
+
+def test_only_the_catalecticant_and_the_hessian_cells_walk_f():
+    # Every integer table of the algebra (pairing, multiplication maps)
+    # is read off the stored catalecticant, so the (term, divisor) walk
+    # of f has two callers: the catalecticant and the Hessian cells.
+    modules = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _callers(modules, "_apolar_terms") == [
+        "apolarity._catalecticant_rows", "hessians._entries",
+    ]
+
+
+def test_caller_detector_names_methods():
+    modules = {
+        "a.py": (
+            "class A:\n    def m(self):\n        return walk(1)\n\n"
+            "    def n(self):\n        return walk\n"
+        ),
+        "b.py": "def g():\n    return walk(2)\n\n\nx = walk(3)\n",
+    }
+    assert _callers(modules, "walk") == ["a.A.m", "b.g", "b.<module>"]

@@ -67,15 +67,18 @@ def test_boolean_mult_map_frozen_matrix(boolean3_alg):
 
 
 def test_mult_map_denominator_scales_the_integer_matrix():
-    # f = (2/3)xyz and L = (x+y+z)/2: lcm_f = 3, lcm_L = 2, and the
-    # degree-2 pairing has entries 2/3, so its inverse 3/2 has D_2 = 2.
-    # A map of one degree carries D = 3 * 2 * 2 and cells D/2 = 6.
+    # f = (2/3)xyz and L = (x+y+z)/2: F = 3f = 2xyz, so the degree-2
+    # pairing against F has entries 2 and its inverse 1/2 has D_2 = 2.
+    # With lcm_L = 2, a map of one degree carries D = 2 * 2 and cells
+    # D/2 = 2.
     alg = build_algebra(parse_polynomial("2/3*x*y*z"))
     L = LinearForm(alg.varset, (Fraction(1, 2),) * 3)
+    assert alg.scale == 3
+    assert alg.pairing_matrix(2) == [{2: 2}, {1: 2}, {0: 2}]
     denom, rows = alg.pairing_inverse(2)
-    assert (denom, [list(row.values()) for row in rows]) == (2, [[3], [3], [3]])
-    assert lefschetz._mult_map_denominator(alg, 1, 2, L) == 12
-    assert mult_map_matrix(alg, 1, 2, L) == [[6, 6, 0], [6, 0, 6], [0, 6, 6]]
+    assert (denom, [list(row.values()) for row in rows]) == (2, [[1], [1], [1]])
+    assert lefschetz._mult_map_denominator(alg, 1, 2, L) == 4
+    assert mult_map_matrix(alg, 1, 2, L) == [[2, 2, 0], [2, 0, 2], [0, 2, 2]]
     assert _mult_map_fractions(alg, 1, 2, L) == [
         [Fraction(v, 2) for v in row] for row in ([1, 1, 0], [1, 0, 1], [0, 1, 1])
     ]
@@ -194,7 +197,8 @@ def _corrupt_basis(alg, k, basis):
     bases = list(alg._quotient_bases)
     bases[k] = tuple(basis)
     return GradedAlgebra(
-        alg.f, alg.hilbert, tuple(bases), alg._reduced, alg.warnings
+        alg.f, alg.scale, alg.hilbert, tuple(bases), alg._catalecticants,
+        alg._reduced, alg.warnings,
     )
 
 

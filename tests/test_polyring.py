@@ -168,14 +168,22 @@ def test_linear_apply_is_directional_derivative():
     assert out == parse_polynomial("2*x*y + x^2", f.varset)
 
 
+def _divided(terms):
+    """The coefficients of sum c_b x^b = sum c_b b! x^[b] in divided
+    powers x^[b] = x^b / b!."""
+    return {b: c * math.prod(map(math.factorial, b)) for b, c in terms.items()}
+
+
 def test_linear_power_apply_matches_iteration():
+    # Contraction on divided-power coefficients is differentiation on
+    # ordinary ones.
     rng = random.Random(7)
     f = parse_polynomial("x^3*y + x*y^3 - y^4")
     coeffs = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
     once = f
     for _ in range(3):
         once = linear_apply(coeffs, once)
-    assert _linear_power_terms(coeffs, f.terms, 3) == once.terms
+    assert _linear_power_terms(coeffs, _divided(f.terms), 3) == _divided(once.terms)
 
 
 def test_power_apply_identity_check():
@@ -183,9 +191,12 @@ def test_power_apply_identity_check():
     L = LinearForm(vs, (Fraction(2), Fraction(1)))
     g = parse_polynomial("x*y + y^2", vs)
     # L^2 applied to a quadric equals 2! times the quadric at (2, 1):
-    # 2 * (2*1 + 1^2) = 6
+    # 2 * (2*1 + 1^2) = 6.  In divided powers g = x^[1,1] + 2*y^[0,2],
+    # and X_v contracts: X_x X_y x^[1,1] = 1 and X_y^2 y^[0,2] = 1.
     assert g.evaluate(L.perp()) == 3
-    assert _linear_power_terms(L.coeffs, g.terms, 2) == {(0, 0): 6}
+    assert _linear_power_terms(L.coeffs, {(1, 1): 1, (0, 2): 2}, 2) == {(0, 0): 6}
+    # Contraction carries no factor: X_x x^[3] = x^[2].
+    assert _linear_power_terms((1,), {(3,): 1}, 1) == {(2,): 1}
 
 
 def test_monomial_exponents_counts_and_order():
