@@ -416,17 +416,10 @@ def _degree_step_spanned(alg: GradedAlgebra, k: int) -> bool:
 # -- bigraded structure ----------------------------------------------------
 
 
-class BigradedBasis(NamedTuple):
-    """Partition of the quotient bases of a bihomogeneous algebra by
-    (x-degree, u-degree).  ``pieces[(i, j)]`` lists the exponent tuples
-    of the basis monomials in the ambient graded-lex order."""
-
-    bidegree: tuple[int, int]
-    pieces: dict
-
-
-def bigraded_decomposition(alg: GradedAlgebra) -> BigradedBasis:
-    """Split every quotient basis by bidegree.
+def bigraded_decomposition(alg: GradedAlgebra) -> dict:
+    """Split every quotient basis by bidegree: ``pieces[(i, j)]`` lists
+    the exponent tuples of the basis monomials of x-degree i and
+    u-degree j in the ambient graded-lex order.
 
     Requires a bihomogeneous f over a block-structured VarSet.  The
     monomial quotient bases are automatically compatible with the
@@ -451,7 +444,7 @@ def bigraded_decomposition(alg: GradedAlgebra) -> BigradedBasis:
             raise InvariantViolation(
                 f"bigraded duality failed at piece ({i}, {j})"
             )
-    return BigradedBasis((d1, d2), pieces)
+    return pieces
 
 
 def unimodality_check(hilbert: Sequence[int]) -> bool:

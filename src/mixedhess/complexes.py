@@ -33,12 +33,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
-from .apolarity import (
-    GradedAlgebra,
-    InvariantViolation,
-    build_algebra,
-)
-from .config import DEFAULT_CONFIG, SamplingConfig
+from .apolarity import GradedAlgebra, InvariantViolation
+from .config import SamplingConfig
 from .hessians import (
     MixedHessian,
     RankCertificate,
@@ -236,40 +232,17 @@ def turan_complex(orders: Sequence[int]) -> SimplicialComplex:
     return SimplicialComplex(vertices, facets)
 
 
-def attach_leaf(
-    comp: SimplicialComplex, facet: Sequence[str] | None = None
-) -> SimplicialComplex:
-    """Add one facet containing exactly one new vertex.
-
-    When no facet is given, one is built from the most recently grown
-    facet: its first vertex is swapped for a fresh vertex p1, p2, ...,
-    so repeated growth yields a caterpillar tail.  Grows the vertex
-    count and the facet count by one each, keeping the complex pure."""
-    if facet is None:
-        k = 1
-        while f"p{k}" in comp.vertices:
-            k += 1
-        fresh = [f"p{k}"]
-        rest = list(comp.facets[-1][1:])
-    else:
-        facet = tuple(facet)
-        if len(set(facet)) != len(facet):
-            raise ValueError("facet repeats a vertex")
-        if len(facet) != comp.dim + 1:
-            raise ValueError(
-                f"facet must have {comp.dim + 1} vertices to keep the "
-                "complex pure"
-            )
-        fresh = [v for v in facet if v not in comp.vertices]
-        if len(fresh) != 1:
-            raise ValueError("facet must contain exactly one new vertex")
-        if not _NAME_RE.match(fresh[0]):
-            raise ValueError(f"vertex name {fresh[0]!r} is not an identifier")
-        rest = [v for v in facet if v != fresh[0]]
-    order = {v: i for i, v in enumerate(comp.vertices)}
-    new_facet = tuple(sorted(rest, key=order.__getitem__)) + (fresh[0],)
+def attach_leaf(comp: SimplicialComplex) -> SimplicialComplex:
+    """Add one facet containing exactly one new vertex: the most recently
+    grown facet with its first vertex swapped for a fresh vertex p1, p2,
+    ..., so repeated growth yields a caterpillar tail.  The fresh vertex
+    comes last in vertex order, so the new facet is in vertex order."""
+    k = 1
+    while f"p{k}" in comp.vertices:
+        k += 1
+    fresh = f"p{k}"
     return SimplicialComplex(
-        comp.vertices + (fresh[0],), comp.facets + (new_facet,)
+        comp.vertices + (fresh,), comp.facets + (comp.facets[-1][1:] + (fresh,),)
     )
 
 
@@ -514,12 +487,12 @@ class NoninjectivityWitness(NamedTuple):
 def grid_noninjectivity_witness(
     comp: SimplicialComplex,
     pairs: Sequence[tuple[str, str]],
-    config: SamplingConfig = DEFAULT_CONFIG,
-    alg: GradedAlgebra | None = None,
+    config: SamplingConfig,
+    alg: GradedAlgebra,
 ) -> NoninjectivityWitness:
     """Syzygy certificate for any pure complex containing a full grid:
     one distinguished pair of vertices per group, with every transversal
-    of the pairs a facet.
+    of the pairs a facet.  `alg` is the algebra of comp's dual generator.
 
     A transversal facet picks one vertex from each pair; its syzygy
     coefficient is the product of the *unpicked* vertex variables,
@@ -545,8 +518,6 @@ def grid_noninjectivity_witness(
             raise ValueError(
                 f"grid transversal {choice!r} is not a facet"
             )
-    if alg is None:
-        alg = build_algebra(dual_generator(comp))
     d = alg.socle_degree
     block = bigraded_hessian(alg, (1, 0), (0, d - 2))
 

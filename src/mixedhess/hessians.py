@@ -312,7 +312,7 @@ def bigraded_hessian(
 ) -> MixedHessian:
     """Block of the mixed Hessian with rows and columns restricted to
     quotient-basis monomials of the given bidegrees."""
-    pieces = bigraded_decomposition(alg).pieces
+    pieces = bigraded_decomposition(alg)
     return _hessian_of(
         alg.f,
         pieces.get(row_bidegree, ()),
@@ -412,7 +412,7 @@ def rank_at(h: MixedHessian, point: Sequence[Fraction | int]) -> int:
     return rank
 
 
-def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
+def symbolic_det(h: MixedHessian, cap: int) -> Polynomial:
     """Exact determinant by cofactor expansion with memoized minors.
 
     Rows are pre-sorted so those with the fewest cells come first, and
@@ -423,7 +423,7 @@ def symbolic_det(h: MixedHessian, cap: int | None = None) -> Polynomial:
     n = h.nrows
     if n != h.ncols:
         raise ValueError("determinant of a non-square matrix")
-    if cap is not None and n > cap:
+    if n > cap:
         raise SymbolicCapExceeded(f"matrix size {n} exceeds symbolic cap {cap}")
     one = Polynomial.constant(h.varset, Fraction(1))
     if n == 0:

@@ -213,7 +213,7 @@ def _linear_form(alg: GradedAlgebra, point) -> LinearForm:
 
 def _confirm_routes(
     alg: GradedAlgebra, h: MixedHessian, point, step: tuple[int, int],
-    profile: tuple[int, ...] | None = None,
+    profile: tuple[int, ...] | None,
 ) -> int:
     """Check at one point that the Hessian-route rank equals the
     multiplication-route rank for the named step, and return it.  Given

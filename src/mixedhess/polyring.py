@@ -330,17 +330,8 @@ class LinearForm(namedtuple("LinearForm", ("varset", "coeffs"))):
     # The inherited _make, which _replace calls, would bypass __new__.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def operator(self) -> Polynomial:
-        n = self.varset.size
-        return _raw(
-            self.varset, {_unit(n, i): c for i, c in enumerate(self.coeffs) if c}
-        )
-
     def perp(self) -> tuple[Fraction, ...]:
         return self.coeffs
-
-    def text(self) -> str:
-        return self.operator().text()
 
 
 # -- apolarity action ---------------------------------------------------

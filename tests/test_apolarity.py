@@ -488,12 +488,12 @@ def test_unimodality_check():
 
 
 def test_bigraded_decomposition_four_cycle(four_cycle_alg):
-    dec = bigraded_decomposition(four_cycle_alg)
-    sizes = {bd: len(monos) for bd, monos in dec.pieces.items()}
+    pieces = bigraded_decomposition(four_cycle_alg)
+    sizes = {bd: len(monos) for bd, monos in pieces.items()}
     assert sizes[(1, 0)] == 4
     assert sizes[(0, 1)] == 4
     total_by_degree = {}
-    for (a, b), monos in dec.pieces.items():
+    for (a, b), monos in pieces.items():
         total_by_degree[a + b] = total_by_degree.get(a + b, 0) + len(monos)
     assert tuple(
         total_by_degree.get(k, 0) for k in range(4)

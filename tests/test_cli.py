@@ -237,6 +237,16 @@ GOLDEN = {
         "mult-map", "samples/rational_quintic.poly", "--from", "1", "--to", "3",
         "--linear", "1/2,-2/3,1/5,3", "--seed", "1",
     ],
+    # tk222 grown by one leaf facet: a 2-dimensional complex through
+    # attach_leaf.
+    "family_even_d4_codim16_seed1.json": [
+        "family", "even", "--d", "4", "--codim", "16", "--seed", "1",
+    ],
+    # A certificate from the symbolic determinant rung.
+    "family_perazzo_u2_uv_v2_tail_seed1.json": [
+        "family", "perazzo", "--partials", "u^2; u*v; v^2", "--tail", "u^3 + v^3",
+        "--seed", "1",
+    ],
 }
 
 

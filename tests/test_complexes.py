@@ -101,17 +101,12 @@ def test_turan_bounds():
     assert len(single.facets) == 3
 
 
-def test_attach_leaf_auto_and_explicit():
+def test_attach_leaf_swaps_the_first_vertex_of_the_last_facet():
     comp = turan_complex((2, 2))
     grown = attach_leaf(comp)
-    assert len(grown.vertices) == len(comp.vertices) + 1
-    assert len(grown.facets) == len(comp.facets) + 1
-    explicit = attach_leaf(comp, ("a1", "p9"))
-    assert "p9" in explicit.vertices
-    with pytest.raises(ValueError):
-        attach_leaf(comp, ("a1", "a2"))  # no new vertex
-    with pytest.raises(ValueError):
-        attach_leaf(comp, ("a1", "b1", "q1"))  # wrong size for dim 1
+    assert grown.vertices == comp.vertices + ("p1",)
+    assert grown.facets == comp.facets + (("b2", "p1"),)
+    assert attach_leaf(grown).facets[-1] == ("p1", "p2")
 
 
 def test_without_face_keeps_lower_faces():
@@ -363,7 +358,8 @@ def test_square_grid_witness(config):
     comp = _square_graph()
     groups = detect_complete_multipartite(comp)
     assert groups is not None
-    witness = grid_noninjectivity_witness(comp, grid_pairs_for(groups), config)
+    alg = build_algebra(dual_generator(comp))
+    witness = grid_noninjectivity_witness(comp, grid_pairs_for(groups), config, alg)
     assert witness.wlp_excluded
     assert witness.step == (1, 2)
     assert witness.step_rank_bound == 7
@@ -376,7 +372,8 @@ def test_witness_survives_leaf_growth(config):
     pairs = grid_pairs_for((("a1", "a2"), ("b1", "b2"), ("c1", "c2")))
     grown = attach_leaf(attach_leaf(comp))
     assert detect_complete_multipartite(grown) is None
-    witness = grid_noninjectivity_witness(grown, pairs, config)
+    alg = build_algebra(dual_generator(grown))
+    witness = grid_noninjectivity_witness(grown, pairs, config, alg)
     assert witness.wlp_excluded
     assert witness.step_rank_bound == witness.step_full_rank - 1
 
@@ -387,7 +384,8 @@ def test_witness_on_cut_turan(config):
     # vertices of each group survives the cut
     assert detect_complete_multipartite(cut) is None
     pairs = grid_pairs_for((("a1", "a2"), ("b1", "b2"), ("c1", "c2")))
-    witness = grid_noninjectivity_witness(cut, pairs, config)
+    alg = build_algebra(dual_generator(cut))
+    witness = grid_noninjectivity_witness(cut, pairs, config, alg)
     assert witness.wlp_excluded
     assert witness.step_rank_bound == 16
     assert witness.step_full_rank == 17
@@ -424,8 +422,10 @@ def test_detect_complete_multipartite_negatives():
     ids=["overlap", "count", "transversal"],
 )
 def test_grid_witness_rejects_a_bad_grid(pairs, message, config):
+    comp = turan_complex((2, 2, 2))
+    alg = build_algebra(dual_generator(comp))
     with pytest.raises(ValueError, match=re.escape(message)):
-        grid_noninjectivity_witness(turan_complex((2, 2, 2)), pairs, config)
+        grid_noninjectivity_witness(comp, pairs, config, alg)
 
 
 @pytest.mark.parametrize(

@@ -323,7 +323,7 @@ def test_max_entry_degree_matches_dense_scan(f):
 @given(_bihomogeneous_forms())
 def test_bigraded_max_entry_degree_matches_dense_scan(f):
     alg = build_algebra(f)
-    pieces = bigraded_decomposition(alg).pieces
+    pieces = bigraded_decomposition(alg)
     for r in pieces:
         for c in pieces:
             h = bigraded_hessian(alg, r, c)
@@ -342,7 +342,7 @@ def test_max_entry_degree_of_a_zero_matrix(four_cycle_alg):
 def test_bigraded_entries_match_oracle(sample):
     comp = _complex_from_json((SAMPLES / sample).read_text())
     alg = build_algebra(dual_generator(comp))
-    pieces = bigraded_decomposition(alg).pieces
+    pieces = bigraded_decomposition(alg)
     for r, rows_b in pieces.items():
         for c, cols_b in pieces.items():
             block = bigraded_hessian(alg, r, c)
@@ -496,7 +496,7 @@ def test_slice_bound_is_never_below_a_sampled_rank(f, perazzo, seed):
     cells = [mixed_hessian(alg, k, l) for k in range(d + 1) for l in range(d + 1 - k)]
     cells += [dual_mixed_hessian(alg, l, k) for l in range(d + 1) for k in range(l + 1)]
     if alg.varset.blocks is not None:
-        pieces = bigraded_decomposition(alg).pieces
+        pieces = bigraded_decomposition(alg)
         cells += [bigraded_hessian(alg, r, c) for r in pieces for c in pieces]
     try:
         cells += _perazzo_matrices(*perazzo, SamplingConfig(seed=0, trials=2))[1:]
@@ -591,7 +591,9 @@ def _grid_witness(name, config):
     # Two squares is no complete multipartite graph; the grid is its
     # first square, v1-v2-v3-v4.
     pairs = grid_pairs_for(groups) if groups else (("v1", "v3"), ("v2", "v4"))
-    return grid_noninjectivity_witness(comp, pairs, config)
+    return grid_noninjectivity_witness(
+        comp, pairs, config, build_algebra(dual_generator(comp))
+    )
 
 
 @pytest.mark.parametrize(
@@ -662,7 +664,7 @@ def test_stored_cells_are_the_nonzero_cells_of_the_oracle(f, perazzo):
             h = dual_mixed_hessian(alg, k, j)
             _assert_cells_match(h, _oracle_dual_entries(alg, k, j))
     if alg.varset.blocks is not None:
-        pieces = bigraded_decomposition(alg).pieces
+        pieces = bigraded_decomposition(alg)
         for r in pieces:
             for c in pieces:
                 h = bigraded_hessian(alg, r, c)

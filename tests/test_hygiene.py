@@ -312,6 +312,109 @@ def test_dead_definition_detector_flags_an_exported_unread_function():
     assert _dead_definitions(modules) == {"a.py": ["exported (line 1)"]}
 
 
+# Public method names that a package class shares with a member of
+# another, each with the reader that keeps the method.  Every other
+# method name belongs to one class, so the by-name check of
+# `_dead_definitions` is exact for it.  This check sees only the
+# package's classes: a name shared with a builtin type (`VarSet.index`
+# and `tuple.index`, `RowSpace.insert` and `list.insert`) stays out of
+# its reach.
+SHARED_NAMES = {
+    "codimension": (
+        "GradedAlgebra.codimension: cli's reports; FamilyMember.codimension "
+        "is a field"
+    ),
+    "degree": "Polynomial.degree: KEPT_UNREAD; FamilyMember.degree is a field",
+    "dim": (
+        "GradedAlgebra.dim: apolarity's quadric check and "
+        "families._lifted_annihilator_spans; SimplicialComplex.dim: cli and "
+        "complexes"
+    ),
+    "rank": (
+        "RowSpace.rank: apolarity._degree_step_spanned and "
+        "families._lifted_annihilator_spans; RankCertificate.rank is a field"
+    ),
+    "scale": (
+        "Polynomial.scale: hessians.dual_mixed_hessian and symbolic_det; "
+        "GradedAlgebra.scale is an attribute"
+    ),
+}
+
+
+def _class_members(node: ast.ClassDef) -> tuple[set[str], set[str]]:
+    """The public methods and properties of a class, and its other
+    members: record fields and attributes assigned through `self.`."""
+    methods, others = set(), set()
+    for base in node.bases:
+        # namedtuple("Name", ("field", ...)) as a base class
+        if isinstance(base, ast.Call) and getattr(base.func, "id", "") == "namedtuple":
+            others.update(ast.literal_eval(base.args[1]))
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            others.add(item.target.id)
+        elif isinstance(item, ast.FunctionDef):
+            if not item.name.startswith("_"):
+                methods.add(item.name)
+            others.update(
+                n.attr
+                for n in ast.walk(item)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name)
+                and n.value.id == "self"
+            )
+    return methods, others
+
+
+def _shared_method_names(modules: dict[str, str], exempt) -> list[str]:
+    """module.Class.method, with the classes that share its name, for
+    each public method whose name another class uses as a method,
+    property, record field or `self.` attribute, unless exempt."""
+    members = {
+        f"{name.removesuffix('.py')}.{node.name}": _class_members(node)
+        for name, source in sorted(modules.items())
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    shared = []
+    for cls, (methods, _) in members.items():
+        for method in sorted(set(methods) - set(exempt)):
+            others = [
+                other for other, (m, o) in members.items()
+                if other != cls and method in m | o
+            ]
+            if others:
+                shared.append(f"{cls}.{method} ({', '.join(others)})")
+    return shared
+
+
+def test_public_method_names_are_not_shared():
+    modules = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert _shared_method_names(modules, SHARED_NAMES) == []
+
+
+def test_shared_name_detector_flags_methods_fields_and_attributes():
+    modules = {
+        "a.py": (
+            "class A:\n    def text(self):\n        pass\n\n"
+            "    @property\n    def shape(self):\n        pass\n\n"
+            "    def rank(self):\n        pass\n\n"
+            "    def size(self):\n        pass\n\n"
+            "    def _key(self):\n        pass\n"
+        ),
+        "b.py": (
+            "class B(NamedTuple):\n    shape: tuple\n\n\n"
+            'class C(namedtuple("C", ("size",))):\n'
+            "    def text(self):\n        pass\n\n\n"
+            "class D:\n    def __init__(self):\n"
+            "        self.rank = 0\n        self._key = 1\n"
+        ),
+    }
+    assert _shared_method_names(modules, ("rank",)) == [
+        "a.A.shape (b.B)", "a.A.size (b.C)", "a.A.text (b.C)", "b.C.text (a.A)",
+    ]
+
+
 # The one module that builds matrices, so that every matrix of a
 # generator carries it (`hessians._hessian_of`), with the matrices built
 # elsewhere on purpose: module.function -> reason.

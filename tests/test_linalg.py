@@ -249,7 +249,7 @@ def test_rank_at_matches_oracle_on_plain_bigraded_and_shared_entries(point):
         for l in range(d + 1 - k)
     ]
     bialg = build_algebra(_bihomogeneous_form(rng))
-    pieces = bigraded_decomposition(bialg).pieces
+    pieces = bigraded_decomposition(bialg)
     matrices += [bigraded_hessian(bialg, r, c) for r in pieces for c in pieces]
     matrices.append(_shared_entry_matrix())
     for h in matrices:

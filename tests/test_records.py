@@ -117,10 +117,10 @@ def _record_types():
 
 def test_records_are_the_expected_named_tuples():
     assert sorted(_record_types()) == [
-        "BigradedBasis", "CatalogEntry", "DoubleLiftReport", "FamilyMember",
-        "LefschetzVerdict", "LiftReport", "LinearForm", "NoninjectivityWitness",
-        "PerazzoReport", "QuadricsCheck", "RankCertificate", "SamplingConfig",
-        "SimplicialComplex", "VarSet",
+        "CatalogEntry", "DoubleLiftReport", "FamilyMember", "LefschetzVerdict",
+        "LiftReport", "LinearForm", "NoninjectivityWitness", "PerazzoReport",
+        "QuadricsCheck", "RankCertificate", "SamplingConfig", "SimplicialComplex",
+        "VarSet",
     ]
 
 
