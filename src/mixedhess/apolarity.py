@@ -80,6 +80,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import RowSpace, _integer_rref, sparse_rref
@@ -92,26 +93,40 @@ class InvariantViolation(RuntimeError):
 
 def _splits(exps: tuple[int, ...], k: int) -> list[tuple]:
     """(a, exps - a, falling(exps, a)) for every exponent vector a <= exps
-    with |a| = k, in lexicographic order of a.  Only the nonzero positions
-    of exps branch, each into the exponents that still leave |a| = k
-    reachable; the zero runs between them are copied into both halves."""
+    with |a| = k, in lexicographic order of a.  The positions above 1
+    branch into the exponents that still leave |a| = k reachable; the
+    rest of the degree is a combination of positions of exponent 1,
+    which falling does not see.  Each divisor is made into a tuple once.
+    Combinations come in descending lexicographic order, so a term with
+    no exponent above 1 reverses them and any other term sorts."""
     room = sum(exps)
     if not 0 <= k <= room:
         return []
-    parts: list = [((), (), k, 1)]
-    gap: tuple[int, ...] = ()
-    for cap in exps:
-        if not cap:
-            gap += (0,)
-            continue
+    ones = [i for i, cap in enumerate(exps) if cap == 1]
+    highs = [(i, cap) for i, cap in enumerate(exps) if cap > 1]
+    choices: list = [((), k, 1)]
+    for _, cap in highs:
         room -= cap
-        parts = [
-            (a + gap + (e,), b + gap + (cap - e,), left - e, fall * math.perm(cap, e))
-            for a, b, left, fall in parts
+        choices = [
+            (chosen + (e,), left - e, fall * math.perm(cap, e))
+            for chosen, left, fall in choices
             for e in range(max(0, left - room), min(cap, left) + 1)
         ]
-        gap = ()
-    return [(a + gap, b + gap, fall) for a, b, _, fall in parts]
+    out = []
+    for chosen, left, fall in choices:
+        a, rest = [0] * len(exps), list(exps)
+        for (i, cap), e in zip(highs, chosen):
+            a[i], rest[i] = e, cap - e
+        for combo in combinations(ones, left):
+            a1, rest1 = a.copy(), rest.copy()
+            for i in combo:
+                a1[i], rest1[i] = 1, 0
+            out.append((tuple(a1), tuple(rest1), fall))
+    if highs:
+        out.sort()
+    else:
+        out.reverse()
+    return out
 
 
 def _apolar_terms(f: Polynomial, k: int) -> Iterator[tuple]:

@@ -33,6 +33,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Any, Sequence
 
 from .apolarity import (
@@ -582,92 +583,61 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, as a parent parser."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument(
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """The flags every command takes."""
+    p.add_argument(
         "--seed",
         type=int,
         default=None,
         help="RNG seed (default: drawn from entropy, echoed in the report)",
     )
-    parser.add_argument(
+    p.add_argument(
         "--trials", type=int, default=12, help="sample points per rank check"
     )
-    parser.add_argument(
+    p.add_argument(
         "--sample-bound",
         type=int,
         default=10**6,
         help="coordinates are drawn from [-bound, bound]",
     )
-    parser.add_argument(
+    p.add_argument(
         "--symbolic-cap",
         type=int,
         default=12,
         help="largest square size for symbolic determinants",
     )
-    parser.add_argument(
+    p.add_argument(
         "--format",
         choices=("json", "text"),
         default="json",
         help="report rendering (default json)",
     )
-    parser.add_argument(
+    p.add_argument(
         "--output",
         default=None,
         help="write the report to this file (atomically) instead of stdout",
     )
-    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mixedhess",
-        description=(
-            "Analyze Artinian Gorenstein algebras through mixed Hessians: "
-            "Hilbert functions, quadric presentation, Lefschetz properties, "
-            "and the simplicial-complex constructions behind them."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_parser()
-    checks = argparse.ArgumentParser(add_help=False, parents=[common])
-    checks.add_argument(
+def _add_checks(p: argparse.ArgumentParser, path_help: str) -> None:
+    """The arguments of the two commands that analyze one algebra."""
+    p.add_argument(
         "--checks",
         default=",".join(ALL_CHECKS),
         help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}",
     )
+    p.add_argument("path", help=path_help)
 
-    p = sub.add_parser(
-        "analyze", parents=[checks],
-        help="analyze a polynomial file ('-' for stdin)",
-    )
-    p.add_argument("path", help="polynomial file, or - for stdin")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser(
-        "from-complex", parents=[checks],
-        help="analyze the dual generator of a JSON simplicial complex",
-    )
-    p.add_argument("path", help="complex JSON file, or - for stdin")
-    p.set_defaults(func=cmd_from_complex)
-
-    p = sub.add_parser(
-        "family", parents=[common], help="generate a family member"
-    )
+def _add_family(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "kind",
-        choices=("boolean", "odd", "even", "times-u", "times-uv", "perazzo"),
+        "kind", choices=("boolean", "odd", "even", "times-u", "times-uv", "perazzo")
     )
     p.add_argument("--n", type=int, default=None, help="boolean: variables")
     p.add_argument("--d", type=int, default=None, help="odd/even: socle degree")
+    p.add_argument("--codim", type=int, default=None, help="odd/even: codimension")
     p.add_argument(
-        "--codim", type=int, default=None, help="odd/even: codimension"
-    )
-    p.add_argument(
-        "--verify",
-        choices=("none", "counts", "report"),
-        default="report",
+        "--verify", choices=("none", "counts", "report"), default="report",
         help="odd/even: verification level (default report)",
     )
     p.add_argument(
@@ -678,40 +648,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="perazzo: semicolon-separated forms sharing one variable set",
     )
-    p.add_argument(
-        "--tail", default=None, help="perazzo: optional tail polynomial"
-    )
+    p.add_argument("--tail", default=None, help="perazzo: optional tail polynomial")
     p.add_argument(
         "--poly-out",
         default=None,
         help="also write the generated polynomial to this file",
     )
-    p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser(
-        "examples", parents=[common],
-        help="run the worked-example catalog against expectations",
-    )
-    p.add_argument("--only", default=None, help="run a single catalog entry")
-    p.set_defaults(func=cmd_examples)
 
-    p = sub.add_parser(
-        "mult-map", parents=[common],
-        help="compare the multiplication map against the scaled dual Hessian",
-    )
+def _add_mult_map(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", help="polynomial file, or - for stdin")
     p.add_argument(
-        "--from",
-        dest="source_degree",
-        type=int,
-        required=True,
-        help="source degree k",
+        "--from", dest="source_degree", type=int, required=True, help="source degree k"
     )
     p.add_argument(
-        "--to",
-        dest="target_degree",
-        type=int,
-        required=True,
+        "--to", dest="target_degree", type=int, required=True,
         help="target degree l (k <= l <= socle degree)",
     )
     p.add_argument(
@@ -719,14 +670,61 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="coefficients of the linear form, in variable order",
     )
-    p.set_defaults(func=cmd_mult_map)
 
+
+# Each command: its help line, its function, and the adder of its own arguments.
+_COMMANDS = {
+    "analyze": (
+        "analyze a polynomial file ('-' for stdin)",
+        cmd_analyze,
+        partial(_add_checks, path_help="polynomial file, or - for stdin"),
+    ),
+    "from-complex": (
+        "analyze the dual generator of a JSON simplicial complex",
+        cmd_from_complex,
+        partial(_add_checks, path_help="complex JSON file, or - for stdin"),
+    ),
+    "family": ("generate a family member", cmd_family, _add_family),
+    "examples": (
+        "run the worked-example catalog against expectations",
+        cmd_examples,
+        lambda p: p.add_argument("--only", help="run a single catalog entry"),
+    ),
+    "mult-map": (
+        "compare the multiplication map against the scaled dual Hessian",
+        cmd_mult_map,
+        _add_mult_map,
+    ),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of a command line that names `command`.  Only that subparser
+    gets its arguments; every other one is a bare name and help line, which is
+    all that the command list and an invalid choice print."""
+    parser = argparse.ArgumentParser(
+        prog="mixedhess",
+        description=(
+            "Analyze Artinian Gorenstein algebras through mixed Hessians: "
+            "Hilbert functions, quadric presentation, Lefschetz properties, "
+            "and the simplicial-complex constructions behind them."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, func, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, add_help=name == command)
+        if name == command:
+            _add_common(p)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser has no option with a value: this picks the command.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

@@ -348,17 +348,43 @@ def _brute_divisors(exps, k):
     return [a for a in every if sum(a) == k]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(0, 3), min_size=1, max_size=6),
-    st.integers(-1, 10),
-)
-def test_splits_match_brute_force(exps, k):
-    exps = tuple(exps)
+def _assert_splits_match_brute_force(exps, k):
     assert _splits(exps, k) == [
         (a, tuple(x - y for x, y in zip(exps, a)), falling_product(exps, a))
         for a in _brute_divisors(exps, k)
     ]
+
+
+@st.composite
+def _split_cases(draw, box=4096):
+    """An exponent vector of length 1 to 18 with entries 0 to 5, and a
+    degree from -1 to one past its total.  A drawn top entry makes one
+    vector in five squarefree, the shape of most terms, whose splits
+    take a path of their own.  Each entry is also capped so that the
+    box under the vector holds at most `box` points, which keeps the
+    brute force small; the zeros cost it nothing."""
+    exps, size, top = [], 1, draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(1, 18))):
+        exps.append(draw(st.integers(0, min(top, box // size - 1))))
+        size *= exps[-1] + 1
+    return tuple(exps), draw(st.integers(-1, sum(exps) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_cases())
+def test_splits_match_brute_force(case):
+    _assert_splits_match_brute_force(*case)
+
+
+def test_splits_exact_cases():
+    # One divisor of x^40 in degree 20: the kernel never enumerates the
+    # C(40, 20) subsets of forty slots.
+    assert _splits((40,), 20) == [((20,), (20,), math.perm(40, 20))]
+    assert _splits((20, 20), 20) == [
+        ((e, 20 - e), (20 - e, e), math.perm(20, e) * math.perm(20, 20 - e))
+        for e in range(21)
+    ]
+    _assert_splits_match_brute_force((2,) * 10, 10)
 
 
 def _assert_support_matches_enumeration(f):

@@ -688,11 +688,90 @@ def test_mult_map_zero_denominator_is_an_input_error(capsys, poly_file):
 
 
 def test_module_entry_point(tmp_path):
+    # Run from the directory that holds the package, so the child
+    # imports it whether or not PYTHONPATH names that directory.
     proc = subprocess.run(
         [sys.executable, "-m", "mixedhess", "analyze", "-", "--checks", "hilbert", "--seed", "0"],
         input="x^2 + y^2\n",
         capture_output=True,
         text=True,
+        cwd=Path(cli.__file__).resolve().parent.parent,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["hilbert"] == [1, 2, 1]
+
+
+COMMAND_HELP = {
+    "analyze": "analyze a polynomial file ('-' for stdin)",
+    "from-complex": "analyze the dual generator of a JSON simplicial complex",
+    "family": "generate a family member",
+    "examples": "run the worked-example catalog against expectations",
+    "mult-map": "compare the multiplication map against the scaled dual Hessian",
+}
+
+COMMON_FLAGS = (
+    "-h, --help", "--seed SEED", "--trials TRIALS",
+    "--sample-bound SAMPLE_BOUND", "--symbolic-cap SYMBOLIC_CAP",
+    "--format {json,text}", "--output OUTPUT",
+)
+
+COMMAND_FLAGS = {
+    "analyze": ("path", "--checks CHECKS"),
+    "from-complex": ("path", "--checks CHECKS"),
+    "family": (
+        "{boolean,odd,even,times-u,times-uv,perazzo}", "--n N", "--d D",
+        "--codim CODIM", "--verify {none,counts,report}", "--base BASE",
+        "--partials PARTIALS", "--tail TAIL", "--poly-out POLY_OUT",
+    ),
+    "examples": ("--only ONLY",),
+    "mult-map": (
+        "path", "--from SOURCE_DEGREE", "--to TARGET_DEGREE", "--linear LINEAR",
+    ),
+}
+
+
+def _parse_exit(monkeypatch, capsys, argv):
+    """Exit code, stdout and stderr of a command line that argparse ends,
+    at a fixed width and with runs of whitespace read as one space."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    return stop.value.code, " ".join(captured.out.split()), " ".join(captured.err.split())
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_command(flag, monkeypatch, capsys):
+    code, out, err = _parse_exit(monkeypatch, capsys, [flag])
+    assert (code, err) == (0, "")
+    assert out.startswith(
+        "usage: mixedhess [-h] {analyze,from-complex,family,examples,mult-map} ..."
+    )
+    for command, line in COMMAND_HELP.items():
+        assert f" {command} {line} " in out
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_help_lists_its_flags(command, monkeypatch, capsys):
+    code, out, err = _parse_exit(monkeypatch, capsys, [command, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: mixedhess {command} [-h] [--seed SEED] ")
+    for flag in COMMON_FLAGS + COMMAND_FLAGS[command]:
+        assert f" {flag} " in out, flag
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                "'analyze', 'from-complex', 'family', 'examples', 'mult-map')"),
+    (["family", "boolean", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["family", "boolean", "--n", "3", "--zzz"], "unrecognized arguments: --zzz"),
+    # The command after an unknown leading flag still parses its own flags.
+    (["--zzz", "family", "boolean", "--n", "3"], "unrecognized arguments: --zzz"),
+    (["family"], "the following arguments are required: kind"),
+    ([], "the following arguments are required: command"),
+])
+def test_parse_errors_exit_2(argv, message, monkeypatch, capsys):
+    code, out, err = _parse_exit(monkeypatch, capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: mixedhess")
+    assert err.endswith(message)
