@@ -73,6 +73,15 @@ generated by Ann(f) and u^2; J lies in Ann(F) (checked directly).
   stays there, so the cut of J_k is spanned by the shifts of the cut of
   J_{k-1}, cut to D_k(F), together with K_k(f).
 - Past the socle degree d+1 of F, D_k(F) is empty and the step holds.
+
+`_lift` transports the algebra of f to that of F = f*u: F's scale is
+f's, phi_F(b*u) = phi(b), and the degree-k divisors of b*u are x^a
+(|a| = k) and x^a*u (|a| = k-1).  So Cat_k(F) has two blocks with
+disjoint rows and columns: Cat_k(f), columns times u^0 and rows times
+u^1, and Cat_(k-1)(f), columns times u^1 and rows times u^0.  Its
+unique reduced echelon form is the union of theirs, and a fixed last
+exponent keeps the key order: f's reduced rows with keys extended,
+sorted by pivot.  So h'_k = h_k + h_(k-1).
 """
 
 from __future__ import annotations
@@ -302,19 +311,7 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
     if d < 1:
         raise ValueError("dual generator must have degree >= 1")
 
-    warnings: list[str] = []
-    used = sorted({i for e in f.terms for i, v in enumerate(e) if v})
-    if len(used) < f.varset.size:
-        dropped = [f.varset.names[i] for i in range(f.varset.size) if i not in used]
-        warnings.append(
-            "dropped unused variables: " + ", ".join(dropped)
-        )
-        new_vs = f.varset.restrict(used)
-        f = Polynomial(
-            new_vs,
-            {tuple(e[i] for i in used): c for e, c in f.terms.items()},
-        )
-
+    f, warnings = _essential(f)
     scale, coeffs = _int_scaled(f.terms.values())
     phi = {
         b: n * math.prod(map(math.factorial, b)) for b, n in zip(f.terms, coeffs)
@@ -347,6 +344,48 @@ def build_algebra(f: Polynomial) -> GradedAlgebra:
     return GradedAlgebra(
         f, scale, tuple(hilbert), tuple(bases), tuple(catalecticants),
         tuple(reduced), tuple(warnings),
+    )
+
+
+def _essential(f: Polynomial) -> tuple[Polynomial, list[str]]:
+    """f in the variables it uses, with a warning naming the dropped ones."""
+    used = sorted({i for e in f.terms for i, v in enumerate(e) if v})
+    if len(used) == f.varset.size:
+        return f, []
+    dropped = [n for i, n in enumerate(f.varset.names) if i not in used]
+    terms = {tuple(e[i] for i in used): c for e, c in f.terms.items()}
+    warning = "dropped unused variables: " + ", ".join(dropped)
+    return Polynomial(f.varset.restrict(used), terms), [warning]
+
+
+def _lift(alg: GradedAlgebra, lifted: Polynomial) -> GradedAlgebra:
+    """The algebra of `lifted`, alg's generator times a fresh last variable,
+    transported (module docstring); any other `lifted` raises InvariantViolation."""
+    F, warnings = _essential(lifted)
+    expected = {b + (1,): c for b, c in alg.f.terms.items()}
+    if F.varset.names[:-1] != alg.varset.names or F.terms != expected:
+        raise InvariantViolation(f"{lifted} is not the base times a fresh variable")
+    # h'_1 = h_1 + 1, so F has the base's linear warning, always its last.
+    warnings += alg.warnings[-1:] if not alg.i1_zero else []
+    cats, reds = [], []
+    for k in range(alg.socle_degree + 2):
+        cat, red = {}, {}
+        # Block j is Cat_(k-j)(f), columns times u^j and rows times
+        # u^(1-j); each new column key is made once for both tables.
+        for j in (0, 1):
+            if 0 <= k - j <= alg.socle_degree:
+                rows = alg._catalecticants[k - j]
+                up = {a: a + (j,) for row in rows.values() for a in row}
+                for r, row in rows.items():
+                    cat[r + (1 - j,)] = {up[a]: v for a, v in row.items()}
+                for p, row in alg._reduced[k - j].items():
+                    red[up[p]] = {up[a]: v for a, v in row.items()}
+        cats.append(cat)
+        reds.append(dict(sorted(red.items())))
+    bases = tuple(tuple(sorted(red, key=grlex_key, reverse=True)) for red in reds)
+    return GradedAlgebra(
+        F, alg.scale, tuple(map(len, reds)), bases, tuple(cats), tuple(reds),
+        tuple(warnings),
     )
 
 

@@ -8,9 +8,10 @@ Three building blocks recur:
   of two consecutive values of the original; two lifts in a row
   (`times_uv`, and each step of the even family) keep the parity of the
   socle degree and transport a deficient middle Hessian two degrees up.
-  A chain of lifts builds only its base and final algebras and checks
-  one Hilbert identity between them (`lift_chain_algebra`);
-  `verify_lift` checks Lemma A, the whole annihilator of one lift;
+  A chain of lifts eliminates only its base and transports its algebra
+  through the lifts (`lift_chain_algebra`, Lemma A); `verify_lift`
+  checks Lemma A, the whole annihilator of one lift, against a direct
+  build;
 * bases of small socle degree with certified failures: cubic forms
   whose middle Hessian vanishes identically, and quartic complexes
   whose facet rows satisfy an exact syzygy (see `complexes`);
@@ -24,13 +25,13 @@ out-of-range requests with the attainable values spelled out.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .apolarity import (
     GradedAlgebra,
     InvariantViolation,
+    _lift,
     ann_generated_by_quadrics,
     build_algebra,
 )
@@ -115,31 +116,14 @@ def lift_chain_algebra(
     base: GradedAlgebra, lifted: Polynomial, lifts: int
 ) -> GradedAlgebra:
     """The algebra of `lifted`, the generator of `base` after `lifts`
-    applications of `times_u`, checked against the base.
-
-    One fresh variable adds the previous degree's dimension,
-    h'_k = h_k + h_{k-1}, so m of them convolve the base Hilbert
-    function with the m-th binomial row: h_k(F) = sum_j C(m, j)
-    h_{k-j}(f).  The identity is a theorem about the construction, and
-    a mismatch raises InvariantViolation.  With no lift the base is the
-    answer and nothing is built."""
-    if lifts == 0:
-        return base
-    alg = build_algebra(lifted)
-    hb = base.hilbert
-    expected = tuple(
-        sum(
-            math.comb(lifts, j) * hb[k - j]
-            for j in range(lifts + 1)
-            if 0 <= k - j < len(hb)
-        )
-        for k in range(len(hb) + lifts)
-    )
-    if alg.hilbert != expected:
-        raise InvariantViolation(
-            f"Hilbert function {alg.hilbert} after {lifts} lift(s) is not "
-            f"the binomial convolution {expected} of {hb}"
-        )
+    applications of `times_u`, transported one lift at a time by Lemma
+    A (`apolarity._lift`), each adding h_{k-1} to h_k; each step reads
+    `lifted` cut to its leading variables.  Nothing is eliminated, and
+    with no lift the base is the answer."""
+    alg, n = base, lifted.varset.size
+    for keep in range(n - lifts + 1, n + 1):
+        terms = {e[:keep]: c for e, c in lifted.terms.items()}
+        alg = _lift(alg, Polynomial(lifted.varset.restrict(range(keep)), terms))
     return alg
 
 
@@ -180,57 +164,50 @@ def _lifted_annihilator_spans(
 def verify_lift(
     f: Polynomial, config: SamplingConfig = DEFAULT_CONFIG
 ) -> LiftReport:
-    """Lemma A on the lift F = `times_u`(f): the base annihilator plus
-    the square of the new variable generates the lift's annihilator
-    (inclusion by direct application, equality by degreewise span
-    dimensions), with the Hilbert identity of `lift_chain_algebra`, and
-    quadric presentation and the strong Lefschetz property carry over
-    from base to lift.  A failed check raises InvariantViolation, since
-    each is a theorem about the construction."""
+    """Lemma A on the lift F = `times_u`(f), whose algebra is built
+    directly: it equals the transported one of `lift_chain_algebra` in
+    every field, reduced rows in order (so h'_k = h_k + h_{k-1}); the
+    base annihilator plus the square of the new variable generates the
+    lift's annihilator (inclusion by direct application, equality by
+    degreewise span dimensions); base and lift agree on quadric
+    presentation, and the strong Lefschetz property carries over.  A
+    failed check raises InvariantViolation, since each is a theorem."""
     lifted = times_u(f)
     base = build_algebra(f)
-    lift_alg = lift_chain_algebra(base, lifted, 1)
+    lift_alg = build_algebra(lifted)
+    fields = [
+        (a.f, a.scale, a.hilbert, a._quotient_bases, a._catalecticants,
+         [list(red.items()) for red in a._reduced], a.warnings)
+        for a in (lift_alg, lift_chain_algebra(base, lifted, 1))
+    ]
+    if fields[0] != fields[1]:
+        raise InvariantViolation("the transported lift differs from the direct build")
     # The monomial annihilators of f kill F trivially; build_algebra
     # dropped the variables f does not use from both algebras.
     lvs = lift_alg.varset
-    ops = [Polynomial(lvs, {(0,) * (lvs.size - 1) + (2,): Fraction(1)})]
-    for k in range(1, base.socle_degree + 1):
-        ops += [
-            Polynomial(lvs, {e + (0,): c for e, c in a.terms.items()})
-            for a in base.ann_basis(k)
-        ]
-    if not all(apolar_apply(op, lift_alg.f).is_zero() for op in ops):
-        raise InvariantViolation(
-            "a base annihilator fails to annihilate the lift"
-        )
+    ops = [{(0,) * (lvs.size - 1) + (2,): 1}] + [
+        {e + (0,): c for e, c in a.terms.items()}
+        for k in range(1, base.socle_degree + 1)
+        for a in base.ann_basis(k)
+    ]
+    if any(not apolar_apply(Polynomial(lvs, op), lift_alg.f).is_zero() for op in ops):
+        raise InvariantViolation("a base annihilator fails to annihilate the lift")
     if not _lifted_annihilator_spans(base, lift_alg):
         raise InvariantViolation(
             "base annihilators and the new square do not span the "
             "lift's annihilator"
         )
-    quadrics_pair = (
-        ann_generated_by_quadrics(base).presented,
-        ann_generated_by_quadrics(lift_alg).presented,
-    )
-    if quadrics_pair[0] and not quadrics_pair[1]:
-        raise InvariantViolation("quadric presentation was lost by the lift")
-    slp_pair = (
-        slp_check(base, config).holds,
-        slp_check(lift_alg, config).holds,
-    )
+    both = (base, lift_alg)
+    quadrics_pair = tuple(ann_generated_by_quadrics(a).presented for a in both)
+    if quadrics_pair[0] != quadrics_pair[1]:
+        raise InvariantViolation("base and lift differ on quadric presentation")
+    slp_pair = tuple(slp_check(a, config).holds for a in both)
     if slp_pair[0] and not slp_pair[1]:
-        raise InvariantViolation(
-            "the strong Lefschetz property was lost by the lift"
-        )
+        raise InvariantViolation("the strong Lefschetz property was lost by the lift")
     return LiftReport(
-        lifted,
-        lifted.varset.names[-1:],
-        base.hilbert,
-        lift_alg.hilbert,
-        hilbert_identity=True,
-        annihilator_inclusion=True,
-        annihilator_identity=True,
-        quadrics_inherited=quadrics_pair,
+        lifted, lifted.varset.names[-1:], base.hilbert, lift_alg.hilbert,
+        hilbert_identity=True, annihilator_inclusion=True,
+        annihilator_identity=True, quadrics_inherited=quadrics_pair,
         slp_inherited=slp_pair,
     )
 
@@ -260,12 +237,12 @@ def times_uv(
     """Multiply the generator of the base algebra by two fresh
     variables, preserving the parity of the socle degree.
 
-    Two `times_u` lifts with the Hilbert check of `lift_chain_algebra`,
-    after which the property-deciding Hessians of base and lift are
+    Two `times_u` lifts transported by `lift_chain_algebra`, after
+    which the property-deciding Hessians of base and lift are
     rank-certified: a base whose matrix sits below maximal rank must
     lift to one that does too, which is the mechanism the counterexample
-    families rely on.  The base is the caller's algebra, so only the
-    lift is built here."""
+    families rely on.  The base is the caller's algebra, so nothing is
+    eliminated here."""
     lifted = times_u(times_u(base.f))
     lift = lift_chain_algebra(base, lifted, 2)
     mb = wlp_criterion_matrix(base)
@@ -481,8 +458,15 @@ def odd_counterexample(
 
     verify "report" (the default) checks the defining claims on the
     result: annihilator generated by quadrics and a rank-deficient
-    middle Hessian; "counts" checks only the Hilbert bookkeeping of the
-    lifts (`lift_chain_algebra`); "none" skips verification."""
+    middle Hessian; "counts" only builds the base algebra and
+    transports it through the lifts (`lift_chain_algebra`); "none"
+    skips verification.
+
+    The quadric answer is the base's.  For F = f*u, Ann(F) = Ann(f)*S +
+    (u^2) (Lemma A) and u -> 0 maps it onto Ann(f), generators of degree
+    <= 2 to generators of degree <= 2: F is presented by quadrics iff f
+    is.  l + c*u kills F iff c*f = 0 and l kills f, so F has a linear
+    annihilator iff f has.  Induction carries both up the lifts."""
     if verify not in ("none", "counts", "report"):
         raise ValueError(f"unknown verify level {verify!r}")
     if d < 3 or d % 2 == 0:
@@ -501,9 +485,10 @@ def odd_counterexample(
     quadrics: bool | None = None
     criterion: RankCertificate | None = None
     if verify != "none":
-        alg = lift_chain_algebra(build_algebra(base), f, d - 3)
+        base_alg = build_algebra(base)
+        alg = lift_chain_algebra(base_alg, f, d - 3)
     if verify == "report":
-        quadrics = ann_generated_by_quadrics(alg).presented
+        quadrics = ann_generated_by_quadrics(base_alg).presented
         if not quadrics:
             raise InvariantViolation(
                 "the annihilator needs generators beyond the quadrics, "

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from mixedhess import InvariantViolation, build_algebra, cli, families, hessians
+from mixedhess import (
+    InvariantViolation, build_algebra, cli, families, hessians, parse_polynomial,
+)
 from mixedhess.cli import _render_text, main
 
 FOUR_CYCLE = "x1*u1*u2 + x2*u2*u3 + x3*u3*u4 + x4*u4*u1\n"
@@ -293,7 +295,8 @@ def test_no_golden_and_no_examples_row_is_probabilistic(monkeypatch, capsys):
 
 
 def test_family_times_uv_builds_base_and_lift_once(monkeypatch, capsys):
-    # The report's warnings and the double lift read one base algebra.
+    # The report's warnings and the double lift read one base algebra,
+    # the only one eliminated: the lift's is transported from it.
     monkeypatch.chdir(REPO)
     built = []
 
@@ -306,7 +309,7 @@ def test_family_times_uv_builds_base_and_lift_once(monkeypatch, capsys):
     argv = ["family", "times-uv", "--base", "samples/boolean3.poly", "--seed", "1"]
     code, _ = _run(capsys, argv)
     assert code == 0
-    assert len(built) == 2
+    assert built == [parse_polynomial("x1*x2*x3")]
 
 
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
@@ -653,6 +656,21 @@ def test_mult_map_on_a_cancelling_variable(capsys, tmp_path):
     assert report["warnings"] == ["dropped unused variables: w"]
     assert report["result"]["match"] is True
     assert report["result"]["rank"] == 3
+
+
+def test_family_times_u_names_the_fresh_variable_of_the_input(capsys, tmp_path):
+    # The unused z1 is dropped, but the lift's fresh variable avoids the
+    # input's names, so it is z2, not the z1 of the dropped base.
+    path = tmp_path / "c.poly"
+    path.write_text("x*y*z + z1*x*y - z1*x*y\n")
+    argv = ["family", "times-u", "--base", str(path), "--seed", "1"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["warnings"] == ["dropped unused variables: z1"]
+    assert report["result"]["added"] == ["z2"]
+    assert report["result"]["polynomial"] == "x*y*z*z2"
+    assert report["result"]["hilbert_lift"] == [1, 4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("kind", ["times-u", "times-uv"])

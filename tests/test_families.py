@@ -73,6 +73,35 @@ def test_times_u_full_with_an_unused_variable(config):
     assert report.annihilator_identity
 
 
+def test_times_u_full_when_the_unused_variable_is_z1(config):
+    # The lift of f avoids the name z1 that f's VarSet holds, though its
+    # algebra drops z1: the fresh variable is z2 on both routes.
+    f = parse_polynomial("x*y*z", VarSet(("x", "y", "z", "z1")))
+    report = verify_lift(f, config)
+    assert report.added == ("z2",)
+    lift = lift_chain_algebra(build_algebra(f), report.polynomial, 1)
+    assert lift.varset.names == ("x", "y", "z", "z2")
+    assert lift.warnings == ("dropped unused variables: z1",)
+
+
+def test_verify_lift_rejects_a_transport_that_differs(config, monkeypatch):
+    # verify_lift builds the lift directly, so it catches a transport
+    # that lost a catalecticant row.
+    def corrupt(base, lifted, lifts):
+        alg = real(base, lifted, lifts)
+        cats = list(alg._catalecticants)
+        cats[1] = dict(list(cats[1].items())[1:])
+        return apolarity.GradedAlgebra(
+            alg.f, alg.scale, alg.hilbert, alg._quotient_bases, tuple(cats),
+            alg._reduced, alg.warnings,
+        )
+
+    real = families.lift_chain_algebra
+    monkeypatch.setattr(families, "lift_chain_algebra", corrupt)
+    with pytest.raises(InvariantViolation, match="differs from the direct build"):
+        verify_lift(parse_polynomial("x1*x2*x3"), config)
+
+
 def test_no_check_enumerates_monomials(catalog, config, monkeypatch):
     def refuse(*args):
         raise AssertionError("a check enumerated all monomials of a degree")
@@ -238,6 +267,70 @@ def _one_lift(h: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(h + (0,), (0,) + h))
 
 
+def _lifted(f, m):
+    """f after m applications of times_u."""
+    for _ in range(m):
+        f = times_u(f)
+    return f
+
+
+def _fields(alg):
+    """Everything an algebra is built from, reduced rows in their order."""
+    return (
+        alg.f, alg.scale, alg.hilbert, alg._quotient_bases,
+        alg._catalecticants, [list(red.items()) for red in alg._reduced],
+        alg.warnings,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(1, 3))
+def test_transported_lift_is_the_direct_build(f, m):
+    # Lemma A's transport reproduces the elimination of the lift itself.
+    moved = lift_chain_algebra(build_algebra(f), _lifted(f, m), m)
+    assert _fields(moved) == _fields(build_algebra(_lifted(f, m)))
+
+
+def _lifted_quadrics(f, m):
+    """The quadric answers of f and of its m-th lift, each eliminated."""
+    return tuple(
+        ann_generated_by_quadrics(build_algebra(g)).presented
+        for g in (f, _lifted(f, m))
+    )
+
+
+@pytest.mark.parametrize("d, codim", [(5, 10), (5, 14), (7, 12)])
+def test_odd_member_quadrics_are_the_bases(d, codim):
+    # The report reads the cubic base's answer; the lift's own agrees.
+    f = odd_counterexample(d, codim, verify="none").polynomial
+    r = codim - (d - 3)
+    base = Polynomial(VarSet(f.varset.names[:r]), {e[:r]: c for e, c in f.terms.items()})
+    assert _lifted(base, d - 3) == f
+    assert _lifted_quadrics(base, d - 3) == (True, True)
+
+
+@pytest.mark.parametrize(
+    "text, presented",
+    [
+        ("x1*x2*x3", True),
+        ("x^3 + y^3", False),  # Ann(f) = (x*y, x^3 - y^3)
+        ("x^3", False),  # Ann(f) = (x^4)
+        ("x^3 + 3*x^2*y + 3*x*y^2 + y^3", False),  # (x + y)^3: x - y kills it
+    ],
+    ids=["presented", "cubic-generator", "power", "linear-annihilator"],
+)
+@pytest.mark.parametrize("m", [1, 2])
+def test_lift_quadrics_are_the_bases(text, presented, m):
+    assert _lifted_quadrics(parse_polynomial(text), m) == (presented, presented)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(1, 2))
+def test_lift_quadrics_are_the_bases_on_small_forms(f, m):
+    base, lift = _lifted_quadrics(f, m)
+    assert base == lift
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_forms(), st.integers(1, 3))
 def test_lift_chain_hilbert_is_the_one_step_identity_repeated(f, m):
@@ -250,10 +343,11 @@ def test_lift_chain_hilbert_is_the_one_step_identity_repeated(f, m):
 
 def test_lift_chain_rejects_a_lift_that_does_not_match(boolean3_alg):
     twice = times_u(times_u(parse_polynomial("x1*x2*x3")))
-    with pytest.raises(InvariantViolation, match="after 1 lift"):
+    message = "is not the base times a fresh variable"
+    with pytest.raises(InvariantViolation, match=message):
         lift_chain_algebra(boolean3_alg, twice, 1)
     other = times_u(parse_polynomial("x1^2*x2"))
-    with pytest.raises(InvariantViolation, match="not the binomial convolution"):
+    with pytest.raises(InvariantViolation, match=message):
         lift_chain_algebra(boolean3_alg, other, 1)
 
 
@@ -372,18 +466,23 @@ def test_even_counterexamples(config):
     ids=["odd-5-10", "even-6-16", "odd-7-12"],
 )
 def test_family_chain_builds_each_algebra_once(make, d, codim, config, monkeypatch):
-    # A chain builds its base and its final algebra, each once, however
-    # many lifts lie between them: the Hilbert check and the report's
-    # checks read those two.
+    # A chain eliminates its base once, however many lifts lie above
+    # it, and transports the rest: nothing else is built.
     built = []
 
     def counting(f):
-        built.append((f.varset.names, tuple(sorted(f.terms.items()))))
+        built.append(f)
         return build_algebra(f)
 
     monkeypatch.setattr("mixedhess.families.build_algebra", counting)
-    make(d, codim, config)
-    assert len(built) == len(set(built)) == 2
+    member = make(d, codim, config)
+    (base,) = built
+    assert base.homogeneous_degree() == 4 - d % 2
+    r = base.varset.size
+    assert member.polynomial.varset.names[:r] == base.varset.names
+    assert member.polynomial.terms == {
+        e + (1,) * (d - 4 + d % 2): c for e, c in base.terms.items()
+    }
 
 
 def test_even_out_of_range():
