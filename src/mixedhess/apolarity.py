@@ -56,24 +56,6 @@ divides f (Q[x] is a UFD).  Writing f = l*g gives f_i = lambda_i*g, so
 h_1 <= 1.  Hence the step is spanned for r >= 2, and for r = 1
 (f = c*x^d) the form l = x witnesses that it fails.
 
-The Lemma A check of `families.verify_lift` works modulo monomials
-the same way.  Let F = f*u with u a fresh variable, and J the ideal
-generated by Ann(f) and u^2; J lies in Ann(F) (checked directly).
-- The terms of F are b*u for the terms b of f, and x^a*u^j divides b*u
-  iff j <= 1 and x^a divides b.  So N(F) is exactly the set of monomials
-  of the ideal (N(f), u^2), and D_k(F) holds the x^a and x^a*u with x^a
-  in D(f).
-- J contains that monomial ideal, so J_k and Ann(F)_k both contain
-  span(N_k(F)), and J_k = Ann(F)_k iff their cuts to D_k(F) have the
-  same dimension.  The cut of Ann(F)_k is K_k(F), of dimension
-  |D_k(F)| - h'_k.
-- The monomial multiples of N(f) and u^2 lie in span(N(F)) and cut to
-  zero, so the cut of J_k is spanned by the monomial multiples of K(f),
-  whose vectors already lie in D(F).  A shift of a vector of span(N(F))
-  stays there, so the cut of J_k is spanned by the shifts of the cut of
-  J_{k-1}, cut to D_k(F), together with K_k(f).
-- Past the socle degree d+1 of F, D_k(F) is empty and the step holds.
-
 `_lift` transports the algebra of f to that of F = f*u: F's scale is
 f's, phi_F(b*u) = phi(b), and the degree-k divisors of b*u are x^a
 (|a| = k) and x^a*u (|a| = k-1).  So Cat_k(F) has two blocks with
@@ -102,12 +84,10 @@ class InvariantViolation(RuntimeError):
 
 def _splits(exps: tuple[int, ...], k: int) -> list[tuple]:
     """(a, exps - a, falling(exps, a)) for every exponent vector a <= exps
-    with |a| = k, in lexicographic order of a.  The positions above 1
-    branch into the exponents that still leave |a| = k reachable; the
-    rest of the degree is a combination of positions of exponent 1,
-    which falling does not see.  Each divisor is made into a tuple once.
-    Combinations come in descending lexicographic order, so a term with
-    no exponent above 1 reverses them and any other term sorts."""
+    with |a| = k, each once.  The positions above 1 branch into the
+    exponents that still leave |a| = k reachable; the rest of the degree
+    is a combination of positions of exponent 1, which falling does not
+    see.  Each divisor is made into a tuple once."""
     room = sum(exps)
     if not 0 <= k <= room:
         return []
@@ -131,10 +111,6 @@ def _splits(exps: tuple[int, ...], k: int) -> list[tuple]:
             for i in combo:
                 a1[i], rest1[i] = 1, 0
             out.append((tuple(a1), tuple(rest1), fall))
-    if highs:
-        out.sort()
-    else:
-        out.reverse()
     return out
 
 

@@ -257,8 +257,8 @@ def test_criterion_7_inductive_constructions(capsys):
     with capsys.disabled():
         print(
             "criterion 7: PASS - 10/10 lifts satisfy the dimension "
-            "identity and the annihilator span equality in every degree "
-            f"({elapsed:.2f}s)"
+            "identity, and with it the annihilator identity by a dimension "
+            f"count ({elapsed:.2f}s)"
         )
 
 

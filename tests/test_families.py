@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +18,6 @@ from mixedhess import (
     even_counterexample,
     example_catalog,
     lift_chain_algebra,
-    monomial_exponents,
     odd_counterexample,
     parse_polynomial,
     perazzo_form,
@@ -30,8 +28,6 @@ from mixedhess import (
     wlp_check,
 )
 from mixedhess import apolarity, families, polyring
-from mixedhess.families import _lifted_annihilator_spans
-from mixedhess.linalg import sparse_rref
 
 from conftest import dense_random_form
 
@@ -115,91 +111,7 @@ def test_no_check_enumerates_monomials(catalog, config, monkeypatch):
     assert verify_lift(f, config).annihilator_identity
 
 
-# -- the lift span check against the full-enumeration oracle ----------------
-
-
-def _oracle_lifted_annihilator_spans(base, lift_alg) -> bool:
-    """The span check as it stood when the base's ``ann_basis`` listed
-    all of Ann_k: every monomial of N_k as a singleton and, at k = d+1,
-    every monomial.  Kept unchanged as the oracle for the check that
-    works modulo monomials; ``_FakeBase(full=True)`` feeds it that basis.
-
-    Degree-by-degree span equality for the one-variable lift: the
-    base annihilators up to the first degree past the base socle (where
-    they are all the pure-base monomials) and the square of the new
-    variable generate an ideal whose slice in every degree up to
-    base-socle + 2 has exactly the codimension the lift's Hilbert
-    function dictates.
-
-    Together with the inclusion check (each generator annihilates the
-    lift) this pins the lift's annihilator down completely in the
-    inspected range."""
-    d = base.socle_degree
-    n = lift_alg.varset.size
-
-    def shift(e: tuple[int, ...], t: int) -> tuple[int, ...]:
-        return e[:t] + (e[t] + 1,) + e[t + 1 :]
-
-    basis: list[dict] = []
-    for k in range(1, d + 3):
-        rows = [
-            {shift(e, t): c for e, c in row.items()}
-            for row in basis
-            for t in range(n)
-        ]
-        for a in base.ann_basis(k) if k <= d + 1 else ():
-            rows.append({e + (0,): c for e, c in a.terms.items()})
-        if k == 2:
-            rows.append({(0,) * (n - 1) + (2,): Fraction(1)})
-        reduced = sparse_rref(rows)
-        basis = list(reduced.values())
-        expected = math.comb(n + k - 1, k) - lift_alg.dim(k)
-        if len(basis) != expected:
-            return False
-    return True
-
-
-class _FakeBase:
-    """A base algebra whose K_k basis lacks the vector ``drop`` = (k, i),
-    if given.  With ``full`` it lists all of Ann_k, as the oracle reads
-    it: K_k plus the singletons of N_k, and every monomial past the
-    socle degree."""
-
-    def __init__(self, alg, drop=None, full=False):
-        self.alg, self.drop, self.full = alg, drop, full
-        self.socle_degree = alg.socle_degree
-
-    def ann_basis(self, k):
-        alg = self.alg
-        kernel = [
-            op for i, op in enumerate(alg.ann_basis(k)) if (k, i) != self.drop
-        ]
-        if not self.full:
-            return tuple(kernel)
-        singles = [
-            Polynomial(alg.varset, {e: 1})
-            for e in monomial_exponents(alg.varset, k)
-            if k > self.socle_degree or e not in alg._support(k)
-        ]
-        return tuple(kernel + singles)
-
-
-def _kernel_vectors(alg):
-    return [
-        (k, i)
-        for k in range(1, alg.socle_degree + 1)
-        for i in range(len(alg.ann_basis(k)))
-    ]
-
-
-def _lift_span_verdicts(f, drop=None):
-    """The new check and the oracle on f's lift, with K vector ``drop``
-    left out of the base."""
-    base = build_algebra(f)
-    lift_alg = build_algebra(times_u(f))
-    new = _lifted_annihilator_spans(_FakeBase(base, drop), lift_alg)
-    old = _oracle_lifted_annihilator_spans(_FakeBase(base, drop, True), lift_alg)
-    return new, old
+# -- Lemma A on small forms ---------------------------------------------------
 
 
 @st.composite
@@ -237,29 +149,40 @@ def small_forms(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_forms(), st.one_of(st.none(), st.integers(0, 10**6)))
-def test_lift_span_check_matches_oracle(f, pick):
-    base = build_algebra(f)
-    vectors = _kernel_vectors(base)
-    drop = vectors[pick % len(vectors)] if pick is not None and vectors else None
-    new, old = _lift_span_verdicts(f, drop)
-    assert new == old
-    if drop is None:
-        assert new  # Lemma A
+@given(small_forms())
+def test_verify_lift_on_small_forms(config, f):
+    # Pure powers and forms with a linear annihilator reach Lemma A too.
+    report = verify_lift(f, config)
+    lifted = times_u(f)
+    assert report.polynomial == lifted
+    assert report.added == lifted.varset.names[-1:]
+    assert report.hilbert_base == build_algebra(f).hilbert
+    assert report.hilbert_lift == _one_lift(report.hilbert_base)
+    assert report.hilbert_identity
+    assert report.annihilator_inclusion
+    assert report.annihilator_identity
+    assert report.quadrics_inherited[0] == report.quadrics_inherited[1]
+    assert report.slp_inherited[0] <= report.slp_inherited[1]
 
 
-def test_lift_span_check_fails_without_a_needed_generator():
-    # Dropping a generator of Ann(f) breaks the span equality; dropping
-    # one that lower-degree shifts already give leaves it standing.
-    rng = random.Random(7)
-    verdicts = []
-    for n, d in [(2, 3), (3, 3), (3, 4), (4, 3), (2, 5)]:
-        f = dense_random_form(rng, n, d)
-        for drop in _kernel_vectors(build_algebra(f)):
-            new, old = _lift_span_verdicts(f, drop)
-            assert new == old
-            verdicts.append(new)
-    assert False in verdicts and True in verdicts
+def test_verify_lift_rejects_a_lift_off_the_hilbert_identity(config, monkeypatch):
+    # The annihilator identity is a dimension count against h_k + h_(k-1),
+    # so a directly built lift with one more dimension in degree 1 fails.
+    f = parse_polynomial("x1*x2*x3")
+
+    def corrupt(g):
+        alg = build_algebra(g)
+        if g == f:
+            return alg
+        h = alg.hilbert
+        return apolarity.GradedAlgebra(
+            alg.f, alg.scale, h[:1] + (h[1] + 1,) + h[2:], alg._quotient_bases,
+            alg._catalecticants, alg._reduced, alg.warnings,
+        )
+
+    monkeypatch.setattr(families, "build_algebra", corrupt)
+    with pytest.raises(InvariantViolation, match=r"is not h_k \+ h_\(k-1\)"):
+        verify_lift(f, config)
 
 
 def _one_lift(h: tuple[int, ...]) -> tuple[int, ...]:
@@ -442,6 +365,16 @@ def test_odd_out_of_range():
         odd_counterexample(5, 9)
     with pytest.raises(ValueError):
         odd_counterexample(7, 11)
+
+
+def test_odd_counts_builds_no_algebra(config, monkeypatch):
+    # The odd member's Hilbert function holds by construction, so
+    # "counts" has nothing to build and gives the "none" member.
+    unverified = odd_counterexample(5, 10, config, verify="none")
+    built = []
+    monkeypatch.setattr(families, "build_algebra", built.append)
+    assert odd_counterexample(5, 10, config, verify="counts") == unverified
+    assert built == []
 
 
 def test_even_counterexamples(config):

@@ -213,8 +213,8 @@ KEPT_UNREAD = {
         "test_lefschetz._dense_mult_map and test_polyring"
     ),
     "polyring.monomial_exponents": (
-        "the tests' list of all degree-k monomials: test_families._FakeBase, "
-        "test_apolarity's N_k and criterion 1's Ann_2 span"
+        "the tests' list of all degree-k monomials: test_apolarity's N_k "
+        "and criterion 1's Ann_2 span"
     ),
 }
 
@@ -327,12 +327,11 @@ SHARED_NAMES = {
     "degree": "Polynomial.degree: KEPT_UNREAD; FamilyMember.degree is a field",
     "dim": (
         "GradedAlgebra.dim: apolarity's quadric check and "
-        "families._lifted_annihilator_spans; SimplicialComplex.dim: cli and "
-        "complexes"
+        "families.verify_lift; SimplicialComplex.dim: cli and complexes"
     ),
     "rank": (
         "RowSpace.rank: apolarity._degree_step_spanned and "
-        "families._lifted_annihilator_spans; RankCertificate.rank is a field"
+        "linalg.matrix_rank; RankCertificate.rank is a field"
     ),
     "scale": (
         "Polynomial.scale: hessians.dual_mixed_hessian and symbolic_det; "
