@@ -16,6 +16,12 @@ Subcommands:
   linear form next to the scaled evaluated dual Hessian and confirm
   they agree.
 
+One table (``_COMMANDS``) holds every command's help line, function and
+arguments.  A well-formed command line is read off it by a strict parser;
+any other line, help included, goes to an argparse parser built from the
+same table, which prints the help or the error.  A report therefore never
+imports argparse.
+
 Reports are JSON by default (``--format text`` for a plain rendering)
 and are byte-stable for a fixed input, seed, and configuration.  Both
 renderings list the keys of every object in sorted order.  Without
@@ -27,13 +33,12 @@ internal invariant.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import sys
 from fractions import Fraction
-from functools import partial
+from types import SimpleNamespace
 from typing import Any, Sequence
 
 from .apolarity import (
@@ -205,7 +210,7 @@ def _read_input(path: str) -> str:
 # -- shared analysis ---------------------------------------------------------
 
 
-def _config_from_args(args: argparse.Namespace) -> SamplingConfig:
+def _config_from_args(args: SimpleNamespace) -> SamplingConfig:
     seed = args.seed
     if seed is None:
         seed = random.SystemRandom().getrandbits(32)
@@ -284,7 +289,7 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     config = _config_from_args(args)
     checks = _parse_checks(args.checks)
     text = _read_input(args.path)
@@ -321,7 +326,7 @@ def _complex_from_json(text: str) -> SimplicialComplex:
     return SimplicialComplex.from_facets(facets, vertices)
 
 
-def cmd_from_complex(args: argparse.Namespace) -> int:
+def cmd_from_complex(args: SimpleNamespace) -> int:
     config = _config_from_args(args)
     checks = _parse_checks(args.checks)
     comp = _complex_from_json(_read_input(args.path))
@@ -413,7 +418,14 @@ def _parse_form_list(text: str) -> list[Polynomial]:
     return [parse_polynomial(c, merged) for c in chunks]
 
 
-def cmd_family(args: argparse.Namespace) -> int:
+def cmd_family(args: SimpleNamespace) -> int:
+    # A flag whose help starts with "kinds:" is for those kinds only.  A
+    # flag with a default (--verify) cannot tell whether it was given.
+    for flag, spec in _FAMILY_ARGUMENTS:
+        kinds, colon, _ = spec.get("help", "").partition(": ")
+        given = "default" not in spec and getattr(args, _dest(flag, spec)) is not None
+        if colon and given and args.kind not in kinds.split("/"):
+            raise ValueError(f"{flag} is for family {kinds}, not {args.kind}")
     config = _config_from_args(args)
     report = _base_report("family", config, args.kind)
     result: dict[str, Any]
@@ -479,7 +491,7 @@ def cmd_family(args: argparse.Namespace) -> int:
             **_json(rep),
         }
         poly = rep.polynomial
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - both parsers restrict the kind to its choices
         raise ValueError(f"unknown family kind {args.kind!r}")
 
     report["result"] = result
@@ -503,7 +515,7 @@ def _computed_properties(
     }
 
 
-def cmd_examples(args: argparse.Namespace) -> int:
+def cmd_examples(args: SimpleNamespace) -> int:
     config = _config_from_args(args)
     rows = []
     all_pass = True
@@ -532,7 +544,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_MISMATCH
 
 
-def cmd_mult_map(args: argparse.Namespace) -> int:
+def cmd_mult_map(args: SimpleNamespace) -> int:
     config = _config_from_args(args)
     alg = build_algebra(parse_polynomial(_read_input(args.path)))
     coeffs = []
@@ -582,126 +594,155 @@ def cmd_mult_map(args: argparse.Namespace) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The flags every command takes."""
-    p.add_argument(
-        "--seed",
+# Each argument of a command is its name (a flag starts with "--") and the
+# keywords of argparse's `add_argument` for it: dest, type, default, choices,
+# required and help.  The strict parser and argparse both read them from here.
+_COMMON_FLAGS = (
+    ("--seed", dict(
         type=int,
-        default=None,
         help="RNG seed (default: drawn from entropy, echoed in the report)",
-    )
-    p.add_argument(
-        "--trials", type=int, default=12, help="sample points per rank check"
-    )
-    p.add_argument(
-        "--sample-bound",
-        type=int,
-        default=10**6,
-        help="coordinates are drawn from [-bound, bound]",
-    )
-    p.add_argument(
-        "--symbolic-cap",
-        type=int,
-        default=12,
-        help="largest square size for symbolic determinants",
-    )
-    p.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default="json",
+    )),
+    ("--trials", dict(type=int, default=12, help="sample points per rank check")),
+    ("--sample-bound", dict(
+        type=int, default=10**6, help="coordinates are drawn from [-bound, bound]"
+    )),
+    ("--symbolic-cap", dict(
+        type=int, default=12, help="largest square size for symbolic determinants"
+    )),
+    ("--format", dict(
+        choices=("json", "text"), default="json",
         help="report rendering (default json)",
-    )
-    p.add_argument(
-        "--output",
-        default=None,
-        help="write the report to this file (atomically) instead of stdout",
-    )
+    )),
+    ("--output", dict(
+        help="write the report to this file (atomically) instead of stdout"
+    )),
+)
 
+_CHECKS = ("--checks", dict(
+    default=",".join(ALL_CHECKS),
+    help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}",
+))
 
-def _add_checks(p: argparse.ArgumentParser, path_help: str) -> None:
-    """The arguments of the two commands that analyze one algebra."""
-    p.add_argument(
-        "--checks",
-        default=",".join(ALL_CHECKS),
-        help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}",
-    )
-    p.add_argument("path", help=path_help)
+# A family flag's help line starts with the kinds that read it, and
+# `cmd_family` rejects the flag for any other kind.
+_FAMILY_ARGUMENTS = (
+    ("kind", dict(
+        choices=("boolean", "odd", "even", "times-u", "times-uv", "perazzo")
+    )),
+    ("--n", dict(type=int, help="boolean: variables")),
+    ("--d", dict(type=int, help="odd/even: socle degree")),
+    ("--codim", dict(type=int, help="odd/even: codimension")),
+    ("--verify", dict(
+        choices=("none", "counts", "report"), default="report",
+        help="odd/even: verification level (default report; "
+        "on odd, counts checks no more than none)",
+    )),
+    ("--base", dict(help="times-u/times-uv: base polynomial file")),
+    ("--partials", dict(
+        help="perazzo: semicolon-separated forms sharing one variable set"
+    )),
+    ("--tail", dict(help="perazzo: optional tail polynomial")),
+    ("--poly-out", dict(help="also write the generated polynomial to this file")),
+)
 
-
-def _add_family(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "kind", choices=("boolean", "odd", "even", "times-u", "times-uv", "perazzo")
-    )
-    p.add_argument("--n", type=int, default=None, help="boolean: variables")
-    p.add_argument("--d", type=int, default=None, help="odd/even: socle degree")
-    p.add_argument("--codim", type=int, default=None, help="odd/even: codimension")
-    p.add_argument(
-        "--verify", choices=("none", "counts", "report"), default="report",
-        help="odd/even: verification level (default report)",
-    )
-    p.add_argument(
-        "--base", default=None, help="times-u/times-uv: base polynomial file"
-    )
-    p.add_argument(
-        "--partials",
-        default=None,
-        help="perazzo: semicolon-separated forms sharing one variable set",
-    )
-    p.add_argument("--tail", default=None, help="perazzo: optional tail polynomial")
-    p.add_argument(
-        "--poly-out",
-        default=None,
-        help="also write the generated polynomial to this file",
-    )
-
-
-def _add_mult_map(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", help="polynomial file, or - for stdin")
-    p.add_argument(
-        "--from", dest="source_degree", type=int, required=True, help="source degree k"
-    )
-    p.add_argument(
-        "--to", dest="target_degree", type=int, required=True,
-        help="target degree l (k <= l <= socle degree)",
-    )
-    p.add_argument(
-        "--linear",
-        required=True,
-        help="coefficients of the linear form, in variable order",
-    )
-
-
-# Each command: its help line, its function, and the adder of its own arguments.
+# Each command: its help line, its function, and its own arguments.
 _COMMANDS = {
     "analyze": (
         "analyze a polynomial file ('-' for stdin)",
         cmd_analyze,
-        partial(_add_checks, path_help="polynomial file, or - for stdin"),
+        (_CHECKS, ("path", dict(help="polynomial file, or - for stdin"))),
     ),
     "from-complex": (
         "analyze the dual generator of a JSON simplicial complex",
         cmd_from_complex,
-        partial(_add_checks, path_help="complex JSON file, or - for stdin"),
+        (_CHECKS, ("path", dict(help="complex JSON file, or - for stdin"))),
     ),
-    "family": ("generate a family member", cmd_family, _add_family),
+    "family": ("generate a family member", cmd_family, _FAMILY_ARGUMENTS),
     "examples": (
         "run the worked-example catalog against expectations",
         cmd_examples,
-        lambda p: p.add_argument("--only", help="run a single catalog entry"),
+        (("--only", dict(help="run a single catalog entry")),),
     ),
     "mult-map": (
         "compare the multiplication map against the scaled dual Hessian",
         cmd_mult_map,
-        _add_mult_map,
+        (
+            ("path", dict(help="polynomial file, or - for stdin")),
+            ("--from", dict(
+                dest="source_degree", type=int, required=True, help="source degree k"
+            )),
+            ("--to", dict(
+                dest="target_degree", type=int, required=True,
+                help="target degree l (k <= l <= socle degree)",
+            )),
+            ("--linear", dict(
+                required=True,
+                help="coefficients of the linear form, in variable order",
+            )),
+        ),
     ),
 }
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of a command line that names `command`.  Only that subparser
-    gets its arguments; every other one is a bare name and help line, which is
-    all that the command list and an invalid choice print."""
+def _dest(name: str, spec: dict[str, Any]) -> str:
+    """The attribute argparse sets for an argument."""
+    return spec.get("dest", name.lstrip("-").replace("-", "_"))
+
+
+def _parse_strict(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments of a well-formed command line, exactly as argparse
+    sets them, or None for any other line.
+
+    A well-formed line is a command, then its flags (each once or more, the
+    last one counting) and its positionals in any order.  The parser declines
+    help, an unknown or abbreviated flag, `--flag=value`, a value or a
+    positional that starts with "-", a value that is not an int or not one of
+    the choices, and a missing or extra argument; argparse then parses the
+    line, and prints help or the error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    specs = dict(_COMMON_FLAGS + arguments)
+    given = []
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, None)
+        if token not in specs or value is None or value.startswith("-"):
+            return None
+        given.append((token, value))
+    names = [name for name in specs if not name.startswith("-")]
+    required = {name for name, spec in specs.items() if spec.get("required")}
+    if len(positionals) != len(names) or not required <= dict(given).keys():
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for name, spec in specs.items():
+        setattr(args, _dest(name, spec), spec.get("default"))
+    # Like argparse, convert and check every value, also one a later
+    # repetition of its flag replaces.
+    for name, text in given + list(zip(names, positionals)):
+        spec = specs[name]
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        setattr(args, _dest(name, spec), value)
+    return args
+
+
+def build_parser(command: str | None):
+    """The argparse parser of a command line that names `command`.  Only that
+    subparser gets its arguments; every other one is a bare name and help
+    line, which is all that the command list and an invalid choice print."""
+    # Imported here: a well-formed line never needs it, and the import
+    # loads gettext, whose first message loads locale.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mixedhess",
         description=(
@@ -711,20 +752,26 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, func, add_arguments) in _COMMANDS.items():
+    for name, (help_line, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line, add_help=name == command)
         if name == command:
-            _add_common(p)
-            add_arguments(p)
+            for arg, spec in _COMMON_FLAGS + arguments:
+                p.add_argument(arg, **spec)
             p.set_defaults(func=func)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _parse_with_argparse(argv: Sequence[str]) -> SimpleNamespace:
+    """The arguments argparse gives a command line; on help or an error it
+    prints and exits."""
     # The top-level parser has no option with a value: this picks the command.
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    return build_parser(command).parse_args(argv, namespace=SimpleNamespace())
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_strict(argv) or _parse_with_argparse(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

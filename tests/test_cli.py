@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mixedhess import (
     InvariantViolation, build_algebra, cli, families, hessians, parse_polynomial,
@@ -498,6 +501,21 @@ def test_family_missing_arguments(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, kinds", [
+    (["family", "odd", "--d", "5", "--codim", "10", "--n", "7"], "boolean"),
+    (["family", "boolean", "--n", "7", "--d", "5"], "odd/even"),
+    (["family", "boolean", "--n", "7", "--codim", "9"], "odd/even"),
+    (["family", "perazzo", "--partials", "u^2", "--base", "f.poly"], "times-u/times-uv"),
+    (["family", "times-u", "--base", "f.poly", "--partials", "u^2"], "perazzo"),
+    (["family", "even", "--d", "4", "--codim", "14", "--tail", "u^3"], "perazzo"),
+])
+def test_family_rejects_a_flag_its_kind_never_reads(argv, kinds, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[-2]} is for family {kinds}, not {argv[1]}\n"
+
+
 def test_family_times_u(capsys, tmp_path):
     base = tmp_path / "base.poly"
     base.write_text("x1*x2*x3\n")
@@ -793,3 +811,89 @@ def test_parse_errors_exit_2(argv, message, monkeypatch, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("usage: mixedhess")
     assert err.endswith(message)
+
+
+def test_family_help_says_what_counts_checks_on_odd(monkeypatch, capsys):
+    code, out, err = _parse_exit(monkeypatch, capsys, ["family", "--help"])
+    assert (code, err) == (0, "")
+    assert (
+        " --verify {none,counts,report} odd/even: verification level "
+        "(default report; on odd, counts checks no more than none) "
+    ) in out
+
+
+def _values(spec, taken):
+    """Values of one argument that the strict parser takes, or declines."""
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"]) if taken else st.just("bogus")
+    if spec.get("type") is int:
+        if taken:
+            return st.integers(0, 30).map(str) | st.sampled_from([" 7", "1_0"])
+        return st.sampled_from(["-3", "x", "1.5", ""])
+    if taken:
+        return st.sampled_from(["f.poly", "u^2; v^2", "", "1,2", "hilbert"])
+    return st.sampled_from(["-", "-x"])
+
+
+# Tokens the strict parser declines wherever they stand.
+NOISE = ("-h", "--help", "--cod", "--n=7", "-", "--zzz", "--", "--seed", "extra")
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line built from the table, and whether it is well formed:
+    the command, then each flag zero to two times (a required one at least
+    once) and each positional, shuffled.  Some lines get faults: a declined
+    value, a dropped argument, noise tokens, or a token before the command."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    slots = []
+    for name, spec in cli._COMMON_FLAGS + cli._COMMANDS[command][2]:
+        positional = not name.startswith("-")
+        least = 1 if positional or spec.get("required") else 0
+        for _ in range(draw(st.integers(least, 1 if positional else 2))):
+            value = draw(_values(spec, taken=True))
+            slots.append((spec, [value] if positional else [name, value]))
+    faults = draw(st.sets(st.sampled_from(("value", "drop", "noise", "lead"))))
+    if not slots:
+        faults -= {"value", "drop"}
+    groups = [group for _, group in slots]
+    if "value" in faults:
+        spec, group = slots[draw(st.integers(0, len(slots) - 1))]
+        group[-1] = draw(_values(spec, taken=False))
+    if "drop" in faults:
+        groups.pop(draw(st.integers(0, len(groups) - 1)))
+    if "noise" in faults:
+        noise = draw(st.lists(st.sampled_from(NOISE), min_size=1, max_size=2))
+        groups += [[token] for token in noise]
+    argv = [command] + [t for group in draw(st.permutations(groups)) for t in group]
+    if "lead" in faults:
+        argv.insert(0, draw(st.sampled_from(NOISE)))
+    return argv, not faults
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+# argparse converts every value of a repeated flag, not only the last.
+@example((["family", "boolean", "--n", "x", "--n", "3"], False))
+def test_strict_parser_declines_or_agrees_with_argparse(line):
+    argv, well_formed = line
+    strict = cli._parse_strict(argv)
+    assert strict is not None or not well_formed
+    if strict is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli._parse_with_argparse(argv)
+        assert vars(strict) == vars(parsed)
+
+
+def test_negative_count_is_declined_then_rejected_by_the_command(capsys):
+    argv = ["family", "boolean", "--n", "-3"]
+    assert cli._parse_strict(argv) is None
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need at least one variable\n"
+
+
+def test_abbreviated_flag_is_declined_then_parsed_by_argparse():
+    argv = ["family", "odd", "--cod", "14", "--d", "5"]
+    assert cli._parse_strict(argv) is None
+    args = cli._parse_with_argparse(argv)
+    assert (args.command, args.kind, args.codim, args.d) == ("family", "odd", 14, 5)

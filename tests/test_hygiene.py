@@ -1,6 +1,6 @@
 """Source hygiene of the package: no unused imports, no dangling exports,
 no dead definitions, only standard-library imports, and no costly
-module that a report never needs loaded by the import."""
+module that a report never needs loaded by the import or the report."""
 
 from __future__ import annotations
 
@@ -93,6 +93,43 @@ def test_cli_import_leaves_costly_modules_unloaded():
         cwd=PACKAGE.parent,
     )
     assert out.stdout.strip() == "[]"
+
+
+# argparse imports gettext, whose first message loads locale.  Only help
+# and error lines build the argparse parser; a well-formed line never does.
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
+
+
+def _run_cli_in_probe(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code of `cli.main(argv)` in a fresh interpreter, and which of
+    ARGPARSE_MODULES it loaded."""
+    probe = (
+        "import contextlib, io, sys, mixedhess.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = mixedhess.cli.main({argv!r})\n"
+        "    except SystemExit as stop:\n"
+        "        code = stop.code\n"
+        f"print((code, sorted(m for m in {ARGPARSE_MODULES!r} if m in sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=PACKAGE.parent,
+    )
+    return ast.literal_eval(out.stdout)
+
+
+def test_report_leaves_argparse_unloaded():
+    argv = ["family", "boolean", "--n", "3", "--seed", "1"]
+    assert _run_cli_in_probe(argv) == (0, [])
+
+
+def test_help_loads_argparse():
+    code, loaded = _run_cli_in_probe(["--help"])
+    assert code == 0 and "argparse" in loaded
 
 
 def _top_level_imports(source: str) -> set[str]:
