@@ -419,11 +419,10 @@ def _parse_form_list(text: str) -> list[Polynomial]:
 
 
 def cmd_family(args: SimpleNamespace) -> int:
-    # A flag whose help starts with "kinds:" is for those kinds only.  A
-    # flag with a default (--verify) cannot tell whether it was given.
+    # A flag whose help starts with "kinds:" is for those kinds only.
     for flag, spec in _FAMILY_ARGUMENTS:
         kinds, colon, _ = spec.get("help", "").partition(": ")
-        given = "default" not in spec and getattr(args, _dest(flag, spec)) is not None
+        given = getattr(args, _dest(flag, spec)) is not None
         if colon and given and args.kind not in kinds.split("/"):
             raise ValueError(f"{flag} is for family {kinds}, not {args.kind}")
     config = _config_from_args(args)
@@ -446,7 +445,7 @@ def cmd_family(args: SimpleNamespace) -> int:
         if args.d is None or args.codim is None:
             raise ValueError(f"family {args.kind} needs --d and --codim")
         make = odd_counterexample if args.kind == "odd" else even_counterexample
-        member = make(args.d, args.codim, config, verify=args.verify)
+        member = make(args.d, args.codim, config, verify=args.verify or "report")
         result = {
             "parameters": {"d": args.d, "codim": args.codim},
             **_json(member, skip=("witness",)),
@@ -633,7 +632,7 @@ _FAMILY_ARGUMENTS = (
     ("--d", dict(type=int, help="odd/even: socle degree")),
     ("--codim", dict(type=int, help="odd/even: codimension")),
     ("--verify", dict(
-        choices=("none", "counts", "report"), default="report",
+        choices=("none", "counts", "report"),
         help="odd/even: verification level (default report; "
         "on odd, counts checks no more than none)",
     )),

@@ -3,15 +3,21 @@
 Three building blocks recur:
 
 * multiplying the dual generator by a fresh variable (`times_u`, the
-  one lift primitive).  One new variable shifts every annihilator
+  one lift primitive).  By Lemma A the algebra of F = f*u is
+  A_f tensor Q[u]/(u^2): one new variable shifts every annihilator
   degree up compatibly, so the Hilbert function of the lift is the sum
-  of two consecutive values of the original; two lifts in a row
-  (`times_uv`, and each step of the even family) keep the parity of the
-  socle degree and transport a deficient middle Hessian two degrees up.
-  A chain of lifts eliminates only its base and transports its algebra
-  through the lifts (`lift_chain_algebra`, Lemma A); `verify_lift`
-  checks Lemma A on one lift against a direct build, its whole
-  annihilator by a dimension count;
+  of two consecutive values of the original, and the graded
+  Clebsch-Gordan rule carries the base's generic Jordan type, and so
+  its whole rank table, up the lift (`lefschetz`).  The reports build
+  only the base: `odd_counterexample`, `even_counterexample` and
+  `times_uv` rank the base's table and read the lift's criterion rank
+  off the transported Jordan type (`_transported_criterion`).  Two
+  lifts in a row (`times_uv`, and each step of the even family) keep
+  the parity of the socle degree and carry a deficient middle cell two
+  degrees up.  `lift_chain_algebra` transports the lifted algebra
+  itself for `family times-u`, and `verify_lift` checks Lemma A on one
+  lift against a direct build, its whole annihilator by a dimension
+  count;
 * bases of small socle degree with certified failures: cubic forms
   whose middle Hessian vanishes identically, and quartic complexes
   whose facet rows satisfy an exact syzygy (see `complexes`);
@@ -46,7 +52,14 @@ from .complexes import (
 )
 from .config import DEFAULT_CONFIG, SamplingConfig
 from .hessians import RankCertificate, _hessian_of, generic_rank
-from .lefschetz import slp_check, wlp_criterion_matrix
+from .lefschetz import (
+    jordan_type,
+    lift_jordan_type,
+    rank_table,
+    slp_check,
+    string_rank,
+    wlp_criterion_matrix,
+)
 from .linalg import matrix_rank
 from .polyring import (
     Polynomial,
@@ -199,31 +212,74 @@ class DoubleLiftReport(NamedTuple):
     deficiency_transported: bool
 
 
+def _transported_criterion(
+    base: GradedAlgebra, lifts: int, config: SamplingConfig
+) -> tuple[RankCertificate, int, tuple[int, ...]]:
+    """The WLP criterion rank of the base's generator times `lifts`
+    fresh variables, the full rank it is measured against, and the
+    lift's Hilbert function, all read off the base's generic Jordan
+    type carried up the lifts by Lemma A and the Clebsch-Gordan rule
+    (`lefschetz`): only the base's cells are ranked.  The criterion at
+    socle degree D and q = D // 2 counts the strings [a, b] with
+    a <= q < b, against min(h'_q, h'_(q+1)).  It is exact when every
+    ranked base cell is; otherwise its failure bound is the sum of
+    theirs.  The strings must give the Hilbert function h_k + h_(k-1)
+    of each lift, or it raises InvariantViolation."""
+    table = rank_table(base, config)
+    strings = jordan_type(base.hilbert, {cell: c.rank for cell, c in table.items()})
+    hilbert = base.hilbert
+    for _ in range(lifts):
+        strings = lift_jordan_type(strings)
+        hilbert = tuple(a + b for a, b in zip(hilbert + (0,), (0,) + hilbert))
+    if tuple(string_rank(strings, k, 0) for k in range(len(hilbert))) != hilbert:
+        raise InvariantViolation(
+            "the transported Jordan type misses the lift's Hilbert function"
+        )
+    q = (len(hilbert) - 1) // 2
+    d = base.socle_degree
+    # Each ranked cell once: the one of its dual pair with 2i + j >= d.
+    ranked = [c for (i, j), c in table.items() if 2 * i + j >= d]
+    note = (
+        f"transported from the base's Jordan type through {lifts} lift(s) "
+        "by Lemma A and the Clebsch-Gordan rule"
+    )
+    if all(c.is_exact for c in ranked):
+        mode, bound = "exact", None
+        note += "; every base cell exact"
+    else:
+        mode = "probabilistic"
+        bound = sum(c.failure_bound for c in ranked if not c.is_exact)
+        note += "; failure bound summed over the sampled base cells"
+    cert = RankCertificate(
+        string_rank(strings, q, 1), mode, config.trials, config.sample_bound,
+        bound, note,
+    )
+    return cert, min(hilbert[q], hilbert[q + 1]), hilbert
+
+
 def times_uv(
     base: GradedAlgebra, config: SamplingConfig = DEFAULT_CONFIG
 ) -> DoubleLiftReport:
     """Multiply the generator of the base algebra by two fresh
     variables, preserving the parity of the socle degree.
 
-    Two `times_u` lifts transported by `lift_chain_algebra`, after
-    which the property-deciding Hessians of base and lift are
-    rank-certified: a base whose matrix sits below maximal rank must
-    lift to one that does too, which is the mechanism the counterexample
-    families rely on.  The base is the caller's algebra, so nothing is
-    eliminated here."""
+    The base's criterion Hessian is rank-certified, and the lift's
+    criterion rank and Hilbert function are transported from the
+    base's rank table (`_transported_criterion`): a base whose matrix
+    sits below maximal rank must lift to one that does too, which is
+    the mechanism the counterexample families rely on.  The base is the
+    caller's algebra, and no lifted algebra or matrix is built."""
     lifted = times_u(times_u(base.f))
-    lift = lift_chain_algebra(base, lifted, 2)
     mb = wlp_criterion_matrix(base)
-    ml = wlp_criterion_matrix(lift)
     cb = generic_rank(mb, config)
-    cl = generic_rank(ml, config)
     db = min(mb.shape) - cb.rank
-    dl = min(ml.shape) - cl.rank
+    cl, full, hilbert = _transported_criterion(base, 2, config)
+    dl = full - cl.rank
     return DoubleLiftReport(
         lifted,
         lifted.varset.names[-2:],
         base.hilbert,
-        lift.hilbert,
+        hilbert,
         cb,
         cl,
         db,
@@ -396,20 +452,6 @@ def _cubic_base(r: int) -> tuple[Polynomial, str, list[str]]:
     return dual_generator(comp), desc, steps
 
 
-def _deficient_criterion(
-    alg: GradedAlgebra, config: SamplingConfig, error: str
-) -> tuple[RankCertificate, int]:
-    """Rank-certify the WLP criterion matrix of a family member and
-    return the certificate with the full rank it falls short of; reaching
-    full rank contradicts the construction and raises with `error`."""
-    matrix = wlp_criterion_matrix(alg)
-    criterion = generic_rank(matrix, config)
-    full = min(matrix.shape)
-    if criterion.rank >= full:
-        raise InvariantViolation(error)
-    return criterion, full
-
-
 def odd_counterexample(
     d: int,
     codim: int,
@@ -429,6 +471,9 @@ def odd_counterexample(
     middle Hessian; "none" skips verification, and so does "counts"
     here: the member's Hilbert function is the base's lifted by
     construction, so there is nothing to count short of the report.
+    Only the cubic base is built: the middle Hessian's rank is
+    transported from the base's Jordan type (`_transported_criterion`),
+    and no lifted algebra or matrix is made.
 
     The quadric answer is the base's.  For F = f*u, Ann(F) = Ann(f)*S +
     (u^2) (Lemma A) and u -> 0 maps it onto Ann(f), generators of degree
@@ -454,18 +499,18 @@ def odd_counterexample(
     criterion: RankCertificate | None = None
     if verify == "report":
         base_alg = build_algebra(base)
-        alg = lift_chain_algebra(base_alg, f, d - 3)
         quadrics = ann_generated_by_quadrics(base_alg).presented
         if not quadrics:
             raise InvariantViolation(
                 "the annihilator needs generators beyond the quadrics, "
                 "contradicting the construction"
             )
-        criterion, full = _deficient_criterion(
-            alg, config,
-            "the middle Hessian reached full rank, contradicting "
-            "the construction",
-        )
+        criterion, full, _ = _transported_criterion(base_alg, d - 3, config)
+        if criterion.rank >= full:
+            raise InvariantViolation(
+                "the middle Hessian reached full rank, contradicting "
+                "the construction"
+            )
         steps.append(
             "verified: presented by quadrics, middle Hessian rank "
             f"{criterion.rank} < {full}"
@@ -522,10 +567,12 @@ def even_counterexample(
     from 16 + (d-4) upward.
 
     The grid syzygy on the base is always verified except at verify
-    "none".  "report" (the default) additionally rank-certifies the
-    step-deciding Hessian of the lifted result when fresh variables
-    were added, confirming that the deficiency travelled up the
-    chain."""
+    "none".  "report" (the default) additionally certifies the rank of
+    the step-deciding Hessian of the lifted result when fresh variables
+    were added, confirming that the deficiency travelled up the chain;
+    that rank is transported from the quartic base's Jordan type
+    (`_transported_criterion`), and no lifted algebra or matrix is
+    made."""
     if verify not in ("none", "counts", "report"):
         raise ValueError(f"unknown verify level {verify!r}")
     if d < 4 or d % 2:
@@ -558,15 +605,14 @@ def even_counterexample(
         f = times_u(times_u(f))
         z1, z2 = f.varset.names[-2:]
         steps.append(f"multiplied by fresh variables {z1} and {z2}")
-    if verify != "none":
-        alg = lift_chain_algebra(base_alg, f, d - 4)
     criterion: RankCertificate | None = None
     if verify == "report" and d > 4:
-        criterion, full = _deficient_criterion(
-            alg, config,
-            "the step-deciding Hessian of the lift reached full "
-            "rank, contradicting the deficiency transport",
-        )
+        criterion, full, _ = _transported_criterion(base_alg, d - 4, config)
+        if criterion.rank >= full:
+            raise InvariantViolation(
+                "the step-deciding Hessian of the lift reached full "
+                "rank, contradicting the deficiency transport"
+            )
         q = d // 2
         steps.append(
             f"verified: rank of the ({q - 1}, {q}) Hessian of the lift "

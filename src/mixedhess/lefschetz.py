@@ -33,6 +33,24 @@ exact rank certificate of the failing cell (negative): a sampled rank
 that met the cell's torus-slice bound, or a vanishing symbolic
 determinant.  It is *probabilistic* when it relies on sampled ranks
 alone, in which case the attached certificates carry failure bounds.
+
+The cells together form the rank table (`rank_table`): r(i, j), the
+generic rank of l^j: A_i -> A_(i+j), for i >= 0, j >= 1, i + j <= d.
+The Gorenstein pairing makes multiplication by l^j from A_(d-i-j) the
+transpose of the one from A_i, so r(i, j) = r(d-i-j, j) and only half
+the cells are ranked; their matrices are the ones the WLP and SLP
+checks read, with the same memoized certificates.  A cell with i = 0
+is 1 without a matrix: l^d acts on f as d! f(a), nonzero for a generic
+point a, so no power l^j with j <= d vanishes in A.  The table fixes
+the generic Jordan type (`jordan_type`): the strings [a, b], each a
+basis vector of A_a with its images up to A_b, occur
+N(a,b) - N(a-1,b) - N(a,b+1) + N(a-1,b+1) times, with N(a, b) =
+r(a, b-a), N(a, a) = h_a, and N = 0 off the range, since N(a, b)
+counts the strings with start <= a and end >= b (`string_rank`).
+A fresh variable u tensors A with Q[u]/(u^2), the string [0, 1]
+(`families`, Lemma A), and the graded Clebsch-Gordan rule
+(`lift_jordan_type`) sends [a, b] to [a, b+1], plus [a+1, b] when
+b > a: the whole table of a lift follows from its base's.
 """
 
 from __future__ import annotations
@@ -326,6 +344,86 @@ def _decide(
         name, True, None, tuple(evidence), mode, None, None,
         config.trials, config.seed, tuple(notes),
     )
+
+
+def rank_table(
+    alg: GradedAlgebra, config: SamplingConfig = DEFAULT_CONFIG
+) -> dict[tuple[int, int], RankCertificate]:
+    """The certified generic rank r(i, j) of l^j: A_i -> A_(i+j) for
+    every cell, i >= 0, j >= 1, i + j <= d (module docstring).  A cell
+    with 2i + j >= d is ranked through `_cell_hessian` and
+    `generic_rank`, and its dual (d-i-j, j) carries the same
+    certificate; the cells with i = 0 and their duals, i + j = d, are 1
+    and rank no matrix."""
+    d = alg.socle_degree
+    table: dict[tuple[int, int], RankCertificate] = {}
+    for j in range(1, d + 1):
+        for i in range(d - j, -1, -1):
+            dual = d - i - j
+            if dual > i:
+                table[i, j] = table[dual, j]
+            elif dual == 0:
+                table[i, j] = RankCertificate(1, "exact", note=(
+                    "l^d acts on f as d! f(a), nonzero at a generic "
+                    "point, so l^j is nonzero in A"
+                ))
+            else:
+                table[i, j] = generic_rank(_cell_hessian(alg, i, j), config)
+    return table
+
+
+def string_rank(strings: dict[tuple[int, int], int], i: int, j: int) -> int:
+    """r(i, j) read off a Jordan type: the strings [a, b] with a <= i
+    and b >= i + j; with j = 0, the dimension h_i."""
+    return sum(m for (a, b), m in strings.items() if a <= i and b >= i + j)
+
+
+def jordan_type(
+    hilbert: tuple[int, ...], ranks: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """The generic Jordan type of an algebra with Hilbert function
+    `hilbert` and rank table `ranks` (cell -> rank, as `rank_table`
+    keys it): each string [a, b] mapped to its multiplicity
+    N(a,b) - N(a-1,b) - N(a,b+1) + N(a-1,b+1) (module docstring).  A
+    negative multiplicity, or string lengths that do not add up to the
+    dimension of the algebra, means the table is inconsistent and
+    raises InvariantViolation."""
+    d = len(hilbert) - 1
+
+    def count(a: int, b: int) -> int:
+        if a < 0 or b > d:
+            return 0
+        return hilbert[a] if a == b else ranks[a, b - a]
+
+    strings = {}
+    for a in range(d + 1):
+        for b in range(a, d + 1):
+            m = count(a, b) - count(a - 1, b) - count(a, b + 1) + count(a - 1, b + 1)
+            if m < 0:
+                raise InvariantViolation(
+                    f"the rank table gives the string [{a}, {b}] multiplicity {m}"
+                )
+            if m:
+                strings[a, b] = m
+    if sum(m * (b - a + 1) for (a, b), m in strings.items()) != sum(hilbert):
+        raise InvariantViolation(
+            f"the Jordan type's string lengths do not add up to {sum(hilbert)}"
+        )
+    return strings
+
+
+def lift_jordan_type(
+    strings: dict[tuple[int, int], int]
+) -> dict[tuple[int, int], int]:
+    """The Jordan type of A tensor Q[u]/(u^2), the algebra of f*u, from
+    that of A: the graded Clebsch-Gordan rule sends [a, b] to [a, b+1],
+    plus [a+1, b] when b > a."""
+    lifted: dict[tuple[int, int], int] = {}
+    for (a, b), m in strings.items():
+        lifted[a, b + 1] = lifted.get((a, b + 1), 0) + m
+        if b > a:
+            lifted[a + 1, b] = lifted.get((a + 1, b), 0) + m
+    return lifted
 
 
 def wlp_check(

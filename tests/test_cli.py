@@ -516,6 +516,23 @@ def test_family_rejects_a_flag_its_kind_never_reads(argv, kinds, capsys):
     assert captured.err == f"error: {argv[-2]} is for family {kinds}, not {argv[1]}\n"
 
 
+@pytest.mark.parametrize("level", ["none", "counts", "report"])
+@pytest.mark.parametrize("argv", [
+    ["family", "boolean", "--n", "3"],
+    ["family", "times-u", "--base", "samples/boolean3.poly"],
+    ["family", "times-uv", "--base", "samples/boolean3.poly"],
+    ["family", "perazzo", "--partials", "u^2; u*v; v^2"],
+], ids=["boolean", "times-u", "times-uv", "perazzo"])
+def test_family_verify_is_for_odd_and_even_only(argv, level, monkeypatch, capsys):
+    # --verify has no default, so a kind that never reads it sees it given,
+    # at every level, the default one too.
+    monkeypatch.chdir(REPO)
+    assert main(argv + ["--verify", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --verify is for family odd/even, not {argv[1]}\n"
+
+
 def test_family_times_u(capsys, tmp_path):
     base = tmp_path / "base.poly"
     base.write_text("x1*x2*x3\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,23 +12,30 @@ from hypothesis import assume, given, settings, strategies as st
 from mixedhess import (
     InvariantViolation,
     Polynomial,
+    SamplingConfig,
     VarSet,
     ann_generated_by_quadrics,
     boolean_form,
     build_algebra,
     even_counterexample,
     example_catalog,
+    generic_rank,
+    jordan_type,
     lift_chain_algebra,
+    lift_jordan_type,
     odd_counterexample,
     parse_polynomial,
     perazzo_form,
+    rank_table,
     slp_check,
+    string_rank,
     times_u,
     times_uv,
     verify_lift,
     wlp_check,
 )
-from mixedhess import apolarity, families, polyring
+from mixedhess import apolarity, families, hessians, polyring
+from mixedhess.lefschetz import wlp_criterion_matrix
 
 from conftest import dense_random_form
 
@@ -272,6 +280,121 @@ def test_lift_chain_rejects_a_lift_that_does_not_match(boolean3_alg):
     other = times_u(parse_polynomial("x1^2*x2"))
     with pytest.raises(InvariantViolation, match=message):
         lift_chain_algebra(boolean3_alg, other, 1)
+
+
+# -- the criterion rank transported from the base's Jordan type ---------------
+
+
+def _base_of(f, lifts):
+    """The base of f = base * (lifts fresh variables), in its own variables."""
+    r = f.varset.size - lifts
+    return Polynomial(VarSet(f.varset.names[:r]), {e[:r]: c for e, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make, d, codim",
+    [
+        (odd_counterexample, 5, 10),
+        (odd_counterexample, 5, 14),
+        (odd_counterexample, 7, 12),
+        (odd_counterexample, 9, 14),
+        (even_counterexample, 6, 16),
+        (even_counterexample, 8, 18),
+    ],
+    ids=["odd-5-10", "odd-5-14", "odd-7-12", "odd-9-14", "even-6-16", "even-8-18"],
+)
+def test_transported_criterion_is_the_direct_rank(make, d, codim, seed):
+    # The direct route: transport the lifted algebra and rank its criterion.
+    config = SamplingConfig(seed=seed)
+    member = make(d, codim, config)
+    lifts = d - 4 + d % 2
+    base = build_algebra(_base_of(member.polynomial, lifts))
+    lift = lift_chain_algebra(base, member.polynomial, lifts)
+    direct = generic_rank(wlp_criterion_matrix(lift), config)
+    reported = member.criterion_rank
+    assert (reported.rank, reported.mode) == (direct.rank, direct.mode)
+    assert reported.rank < min(lift.hilbert[d // 2], lift.hilbert[d // 2 + 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms(), st.integers(1, 3))
+def test_transported_rank_table_is_the_direct_one(fast_config, f, m):
+    # Every cell of the lift, not only the criterion, read off the base's
+    # Jordan type lifted m times, against the lift's own table.
+    base = build_algebra(f)
+    table = rank_table(base, fast_config)
+    strings = jordan_type(base.hilbert, {c: cert.rank for c, cert in table.items()})
+    for _ in range(m):
+        strings = lift_jordan_type(strings)
+    lift = build_algebra(_lifted(f, m))
+    assert tuple(string_rank(strings, k, 0) for k in range(len(lift.hilbert))) == lift.hilbert
+    base_exact = all(cert.is_exact for cert in table.values())
+    for (i, j), cert in rank_table(lift, fast_config).items():
+        if base_exact and cert.is_exact:
+            assert string_rank(strings, i, j) == cert.rank, (i, j)
+    criterion, full, hilbert = families._transported_criterion(base, m, fast_config)
+    q = lift.socle_degree // 2
+    assert (criterion.rank, full, hilbert) == (
+        string_rank(strings, q, 1), min(lift.hilbert[q], lift.hilbert[q + 1]), lift.hilbert
+    )
+    assert criterion.is_exact == base_exact
+
+
+def test_transported_criterion_sums_the_sampled_base_bounds(config, monkeypatch):
+    # Base cells left probabilistic make the transported rank
+    # probabilistic, with the union bound of the ranked base cells: a
+    # certificate that two dual cells share counts once.
+    def sampled(alg, config):
+        table = real(alg, config)
+        table[1, 1] = table[2, 1] = table[2, 1]._replace(
+            mode="probabilistic", failure_bound=Fraction(1, 8)
+        )
+        table[1, 2] = table[1, 2]._replace(
+            mode="probabilistic", failure_bound=Fraction(1, 16)
+        )
+        return table
+
+    real = rank_table
+    monkeypatch.setattr(families, "rank_table", sampled)
+    base = build_algebra(boolean_form(4))
+    criterion, full, _ = families._transported_criterion(base, 2, config)
+    assert (criterion.rank, full) == (15, 15)
+    assert criterion.mode == "probabilistic"
+    assert criterion.failure_bound == Fraction(3, 16)
+
+
+@pytest.mark.parametrize(
+    "make, d, codim",
+    [(odd_counterexample, 7, 12), (even_counterexample, 8, 18)],
+    ids=["odd-7-12", "even-8-18"],
+)
+def test_family_reports_build_no_lifted_algebra_or_matrix(make, d, codim, config, monkeypatch):
+    # Every matrix a report builds is one of its base's.
+    def refuse(*args):
+        raise AssertionError("a report transported the lifted algebra")
+
+    def recording(f, *args, **kwargs):
+        sizes.append(f.varset.size)
+        return real(f, *args, **kwargs)
+
+    sizes, real = [], hessians._hessian_of
+    monkeypatch.setattr(families, "lift_chain_algebra", refuse)
+    monkeypatch.setattr(hessians, "_hessian_of", recording)
+    member = make(d, codim, config)
+    assert sizes and max(sizes) == member.polynomial.varset.size - (d - 4 + d % 2)
+
+
+def test_times_uv_builds_no_lifted_algebra_or_matrix(config, monkeypatch):
+    sizes, real = [], hessians._hessian_of
+    monkeypatch.setattr(families, "lift_chain_algebra", None)
+    monkeypatch.setattr(
+        hessians, "_hessian_of",
+        lambda f, *args: sizes.append(f.varset.size) or real(f, *args),
+    )
+    report = times_uv(build_algebra(parse_polynomial("x1*x2*x3")), config)
+    assert report.hilbert_lift == (1, 5, 10, 10, 5, 1)
+    assert sizes and max(sizes) == 3
 
 
 def test_times_uv_transports_deficiency(catalog, config):

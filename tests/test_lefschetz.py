@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,15 @@ from mixedhess import (
     boolean_form,
     build_algebra,
     dual_generator,
+    example_catalog,
     full_profile,
+    generic_rank,
     generalization_check,
+    jordan_type,
     mult_map_matrix,
     parse_polynomial,
     rank_profile,
+    rank_table,
     slp_check,
     turan_complex,
     wlp_check,
@@ -492,3 +498,120 @@ def test_witness_stop_changes_no_verdict(monkeypatch):
                 m.setattr(lefschetz, "_slice_bound", lambda h: min(h.shape))
                 assert check(build_algebra(f), config) == verdict, (f, check)
     assert late_witnesses > 0
+
+
+# -- the rank table and the generic Jordan type -------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Every catalog entry, the Boolean algebras in up to 7 variables and the
+# rational quintic.
+IDENTITY_ALGEBRAS = (
+    [entry.identifier for entry in example_catalog()]
+    + [f"boolean-n{n}" for n in range(1, 8)]
+    + ["rational-quintic"]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_form(name):
+    if name.startswith("boolean-n"):
+        return boolean_form(int(name.removeprefix("boolean-n")))
+    if name == "rational-quintic":
+        return parse_polynomial((REPO / "samples" / "rational_quintic.poly").read_text())
+    return example_catalog(name)[0].polynomial
+
+
+def _strings(alg, config):
+    table = rank_table(alg, config)
+    return table, jordan_type(alg.hilbert, {c: cert.rank for c, cert in table.items()})
+
+
+def _partition(strings):
+    """The Jordan type as a partition: string lengths, largest first."""
+    lengths = [b - a + 1 for (a, b), m in strings.items() for _ in range(m)]
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _conjugate(h):
+    return tuple(sum(v >= k for v in h) for k in range(1, max(h) + 1))
+
+
+@pytest.mark.parametrize("name", IDENTITY_ALGEBRAS)
+def test_jordan_type_identities(name, config):
+    # Lengths add up to the dimension; for unimodal h the WLP holds iff
+    # there are max h strings, and the SLP iff the Jordan type is the
+    # conjugate of h; both agree with the two checks.
+    alg = build_algebra(_identity_form(name))
+    table, strings = _strings(alg, config)
+    h = alg.hilbert
+    assert all(cert.is_exact for cert in table.values())
+    assert sum(m * (b - a + 1) for (a, b), m in strings.items()) == sum(h)
+    assert unimodality_check(h)
+    assert (sum(strings.values()) == max(h)) == wlp_check(alg, config).holds
+    assert (_partition(strings) == _conjugate(h)) == slp_check(alg, config).holds
+
+
+def test_identity_algebras_hold_both_verdicts(config):
+    # The identities above see algebras with and without each property.
+    verdicts = {
+        (wlp_check(alg, config).holds, slp_check(alg, config).holds)
+        for alg in (build_algebra(_identity_form(n)) for n in IDENTITY_ALGEBRAS)
+    }
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_rational_quintic_jordan_type_is_the_conjugate(config):
+    alg = build_algebra(_identity_form("rational-quintic"))
+    _, strings = _strings(alg, config)
+    assert alg.hilbert == (1, 4, 7, 7, 4, 1)
+    assert _partition(strings) == (6, 4, 4, 4, 2, 2, 2)
+    assert strings == {(0, 5): 1, (1, 4): 3, (2, 3): 3}
+
+
+@pytest.mark.parametrize(
+    "name", ["rational-quintic", "four-cycle", "turan-222", "boolean-n6"]
+)
+def test_rank_table_is_the_rank_of_every_cell(name, config):
+    # Duality ranks half the cells; each cell equals the generic rank of
+    # its own Hessian, the i = 0 cells included.
+    alg = build_algebra(_identity_form(name))
+    table = rank_table(alg, config)
+    d = alg.socle_degree
+    assert set(table) == {(i, j) for j in range(1, d + 1) for i in range(d - j + 1)}
+    for (i, j), cert in table.items():
+        direct = generic_rank(lefschetz._cell_hessian(alg, i, j), config)
+        assert cert.rank == direct.rank, (i, j)
+
+
+def test_rank_table_shares_certificates_and_ranks_no_unit_cell(config):
+    alg = build_algebra(_identity_form("rational-quintic"))
+    table = rank_table(alg, config)
+    d = alg.socle_degree
+    # The i = 0 cells and their duals are 1 without a matrix.
+    assert all(0 not in orders for orders in alg._hessian_cache)
+    for j in range(1, d + 1):
+        assert table[0, j].rank == 1 and table[0, j].is_exact
+        assert "d! f(a)" in table[0, j].note
+    for (i, j), cert in table.items():
+        assert cert is table[d - i - j, j]
+    # The WLP and SLP cells are the checks' own memoized certificates.
+    assert table[d // 2, 1] is generic_rank(lefschetz.wlp_criterion_matrix(alg), config)
+    for k in range(1, d // 2 + 1):
+        assert table[k, d - 2 * k] is generic_rank(mixed_hessian(alg, k, k), config)
+
+
+def test_jordan_type_rejects_a_negative_multiplicity():
+    # r(0, 1) = 0 < r(0, 2) = 1 cannot be: [0, 1] would occur -1 times.
+    with pytest.raises(InvariantViolation, match=r"\[0, 1\] multiplicity -1"):
+        jordan_type((1, 2, 1), {(0, 1): 0, (0, 2): 1, (1, 1): 1})
+
+
+def test_clebsch_gordan_lifts_the_boolean_jordan_type(config):
+    # The Boolean algebra in n variables is the constant 1 lifted n times.
+    strings = {(0, 0): 1}
+    for n in range(1, 8):
+        strings = lefschetz.lift_jordan_type(strings)
+        alg = build_algebra(boolean_form(n))
+        assert strings == _strings(alg, config)[1]
+        assert all(a + b == n for a, b in strings)
