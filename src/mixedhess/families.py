@@ -10,8 +10,8 @@ Three building blocks recur:
   Clebsch-Gordan rule carries the base's generic Jordan type, and so
   its whole rank table, up the lift (`lefschetz`).  The reports build
   only the base: `odd_counterexample`, `even_counterexample` and
-  `times_uv` rank the base's table and read the lift's criterion rank
-  off the transported Jordan type (`_transported_criterion`).  Two
+  `times_uv` rank only the base cells the lift's criterion reads and
+  transport its rank from them (`_transported_criterion`).  Two
   lifts in a row (`times_uv`, and each step of the even family) keep
   the parity of the socle degree and carry a deficient middle cell two
   degrees up.  `lift_chain_algebra` transports the lifted algebra
@@ -55,6 +55,7 @@ from .hessians import RankCertificate, _hessian_of, generic_rank
 from .lefschetz import (
     jordan_type,
     lift_jordan_type,
+    lifted_rank,
     rank_table,
     slp_check,
     string_rank,
@@ -150,7 +151,10 @@ def verify_lift(
     square of the new variable generates the lift's annihilator
     (inclusion by direct application, equality by that dimension
     count); base and lift agree on quadric presentation, and the strong
-    Lefschetz property carries over.  A failed check raises
+    Lefschetz property carries over; and when the base's rank table is
+    exact, every exact cell of the lift's reads the base's Jordan type
+    lifted by the Clebsch-Gordan rule, the transport the family reports
+    rest on (`lefschetz.lifted_rank`).  A failed check raises
     InvariantViolation, since each is a theorem."""
     lifted = times_u(f)
     base = build_algebra(f)
@@ -185,6 +189,17 @@ def verify_lift(
     slp_pair = tuple(slp_check(a, config).holds for a in both)
     if slp_pair[0] and not slp_pair[1]:
         raise InvariantViolation("the strong Lefschetz property was lost by the lift")
+    table = rank_table(base, config)
+    if all(c.is_exact for c in table.values()):
+        strings = lift_jordan_type(jordan_type(base.hilbert, table))
+        if any(
+            c.is_exact and c.rank != string_rank(strings, i, j)
+            for (i, j), c in rank_table(lift_alg, config).items()
+        ):
+            raise InvariantViolation(
+                "the lift's rank table is not the base's Jordan type "
+                "lifted by the Clebsch-Gordan rule"
+            )
     return LiftReport(
         lifted, lifted.varset.names[-1:], base.hilbert, lift_alg.hilbert,
         hilbert_identity=True, annihilator_inclusion=True,
@@ -217,43 +232,17 @@ def _transported_criterion(
 ) -> tuple[RankCertificate, int, tuple[int, ...]]:
     """The WLP criterion rank of the base's generator times `lifts`
     fresh variables, the full rank it is measured against, and the
-    lift's Hilbert function, all read off the base's generic Jordan
-    type carried up the lifts by Lemma A and the Clebsch-Gordan rule
-    (`lefschetz`): only the base's cells are ranked.  The criterion at
-    socle degree D and q = D // 2 counts the strings [a, b] with
-    a <= q < b, against min(h'_q, h'_(q+1)).  It is exact when every
-    ranked base cell is; otherwise its failure bound is the sum of
-    theirs.  The strings must give the Hilbert function h_k + h_(k-1)
-    of each lift, or it raises InvariantViolation."""
-    table = rank_table(base, config)
-    strings = jordan_type(base.hilbert, {cell: c.rank for cell, c in table.items()})
+    lift's Hilbert function h_k + h_(k-1), applied once per lift
+    (Lemma A).  The rank is transported from the base's cells by the
+    Clebsch-Gordan rule (`lefschetz.lifted_rank`): at socle degree D
+    and q = D // 2 it counts the lifted strings [a, b] with
+    a <= q < b, against min(h'_q, h'_(q+1)), and no lifted matrix is
+    built."""
     hilbert = base.hilbert
     for _ in range(lifts):
-        strings = lift_jordan_type(strings)
         hilbert = tuple(a + b for a, b in zip(hilbert + (0,), (0,) + hilbert))
-    if tuple(string_rank(strings, k, 0) for k in range(len(hilbert))) != hilbert:
-        raise InvariantViolation(
-            "the transported Jordan type misses the lift's Hilbert function"
-        )
     q = (len(hilbert) - 1) // 2
-    d = base.socle_degree
-    # Each ranked cell once: the one of its dual pair with 2i + j >= d.
-    ranked = [c for (i, j), c in table.items() if 2 * i + j >= d]
-    note = (
-        f"transported from the base's Jordan type through {lifts} lift(s) "
-        "by Lemma A and the Clebsch-Gordan rule"
-    )
-    if all(c.is_exact for c in ranked):
-        mode, bound = "exact", None
-        note += "; every base cell exact"
-    else:
-        mode = "probabilistic"
-        bound = sum(c.failure_bound for c in ranked if not c.is_exact)
-        note += "; failure bound summed over the sampled base cells"
-    cert = RankCertificate(
-        string_rank(strings, q, 1), mode, config.trials, config.sample_bound,
-        bound, note,
-    )
+    cert = lifted_rank(base, lifts, q, 1, config)
     return cert, min(hilbert[q], hilbert[q + 1]), hilbert
 
 

@@ -50,11 +50,13 @@ counts the strings with start <= a and end >= b (`string_rank`).
 A fresh variable u tensors A with Q[u]/(u^2), the string [0, 1]
 (`families`, Lemma A), and the graded Clebsch-Gordan rule
 (`lift_jordan_type`) sends [a, b] to [a, b+1], plus [a+1, b] when
-b > a: the whole table of a lift follows from its base's.
+b > a: the whole table of a lift follows from its base's, and
+`lifted_rank` reads one cell of it ranking only the base cells it needs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -346,6 +348,24 @@ def _decide(
     )
 
 
+# The certificate of a cell with i = 0 or i + j = d.
+_UNIT_CELL = RankCertificate(1, "exact", note=(
+    "l^d acts on f as d! f(a), nonzero at a generic point, so l^j is "
+    "nonzero in A"
+))
+
+
+def _cell_rank(
+    alg: GradedAlgebra, i: int, j: int, config: SamplingConfig
+) -> RankCertificate:
+    """The certified r(i, j), through the cell of its dual pair with
+    2i + j >= d; a cell with i = 0 or i + j = d ranks no matrix."""
+    i = max(i, alg.socle_degree - i - j)
+    if i + j == alg.socle_degree:
+        return _UNIT_CELL
+    return generic_rank(_cell_hessian(alg, i, j), config)
+
+
 def rank_table(
     alg: GradedAlgebra, config: SamplingConfig = DEFAULT_CONFIG
 ) -> dict[tuple[int, int], RankCertificate]:
@@ -356,20 +376,60 @@ def rank_table(
     certificate; the cells with i = 0 and their duals, i + j = d, are 1
     and rank no matrix."""
     d = alg.socle_degree
-    table: dict[tuple[int, int], RankCertificate] = {}
-    for j in range(1, d + 1):
-        for i in range(d - j, -1, -1):
-            dual = d - i - j
-            if dual > i:
-                table[i, j] = table[dual, j]
-            elif dual == 0:
-                table[i, j] = RankCertificate(1, "exact", note=(
-                    "l^d acts on f as d! f(a), nonzero at a generic "
-                    "point, so l^j is nonzero in A"
-                ))
-            else:
-                table[i, j] = generic_rank(_cell_hessian(alg, i, j), config)
-    return table
+    return {
+        (i, j): _cell_rank(alg, i, j, config)
+        for j in range(1, d + 1)
+        for i in range(d - j + 1)
+    }
+
+
+def lifted_rank(
+    alg: GradedAlgebra,
+    lifts: int,
+    i: int,
+    j: int,
+    config: SamplingConfig = DEFAULT_CONFIG,
+) -> RankCertificate:
+    """r(i, j) of the algebra of f times `lifts` fresh variables, from
+    the base's cells alone.  A lift's strings [a, b+1] and [a+1, b]
+    (`lift_jordan_type`) give r'(i, j) = r(i, j-1) + r(i-1, j+1) for
+    j >= 1 and h'_i = h_i + h_(i-1), so the recursion ranks only the
+    base cells it reaches, each dual pair once.  Exact when every such
+    cell is; otherwise probabilistic, with the sum of their failure
+    bounds."""
+    d = alg.socle_degree
+    read: dict[tuple[int, int], RankCertificate] = {}
+
+    @functools.cache
+    def count(m: int, i: int, j: int) -> int:
+        if i < 0 or i + j > d + m:
+            return 0
+        if m and j:
+            return count(m - 1, i, j - 1) + count(m - 1, i - 1, j + 1)
+        if m:
+            return count(m - 1, i, 0) + count(m - 1, i - 1, 0)
+        if not j:
+            return alg.hilbert[i]
+        cell = max(i, d - i - j), j
+        read[cell] = _cell_rank(alg, *cell, config)
+        return read[cell].rank
+
+    rank = count(lifts, i, j)
+    note = (
+        f"transported from the base's Jordan type through {lifts} "
+        "lift(s) by Lemma A and the Clebsch-Gordan rule"
+    )
+    sampled = [c for c in read.values() if not c.is_exact]
+    if not sampled:
+        return RankCertificate(
+            rank, "exact", config.trials, config.sample_bound, None,
+            note + "; every base cell it reads exact",
+        )
+    return RankCertificate(
+        rank, "probabilistic", config.trials, config.sample_bound,
+        sum(c.failure_bound for c in sampled),
+        note + "; failure bound summed over the sampled base cells it reads",
+    )
 
 
 def string_rank(strings: dict[tuple[int, int], int], i: int, j: int) -> int:
@@ -379,27 +439,32 @@ def string_rank(strings: dict[tuple[int, int], int], i: int, j: int) -> int:
 
 
 def jordan_type(
-    hilbert: tuple[int, ...], ranks: dict[tuple[int, int], int]
-) -> dict[tuple[int, int], int]:
+    hilbert: tuple[int, ...], table: dict[tuple[int, int], RankCertificate]
+) -> dict[tuple[int, int], int] | None:
     """The generic Jordan type of an algebra with Hilbert function
-    `hilbert` and rank table `ranks` (cell -> rank, as `rank_table`
-    keys it): each string [a, b] mapped to its multiplicity
-    N(a,b) - N(a-1,b) - N(a,b+1) + N(a-1,b+1) (module docstring).  A
-    negative multiplicity, or string lengths that do not add up to the
-    dimension of the algebra, means the table is inconsistent and
-    raises InvariantViolation."""
+    `hilbert` and rank table `table` (as `rank_table` returns it): each
+    string [a, b] mapped to its multiplicity
+    N(a,b) - N(a-1,b) - N(a,b+1) + N(a-1,b+1) (module docstring).
+
+    A sampled rank can fall short of the generic rank but never exceed
+    it, so a negative multiplicity from a table with a sampled cell is
+    a sampling miss, and gives None; from an exact table it contradicts
+    the theorem and raises InvariantViolation, as do string lengths
+    that do not add up to the dimension of the algebra."""
     d = len(hilbert) - 1
 
     def count(a: int, b: int) -> int:
         if a < 0 or b > d:
             return 0
-        return hilbert[a] if a == b else ranks[a, b - a]
+        return hilbert[a] if a == b else table[a, b - a].rank
 
     strings = {}
     for a in range(d + 1):
         for b in range(a, d + 1):
             m = count(a, b) - count(a - 1, b) - count(a, b + 1) + count(a - 1, b + 1)
             if m < 0:
+                if not all(c.is_exact for c in table.values()):
+                    return None
                 raise InvariantViolation(
                     f"the rank table gives the string [{a}, {b}] multiplicity {m}"
                 )

@@ -20,22 +20,25 @@ from mixedhess import (
     even_counterexample,
     example_catalog,
     generic_rank,
-    jordan_type,
     lift_chain_algebra,
-    lift_jordan_type,
     odd_counterexample,
     parse_polynomial,
     perazzo_form,
-    rank_table,
     slp_check,
-    string_rank,
     times_u,
     times_uv,
     verify_lift,
     wlp_check,
 )
-from mixedhess import apolarity, families, hessians, polyring
-from mixedhess.lefschetz import wlp_criterion_matrix
+from mixedhess import apolarity, families, hessians, lefschetz, polyring
+from mixedhess.lefschetz import (
+    jordan_type,
+    lift_jordan_type,
+    lifted_rank,
+    rank_table,
+    string_rank,
+    wlp_criterion_matrix,
+)
 
 from conftest import dense_random_form
 
@@ -103,6 +106,17 @@ def test_verify_lift_rejects_a_transport_that_differs(config, monkeypatch):
     real = families.lift_chain_algebra
     monkeypatch.setattr(families, "lift_chain_algebra", corrupt)
     with pytest.raises(InvariantViolation, match="differs from the direct build"):
+        verify_lift(parse_polynomial("x1*x2*x3"), config)
+
+
+def test_verify_lift_rejects_a_clebsch_gordan_step_that_drops_a_string(config, monkeypatch):
+    # verify_lift ranks the lift's whole table directly, so it catches a
+    # transport without the [a+1, b] strings.
+    def short(strings):
+        return {(a, b + 1): m for (a, b), m in strings.items()}
+
+    monkeypatch.setattr(families, "lift_jordan_type", short)
+    with pytest.raises(InvariantViolation, match="Clebsch-Gordan"):
         verify_lift(parse_polynomial("x1*x2*x3"), config)
 
 
@@ -320,48 +334,54 @@ def test_transported_criterion_is_the_direct_rank(make, d, codim, seed):
 @settings(max_examples=40, deadline=None)
 @given(small_forms(), st.integers(1, 3))
 def test_transported_rank_table_is_the_direct_one(fast_config, f, m):
-    # Every cell of the lift, not only the criterion, read off the base's
-    # Jordan type lifted m times, against the lift's own table.
+    # Every cell of the lift, not only the criterion, transported from
+    # the base two ways, by its Jordan type lifted m times and by
+    # lifted_rank's recursion, against the lift's own table.
     base = build_algebra(f)
-    table = rank_table(base, fast_config)
-    strings = jordan_type(base.hilbert, {c: cert.rank for c, cert in table.items()})
-    for _ in range(m):
-        strings = lift_jordan_type(strings)
+    strings = jordan_type(base.hilbert, rank_table(base, fast_config))
     lift = build_algebra(_lifted(f, m))
-    assert tuple(string_rank(strings, k, 0) for k in range(len(lift.hilbert))) == lift.hilbert
-    base_exact = all(cert.is_exact for cert in table.values())
-    for (i, j), cert in rank_table(lift, fast_config).items():
-        if base_exact and cert.is_exact:
-            assert string_rank(strings, i, j) == cert.rank, (i, j)
-    criterion, full, hilbert = families._transported_criterion(base, m, fast_config)
+    if strings is not None:
+        for _ in range(m):
+            strings = lift_jordan_type(strings)
+        assert tuple(string_rank(strings, k, 0) for k in range(len(lift.hilbert))) == lift.hilbert
+    for (i, j), direct in rank_table(lift, fast_config).items():
+        transported = lifted_rank(base, m, i, j, fast_config)
+        if strings is not None:
+            assert transported.rank == string_rank(strings, i, j), (i, j)
+        if transported.is_exact and direct.is_exact:
+            assert transported.rank == direct.rank, (i, j)
     q = lift.socle_degree // 2
-    assert (criterion.rank, full, hilbert) == (
-        string_rank(strings, q, 1), min(lift.hilbert[q], lift.hilbert[q + 1]), lift.hilbert
+    assert families._transported_criterion(base, m, fast_config) == (
+        lifted_rank(base, m, q, 1, fast_config),
+        min(lift.hilbert[q], lift.hilbert[q + 1]),
+        lift.hilbert,
     )
-    assert criterion.is_exact == base_exact
 
 
-def test_transported_criterion_sums_the_sampled_base_bounds(config, monkeypatch):
-    # Base cells left probabilistic make the transported rank
-    # probabilistic, with the union bound of the ranked base cells: a
-    # certificate that two dual cells share counts once.
-    def sampled(alg, config):
-        table = real(alg, config)
-        table[1, 1] = table[2, 1] = table[2, 1]._replace(
-            mode="probabilistic", failure_bound=Fraction(1, 8)
-        )
-        table[1, 2] = table[1, 2]._replace(
-            mode="probabilistic", failure_bound=Fraction(1, 16)
-        )
-        return table
+def test_transported_criterion_of_a_low_sampled_base_cell(config, monkeypatch):
+    # A sampled base cell one low makes the transported rank one low and
+    # probabilistic, with the sum of the bounds of the base cells it
+    # reads, as the direct rank of a sampled lifted cell would be.
+    def sampled(alg, i, j, config):
+        cert = real(alg, i, j, config)
+        read.append((i, j))
+        if (i, j) == (3, 1):
+            return cert._replace(
+                rank=cert.rank - 1, mode="probabilistic", failure_bound=Fraction(1, 8)
+            )
+        if (i, j) == (2, 3):
+            return cert._replace(mode="probabilistic", failure_bound=Fraction(1, 16))
+        return cert
 
-    real = rank_table
-    monkeypatch.setattr(families, "rank_table", sampled)
-    base = build_algebra(boolean_form(4))
-    criterion, full, _ = families._transported_criterion(base, 2, config)
-    assert (criterion.rank, full) == (15, 15)
+    read, real = [], lefschetz._cell_rank
+    monkeypatch.setattr(lefschetz, "_cell_rank", sampled)
+    report = times_uv(build_algebra(boolean_form(6)), config)
+    assert sorted(set(read)) == [(2, 3), (3, 1)]
+    criterion = report.lift_criterion_rank
+    assert (criterion.rank, report.lift_deficiency) == (55, 1)
     assert criterion.mode == "probabilistic"
     assert criterion.failure_bound == Fraction(3, 16)
+    assert "sampled base cells it reads" in criterion.note
 
 
 @pytest.mark.parametrize(

@@ -21,11 +21,9 @@ from mixedhess import (
     full_profile,
     generic_rank,
     generalization_check,
-    jordan_type,
     mult_map_matrix,
     parse_polynomial,
     rank_profile,
-    rank_table,
     slp_check,
     turan_complex,
     wlp_check,
@@ -33,7 +31,8 @@ from mixedhess import (
 )
 import mixedhess.lefschetz as lefschetz
 from mixedhess.apolarity import GradedAlgebra
-from mixedhess.hessians import mixed_hessian, rank_at
+from mixedhess.hessians import RankCertificate, mixed_hessian, rank_at
+from mixedhess.lefschetz import jordan_type, rank_table
 from mixedhess.linalg import matrix_rank
 from mixedhess.polyring import (
     Polynomial,
@@ -524,7 +523,7 @@ def _identity_form(name):
 
 def _strings(alg, config):
     table = rank_table(alg, config)
-    return table, jordan_type(alg.hilbert, {c: cert.rank for c, cert in table.items()})
+    return table, jordan_type(alg.hilbert, table)
 
 
 def _partition(strings):
@@ -603,8 +602,27 @@ def test_rank_table_shares_certificates_and_ranks_no_unit_cell(config):
 
 def test_jordan_type_rejects_a_negative_multiplicity():
     # r(0, 1) = 0 < r(0, 2) = 1 cannot be: [0, 1] would occur -1 times.
+    table = {
+        cell: RankCertificate(rank, "exact")
+        for cell, rank in {(0, 1): 0, (0, 2): 1, (1, 1): 1}.items()
+    }
     with pytest.raises(InvariantViolation, match=r"\[0, 1\] multiplicity -1"):
-        jordan_type((1, 2, 1), {(0, 1): 0, (0, 2): 1, (1, 1): 1})
+        jordan_type((1, 2, 1), table)
+
+
+def test_jordan_type_of_a_low_sampled_cell_is_none(config):
+    # A sampled rank can come out low: on a table with a sampled cell a
+    # negative multiplicity is a sampling miss, not a failed theorem.
+    alg = build_algebra(_identity_form("rational-quintic"))
+    table = rank_table(alg, config)
+    # r(1, 2) = r(2, 2) one low leaves [1, 3] with multiplicity -1.
+    low = table[1, 2]._replace(rank=table[1, 2].rank - 1)
+    table[1, 2] = table[2, 2] = low
+    with pytest.raises(InvariantViolation, match=r"\[1, 3\] multiplicity -1"):
+        jordan_type(alg.hilbert, table)
+    sampled = low._replace(mode="probabilistic", failure_bound=Fraction(1, 8))
+    table[1, 2] = table[2, 2] = sampled
+    assert jordan_type(alg.hilbert, table) is None
 
 
 def test_clebsch_gordan_lifts_the_boolean_jordan_type(config):
