@@ -150,7 +150,9 @@ class GradedAlgebra:
     on each call, uncached.  The monomials outside D_k, which complete
     K_k to Ann_k, are never listed.  The pairing between complementary
     degrees is a block of the catalecticant; its inverse is cached on
-    first use, as sparse integer rows over one common denominator.
+    first use, as sparse integer rows over one common denominator,
+    together with its transpose, the inverse in the complementary
+    degree.
     `hessians.mixed_hessian` caches each order-(k, l) Hessian here too,
     so every check of one report reads the same matrix and with it the
     rank facts memoized on that matrix.
@@ -252,7 +254,14 @@ class GradedAlgebra:
         with pivot h + t is p_t times the unit vector t followed by p_t
         times row t of the inverse, for a nonzero int p_t.  That row is
         primitive, so row t of the inverse has least denominator |p_t|,
-        and D is the lcm of the p_t."""
+        and D is the lcm of the p_t.
+
+        `pairing_matrix(d-k)` is the transpose of `pairing_matrix(k)`, so
+        its inverse is the transpose of this one, with the same entries
+        and so the same D: it is cached with it, row i mapping t to
+        entry (t, i) of these rows, keys in the order t of the rows
+        eliminated.  Each complementary pair of degrees is inverted
+        once."""
         cached = self._pairing_inv_cache.get(k)
         if cached is not None:
             return cached
@@ -269,6 +278,12 @@ class GradedAlgebra:
         for top, row in reduced.items():
             scale = denom // row[top]
             inv.append({i: v * scale for i, v in row.items() if i < h})
+        transposed: list[dict[int, int]] = [{} for _ in range(h)]
+        for t, row in enumerate(inv):
+            for i, v in row.items():
+                transposed[i][t] = v
+        # At k = d/2 the pairing is symmetric; the rows eliminated win.
+        self._pairing_inv_cache[self.socle_degree - k] = denom, transposed
         self._pairing_inv_cache[k] = denom, inv
         return denom, inv
 

@@ -434,10 +434,12 @@ def cmd_family(args: SimpleNamespace) -> int:
             raise ValueError("family boolean needs --n")
         f = boolean_form(args.n)
         alg = build_algebra(f)
+        # At x1 + ... + xn each SLP cell is a Kneser matrix, nonsingular
+        # for n >= 2k (Lovasz), so the all-ones point is tried first.
         result = {
             "parameters": {"n": args.n},
             "hilbert": alg.hilbert,
-            "slp": slp_check(alg, config),
+            "slp": slp_check(alg, config, candidate=(1,) * args.n),
             "polynomial": f,
         }
         poly = f

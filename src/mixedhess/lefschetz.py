@@ -270,13 +270,19 @@ def wlp_criterion_matrix(alg: GradedAlgebra) -> MixedHessian:
 
 def _decide(
     alg: GradedAlgebra, config: SamplingConfig, name: str, cells: tuple,
-    generic_note: str, profile_on_failure: bool,
+    generic_note: str, profile_on_failure: bool, candidate=None,
 ) -> LefschetzVerdict:
     """Decide a property given as cells (i, j, step, witness note,
     confirmation note with {} for the rank).  A point where every cell
     has full rank is a witness; otherwise the first cell whose generic
     rank falls short names its step in a negative verdict, and when none
     does the property holds without a witness.
+
+    A `candidate` point is tried as a witness before any sampled point,
+    through the same f(a) != 0 filter and the same checks, its rank
+    profile and that profile's duality included.  A candidate that is
+    not a witness is forgotten: the sampled search then runs as it does
+    without one, so the verdict is the one that search alone gives.
 
     The witness search stops at the first point where a cell loses rank
     if that cell is proven short of full rank at every point: its
@@ -291,6 +297,31 @@ def _decide(
     verdict carries one.  Points are drawn only as the search asks for
     them."""
     mats = [_cell_hessian(alg, i, j) for i, j, *_ in cells]
+
+    def witnessed(pt) -> LefschetzVerdict:
+        witness = _linear_form(alg, pt)
+        profile = rank_profile(alg, witness)
+        if profile != full_profile(alg):
+            raise InvariantViolation(
+                "criterion matrix has full rank at a witness whose "
+                f"multiplication profile {profile} is not full"
+            )
+        evidence = tuple(
+            RankCertificate(min(m.shape), "exact", config.trials,
+                            config.sample_bound, note=witness_note)
+            for (_, _, _, witness_note, _), m in zip(cells, mats)
+        )
+        return LefschetzVerdict(
+            name, True, witness, evidence, "exact", profile, None,
+            config.trials, config.seed, (),
+        )
+
+    if (
+        candidate is not None
+        and alg.f.evaluate(candidate) != 0
+        and all(rank_at(m, candidate) == min(m.shape) for m in mats)
+    ):
+        return witnessed(candidate)
     notes: list[str] = []
     first = None
     for pt in sample_points(alg, config, f"{name.lower()}-witness"):
@@ -298,22 +329,7 @@ def _decide(
             first = pt
         short = next((m for m in mats if rank_at(m, pt) != min(m.shape)), None)
         if short is None:
-            witness = _linear_form(alg, pt)
-            profile = rank_profile(alg, witness)
-            if profile != full_profile(alg):
-                raise InvariantViolation(
-                    "criterion matrix has full rank at a witness whose "
-                    f"multiplication profile {profile} is not full"
-                )
-            evidence = tuple(
-                RankCertificate(min(m.shape), "exact", config.trials,
-                                config.sample_bound, note=witness_note)
-                for (_, _, _, witness_note, _), m in zip(cells, mats)
-            )
-            return LefschetzVerdict(
-                name, True, witness, evidence, "exact", profile, None,
-                config.trials, config.seed, tuple(notes),
-            )
+            return witnessed(pt)
         if (
             _det_vanishes(short, config.symbolic_cap)
             or _slice_bound(short) < min(short.shape)
@@ -449,8 +465,11 @@ def jordan_type(
     A sampled rank can fall short of the generic rank but never exceed
     it, so a negative multiplicity from a table with a sampled cell is
     a sampling miss, and gives None; from an exact table it contradicts
-    the theorem and raises InvariantViolation, as do string lengths
-    that do not add up to the dimension of the algebra."""
+    the theorem and raises InvariantViolation.  So do string lengths
+    that do not add up to the dimension of the algebra, but that sum
+    telescopes to sum(h) for every table, so the raise guards only
+    this function's own formula, never the table; the independent
+    check of a Jordan type is `families.verify_lift`."""
     d = len(hilbert) - 1
 
     def count(a: int, b: int) -> int:
@@ -515,14 +534,16 @@ def wlp_check(
 
 
 def slp_check(
-    alg: GradedAlgebra, config: SamplingConfig = DEFAULT_CONFIG
+    alg: GradedAlgebra, config: SamplingConfig = DEFAULT_CONFIG,
+    candidate=None,
 ) -> LefschetzVerdict:
     """Decide the strong Lefschetz property.
 
     Holds exactly when every order-(k, k) Hessian, k up to half the
     socle degree, is generically nonsingular; a witness is a single
     point at which all of them are nonsingular at once and the
-    generator does not vanish.
+    generator does not vanish.  A `candidate` point is tried as the
+    witness before the sampled ones (`_decide`).
     """
     d = alg.socle_degree
     cells = tuple(
@@ -536,5 +557,5 @@ def slp_check(
         alg, config, "SLP", cells,
         "every criterion Hessian is generically nonsingular but no "
         "sampled point witnessed all of them at once",
-        profile_on_failure=False,
+        profile_on_failure=False, candidate=candidate,
     )

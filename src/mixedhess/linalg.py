@@ -20,9 +20,12 @@ denominator.
   decreases, so reduction terminates.
 * :func:`matrix_rank` runs rows through that loop, each given either
   as a ``{column: value}`` mapping of its nonzero cells or as a dense
-  sequence, and :func:`_integer_rref` back-substitutes its pivot rows
-  with the same update.  A row whose entries are all ints enters the
-  loop without a denominator pass; evaluated Hessians and
+  sequence, on the matrix's short side: rank is invariant under
+  transposition, and every row beyond the rank is reduced to zero, so
+  a matrix with more nonzero rows than nonzero columns runs its
+  columns instead.  :func:`_integer_rref` back-substitutes its pivot
+  rows with the same update.  A row whose entries are all ints enters
+  the loop without a denominator pass; evaluated Hessians and
   multiplication maps arrive that way.  The only Fractions this module
   makes are in the output of :func:`sparse_rref`, which divides each
   row of :func:`_integer_rref` by its pivot entry; :func:`rref` runs
@@ -114,9 +117,12 @@ def matrix_rank(rows: Iterable[dict | Sequence]) -> int:
     A row is either a ``{column: value}`` mapping or a dense sequence,
     whose column j is keyed j; zero values are dropped either way, so a
     sparse producer hands over its nonzero cells and nothing else.
-    The sparsest column gets the largest key, ties going to the column
-    that appears first, so rows pivot on their sparsest columns, and
-    the sparsest rows enter first; both keep the pivot rows short.
+    When the nonzero rows outnumber the nonzero columns, the transpose
+    is ranked instead, so fewer rows go through the loop only to
+    reduce to zero.  The sparsest column gets the largest key, ties
+    going to the column that appears first, so rows pivot on their
+    sparsest columns, and the sparsest rows enter first; both keep the
+    pivot rows short.
     The rows go through :meth:`RowSpace.reduce` and each nonzero
     remainder is stored as a pivot directly, so that
     :meth:`RowSpace.insert` counts only span inserts.
@@ -124,11 +130,19 @@ def matrix_rank(rows: Iterable[dict | Sequence]) -> int:
     cells = (
         row.items() if isinstance(row, dict) else enumerate(row) for row in rows
     )
-    vecs = [{j: c for j, c in row if c} for row in cells]
+    vecs = [vec for vec in ({j: c for j, c in row if c} for row in cells) if vec]
     counts: dict = {}
     for vec in vecs:
         for j in vec:
             counts[j] = counts.get(j, 0) + 1
+    if len(vecs) > len(counts):
+        # Rank the transpose: column i of it is row i, with its count.
+        cols: dict = {j: {} for j in counts}
+        for i, vec in enumerate(vecs):
+            for j, c in vec.items():
+                cols[j][i] = c
+        counts = {i: len(vec) for i, vec in enumerate(vecs)}
+        vecs = list(cols.values())
     order = sorted(counts, key=counts.__getitem__, reverse=True)
     key = {j: k for k, j in enumerate(order)}
     space = RowSpace()

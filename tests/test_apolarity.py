@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +19,7 @@ from mixedhess import (
     apolar_apply,
     bigraded_decomposition,
     build_algebra,
+    dual_generator,
     even_counterexample,
     example_catalog,
     grlex_key,
@@ -29,6 +31,7 @@ from mixedhess import (
 )
 from mixedhess import apolarity
 from mixedhess.apolarity import _degree_step_spanned, _splits, _step_coordinates
+from mixedhess.cli import _complex_from_json
 from mixedhess.linalg import RowSpace, matrix_rank, sparse_rref
 from mixedhess.polyring import apolar_pairing, falling_product
 
@@ -115,6 +118,42 @@ def test_pairing_matrices_invertible(four_cycle_alg, boolean3_alg):
             m = alg.pairing_matrix(k)
             assert len(m) == alg.dim(k)
             assert matrix_rank(m) == len(m)
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _catalog_and_sample_forms():
+    forms = {e.identifier: e.polynomial for e in example_catalog()}
+    for path in sorted(SAMPLES.glob("*.poly")):
+        forms[path.name] = parse_polynomial(path.read_text())
+    for path in sorted(SAMPLES.glob("*.json")):
+        forms[path.name] = dual_generator(_complex_from_json(path.read_text()))
+    return forms
+
+
+@pytest.mark.parametrize("name", sorted(_catalog_and_sample_forms()))
+def test_pairing_inverse_in_complementary_degrees(name):
+    # pairing_matrix(d-k) is the transpose of pairing_matrix(k), so one
+    # inversion caches both degrees: whichever is inverted first, each
+    # degree gets the same D and rows, and P times its inverse is D*I.
+    f = _catalog_and_sample_forms()[name]
+    d = build_algebra(f).socle_degree
+    for k in range(d + 1):
+        inverses = []
+        for first in (k, d - k):
+            alg = build_algebra(f)
+            alg.pairing_inverse(first)
+            inverses.append([alg.pairing_inverse(j) for j in (k, d - k)])
+        assert inverses[0] == inverses[1], k
+        for j, (denom, inv) in zip((k, d - k), inverses[0]):
+            pairing = alg.pairing_matrix(j)
+            for i, row in enumerate(pairing):
+                product: dict = {}
+                for t, v in row.items():
+                    for i2, w in inv[t].items():
+                        product[i2] = product.get(i2, 0) + v * w
+                assert {c: v for c, v in product.items() if v} == {i: denom}, (j, i)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import functools
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +33,7 @@ from mixedhess import (
     unimodality_check,
 )
 import mixedhess.lefschetz as lefschetz
+from mixedhess import cli
 from mixedhess.apolarity import GradedAlgebra
 from mixedhess.hessians import RankCertificate, mixed_hessian, rank_at
 from mixedhess.lefschetz import jordan_type, rank_table
@@ -42,6 +46,7 @@ from mixedhess.polyring import (
 )
 
 from conftest import (
+    dense_cells,
     dense_pairing_inverse,
     dense_random_form,
     random_linear_avoiding,
@@ -497,6 +502,104 @@ def test_witness_stop_changes_no_verdict(monkeypatch):
                 m.setattr(lefschetz, "_slice_bound", lambda h: min(h.shape))
                 assert check(build_algebra(f), config) == verdict, (f, check)
     assert late_witnesses > 0
+
+
+# -- a candidate witness: x1 + ... + xn for the Boolean algebras -------------
+
+
+def _fraction_det(rows):
+    """Determinant by dense Fraction elimination with row swaps."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        p = m[col][col]
+        det *= p
+        for r in range(col + 1, len(m)):
+            if m[r][col]:
+                factor = m[r][col] / p
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def _kneser_det(n, k):
+    """The product of the eigenvalues (-1)^i C(n-k-i, k-i), i = 0..k, of
+    the disjointness matrix of the k-subsets of n, each to its
+    multiplicity C(n, i) - C(n, i-1) (Lovasz; Godsil-Meagher)."""
+    det = 1
+    for i in range(k + 1):
+        mult = math.comb(n, i) - (math.comb(n, i - 1) if i else 0)
+        det *= ((-1) ** i * math.comb(n - k - i, k - i)) ** mult
+    return det
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_boolean_report_is_witnessed_at_all_ones(n, capsys):
+    # At x1 + ... + xn the SLP cell (k, k) of x1*...*xn is the 0/1
+    # disjointness matrix of k-subsets; evaluated cell by cell and
+    # eliminated densely, its determinant is the Kneser eigenvalue
+    # product, nonzero for n >= 2k.  So that point is the report's witness.
+    alg = build_algebra(boolean_form(n))
+    ones = (1,) * n
+    for k in range(1, n // 2 + 1):
+        rows = [[p.evaluate(ones) for p in row] for row in dense_cells(mixed_hessian(alg, k, k))]
+        assert _fraction_det(rows) == _kneser_det(n, k) != 0, k
+    assert cli.main(["family", "boolean", "--n", str(n), "--seed", "1"]) == 0
+    slp = json.loads(capsys.readouterr().out)["result"]["slp"]
+    assert slp["witness"] == [1] * n
+    assert (slp["holds"], slp["mode"]) == (True, "exact")
+    assert slp["profile"] == list(full_profile(alg))
+
+
+@pytest.mark.parametrize("case", ["generator vanishes", "cell loses rank"])
+def test_a_failed_candidate_falls_through_to_the_sampled_search(case, capsys, monkeypatch):
+    # The report equals the verdict of the sampled search alone, when the
+    # candidate fails the f(a) != 0 filter or a cell is short there.
+    n = 5
+    alone = slp_check(build_algebra(boolean_form(n)), SamplingConfig(seed=1))
+    if case == "generator vanishes":
+        seen = _ranked_points(monkeypatch)
+        zero = (0,) + (1,) * (n - 1)
+        monkeypatch.setattr(
+            cli, "slp_check",
+            lambda alg, config, candidate: slp_check(alg, config, candidate=zero),
+        )
+    else:
+        def short_at_ones(h, point):
+            rank = rank_at(h, point)
+            return rank - (tuple(point) == (1,) * n and h.orders == (2, 2))
+
+        monkeypatch.setattr(lefschetz, "rank_at", short_at_ones)
+    assert cli.main(["family", "boolean", "--n", str(n), "--seed", "1"]) == 0
+    slp = json.loads(capsys.readouterr().out)["result"]["slp"]
+    assert slp == json.loads(json.dumps(cli._json(alone)))
+    assert slp["witness"] != [1] * n
+    if case == "generator vanishes":
+        assert zero not in seen
+
+
+def test_a_candidate_that_is_no_witness_changes_no_verdict(catalog, config):
+    # Real points, no patching: on the four-cycle every cell (1, 1) is
+    # short, and this cubic's SLP cell is singular at a point of a small
+    # grid.  The verdict, notes and first-point confirmation included, is
+    # the one without the candidate.
+    four_cycle = catalog["four-cycle"].polynomial
+    cubic = parse_polynomial("2*x*x*y + 3*x*y*y + 2*x*x*w + y*y*y")
+    h = mixed_hessian(build_algebra(cubic), 1, 1)
+    singular = next(
+        pt for pt in itertools.product(range(-2, 3), repeat=3)
+        if cubic.evaluate(pt) != 0 and rank_at(h, pt) < min(h.shape)
+    )
+    for f, candidate in ((four_cycle, (1,) * 8), (cubic, singular)):
+        assert f.evaluate(candidate) != 0
+        verdict = slp_check(build_algebra(f), config, candidate=candidate)
+        assert verdict == slp_check(build_algebra(f), config), f
+        assert verdict.witness is None or verdict.witness.coeffs != candidate
 
 
 # -- the rank table and the generic Jordan type -------------------------------

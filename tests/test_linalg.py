@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixedhess import (
     MixedHessian,
@@ -145,6 +145,55 @@ def test_rank_matches_bareiss_oracle(rows):
     assert matrix_rank(rows) == _bareiss_rank(rows)
     transposed = [list(col) for col in zip(*rows)]
     assert matrix_rank(transposed) == _bareiss_rank(rows)
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """Tall, wide or square matrices of any rank: the product of random
+    nrows x r and r x ncols factors, of ints or of ints and Fractions,
+    with some rows and columns then set to zero."""
+    short, extra = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    nrows, ncols = draw(st.sampled_from([
+        (short + extra, short), (short, short + extra), (short, short)
+    ]))
+    r = draw(st.integers(0, short))
+    fractions = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        v = rng.randint(-9, 9)
+        return Fraction(v, rng.randint(2, 9)) if fractions and rng.random() < 0.5 else v
+
+    left = [[entry() for _ in range(r)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(r)]
+    rows = [
+        [sum((left[i][t] * right[t][j] for t in range(r)), 0) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [0] * ncols
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaped_matrices(), st.booleans())
+@example([[1, 0], [0, 2], [3, 0], [0, 0]], False)
+@example([[Fraction(1, 2), 0, 1], [0, 0, 0]], True)
+def test_rank_is_the_rank_of_the_transpose(rows, as_mapping):
+    # matrix_rank eliminates on the short side, so a tall matrix and its
+    # wide transpose take different routes to one dense Fraction rank.
+    def given_as(matrix):
+        if not as_mapping:
+            return matrix
+        # Explicit zeros stay in the odd columns.
+        return [{j: c for j, c in enumerate(row) if c or j % 2} for row in matrix]
+
+    transposed = [list(col) for col in zip(*rows)]
+    rank = len(dense_rref(rows)[1])
+    assert matrix_rank(given_as(rows)) == matrix_rank(given_as(transposed)) == rank
 
 
 @st.composite
