@@ -49,7 +49,6 @@ from .families import (
     boolean_form,
     even_counterexample,
     example_catalog,
-    lift_chain_algebra,
     odd_counterexample,
     perazzo_form,
     times_u,
@@ -143,7 +142,6 @@ __all__ = [
     "hilbert_from_face_counts",
     "is_facet_connected",
     "is_flag",
-    "lift_chain_algebra",
     "linear_apply",
     "mixed_hessian",
     "monomial_exponents",

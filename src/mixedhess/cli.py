@@ -67,7 +67,7 @@ from .families import (
     boolean_form,
     even_counterexample,
     example_catalog,
-    lift_chain_algebra,
+    lifted_hilbert,
     odd_counterexample,
     perazzo_form,
     times_u,
@@ -447,7 +447,7 @@ def cmd_family(args: SimpleNamespace) -> int:
         if args.d is None or args.codim is None:
             raise ValueError(f"family {args.kind} needs --d and --codim")
         make = odd_counterexample if args.kind == "odd" else even_counterexample
-        member = make(args.d, args.codim, config, verify=args.verify or "report")
+        member = make(args.d, args.codim, config)
         result = {
             "parameters": {"d": args.d, "codim": args.codim},
             **_json(member, skip=("witness",)),
@@ -465,12 +465,11 @@ def cmd_family(args: SimpleNamespace) -> int:
         report["warnings"] = list(base_alg.warnings)
         if args.kind == "times-u":
             poly = times_u(base)
-            lift_alg = lift_chain_algebra(base_alg, poly, 1)
             fields = {
                 "added": poly.varset.names[-1:],
                 "hilbert_base": base_alg.hilbert,
                 "hilbert_identity": True,
-                "hilbert_lift": lift_alg.hilbert,
+                "hilbert_lift": lifted_hilbert(base_alg.hilbert),
                 "polynomial": poly,
             }
         else:
@@ -633,11 +632,6 @@ _FAMILY_ARGUMENTS = (
     ("--n", dict(type=int, help="boolean: variables")),
     ("--d", dict(type=int, help="odd/even: socle degree")),
     ("--codim", dict(type=int, help="odd/even: codimension")),
-    ("--verify", dict(
-        choices=("none", "counts", "report"),
-        help="odd/even: verification level (default report; "
-        "on odd, counts checks no more than none)",
-    )),
     ("--base", dict(help="times-u/times-uv: base polynomial file")),
     ("--partials", dict(
         help="perazzo: semicolon-separated forms sharing one variable set"

@@ -11,13 +11,12 @@ Three building blocks recur:
   its whole rank table, up the lift (`lefschetz`).  The reports build
   only the base: `odd_counterexample`, `even_counterexample` and
   `times_uv` rank only the base cells the lift's criterion reads and
-  transport its rank from them (`_transported_criterion`).  Two
-  lifts in a row (`times_uv`, and each step of the even family) keep
-  the parity of the socle degree and carry a deficient middle cell two
-  degrees up.  `lift_chain_algebra` transports the lifted algebra
-  itself for `family times-u`, and `verify_lift` checks Lemma A on one
-  lift against a direct build, its whole annihilator by a dimension
-  count;
+  transport its rank from them (`_transported_criterion`); a lift's
+  Hilbert function is its base's lifted (`lifted_hilbert`).  Two lifts
+  in a row (`times_uv`, and each step of the even family) keep the
+  parity of the socle degree and carry a deficient middle cell two
+  degrees up.  `verify_lift` checks Lemma A on one lift against a
+  direct build, its whole annihilator by a dimension count;
 * bases of small socle degree with certified failures: cubic forms
   whose middle Hessian vanishes identically, and quartic complexes
   whose facet rows satisfy an exact syzygy (see `complexes`);
@@ -37,7 +36,6 @@ from typing import NamedTuple
 from .apolarity import (
     GradedAlgebra,
     InvariantViolation,
-    _lift,
     ann_generated_by_quadrics,
     build_algebra,
 )
@@ -126,49 +124,35 @@ def times_u(f: Polynomial) -> Polynomial:
     return Polynomial(vs, {e + (1,): c for e, c in f.terms.items()})
 
 
-def lift_chain_algebra(
-    base: GradedAlgebra, lifted: Polynomial, lifts: int
-) -> GradedAlgebra:
-    """The algebra of `lifted`, the generator of `base` after `lifts`
-    applications of `times_u`, transported one lift at a time by Lemma
-    A (`apolarity._lift`), each adding h_{k-1} to h_k; each step reads
-    `lifted` cut to its leading variables.  Nothing is eliminated, and
-    with no lift the base is the answer."""
-    alg, n = base, lifted.varset.size
-    for keep in range(n - lifts + 1, n + 1):
-        terms = {e[:keep]: c for e, c in lifted.terms.items()}
-        alg = _lift(alg, Polynomial(lifted.varset.restrict(range(keep)), terms))
-    return alg
+def lifted_hilbert(hilbert: tuple[int, ...], lifts: int = 1) -> tuple[int, ...]:
+    """The Hilbert function of a generator times `lifts` fresh
+    variables, from its base's: each lift makes h'_k = h_k + h_(k-1)
+    (Lemma A)."""
+    for _ in range(lifts):
+        hilbert = tuple(a + b for a, b in zip(hilbert + (0,), (0,) + hilbert))
+    return hilbert
 
 
 def verify_lift(
     f: Polynomial, config: SamplingConfig = DEFAULT_CONFIG
 ) -> LiftReport:
     """Lemma A on the lift F = `times_u`(f), whose algebra is built
-    directly: its Hilbert function is h'_k = h_k + h_{k-1} from the
-    base's; it equals the transported one of `lift_chain_algebra` in
-    every field, reduced rows in order; the base annihilator plus the
-    square of the new variable generates the lift's annihilator
-    (inclusion by direct application, equality by that dimension
-    count); base and lift agree on quadric presentation, and the strong
-    Lefschetz property carries over; and when the base's rank table is
-    exact, every exact cell of the lift's reads the base's Jordan type
-    lifted by the Clebsch-Gordan rule, the transport the family reports
-    rest on (`lefschetz.lifted_rank`).  A failed check raises
+    directly: its Hilbert function is the base's lifted
+    (`lifted_hilbert`); the base annihilator plus the square of the new
+    variable generates the lift's annihilator (inclusion by direct
+    application, equality by that dimension count); base and lift agree
+    on quadric presentation, and the strong Lefschetz property carries
+    over; and when the base's rank table is exact, every exact cell of
+    the lift's reads the base's Jordan type lifted by the
+    Clebsch-Gordan rule, the transport the family reports rest on
+    (`lefschetz.lifted_rank`).  A failed check raises
     InvariantViolation, since each is a theorem."""
     lifted = times_u(f)
     base = build_algebra(f)
     lift_alg = build_algebra(lifted)
     d = base.socle_degree
-    if lift_alg.hilbert != tuple(base.dim(k) + base.dim(k - 1) for k in range(d + 2)):
+    if lift_alg.hilbert != lifted_hilbert(base.hilbert):
         raise InvariantViolation("the lift's Hilbert function is not h_k + h_(k-1)")
-    fields = [
-        (a.f, a.scale, a.hilbert, a._quotient_bases, a._catalecticants,
-         [list(red.items()) for red in a._reduced], a.warnings)
-        for a in (lift_alg, lift_chain_algebra(base, lifted, 1))
-    ]
-    if fields[0] != fields[1]:
-        raise InvariantViolation("the transported lift differs from the direct build")
     # The monomial annihilators of f kill F trivially; build_algebra
     # dropped the variables f does not use from both algebras.
     lvs = lift_alg.varset
@@ -212,9 +196,10 @@ class DoubleLiftReport(NamedTuple):
     """Two-variable lift with its Hessian-deficiency transport.
 
     The criterion matrix of the base (middle square Hessian for odd
-    socle degree, the (q-1, q) Hessian for even) and the corresponding
-    matrix of the lift are rank-certified; deficiency is the distance
-    below the maximal possible rank."""
+    socle degree, the (q-1, q) Hessian for even) is rank-certified; the
+    lift's criterion rank is transported from the base's cells, and no
+    lifted matrix is built.  Deficiency is the distance below the
+    maximal possible rank."""
 
     polynomial: Polynomial
     added: tuple[str, ...]
@@ -232,15 +217,12 @@ def _transported_criterion(
 ) -> tuple[RankCertificate, int, tuple[int, ...]]:
     """The WLP criterion rank of the base's generator times `lifts`
     fresh variables, the full rank it is measured against, and the
-    lift's Hilbert function h_k + h_(k-1), applied once per lift
-    (Lemma A).  The rank is transported from the base's cells by the
-    Clebsch-Gordan rule (`lefschetz.lifted_rank`): at socle degree D
-    and q = D // 2 it counts the lifted strings [a, b] with
-    a <= q < b, against min(h'_q, h'_(q+1)), and no lifted matrix is
-    built."""
-    hilbert = base.hilbert
-    for _ in range(lifts):
-        hilbert = tuple(a + b for a, b in zip(hilbert + (0,), (0,) + hilbert))
+    lift's Hilbert function (`lifted_hilbert`).  The rank is
+    transported from the base's cells by the Clebsch-Gordan rule
+    (`lefschetz.lifted_rank`): at socle degree D and q = D // 2 it
+    counts the lifted strings [a, b] with a <= q < b, against
+    min(h'_q, h'_(q+1)), and no lifted matrix is built."""
+    hilbert = lifted_hilbert(base.hilbert, lifts)
     q = (len(hilbert) - 1) // 2
     cert = lifted_rank(base, lifts, q, 1, config)
     return cert, min(hilbert[q], hilbert[q + 1]), hilbert
@@ -389,10 +371,10 @@ class FamilyMember(NamedTuple):
 
     expected_wlp/expected_slp state what the construction guarantees;
     witness carries the exact syzygy certificate when the base is a
-    complex with a grid (even socle degrees); quadrics and
-    criterion_rank hold the verification results when the member was
-    generated with a report (the default), and construction narrates
-    the build steps."""
+    complex with a grid (even socle degrees); quadrics (odd members)
+    and criterion_rank (every member but the even ones of socle degree
+    4) hold the verification results, and construction narrates the
+    build steps."""
 
     polynomial: Polynomial
     degree: int
@@ -445,7 +427,6 @@ def odd_counterexample(
     d: int,
     codim: int,
     config: SamplingConfig = DEFAULT_CONFIG,
-    verify: str = "report",
 ) -> FamilyMember:
     """An algebra of odd socle degree d and the given codimension
     without the weak Lefschetz property.
@@ -455,22 +436,17 @@ def odd_counterexample(
     in any number of variables from 8 up) by d - 3 fresh variables,
     each adding one to the codimension.
 
-    verify "report" (the default) checks the defining claims on the
-    result: annihilator generated by quadrics and a rank-deficient
-    middle Hessian; "none" skips verification, and so does "counts"
-    here: the member's Hilbert function is the base's lifted by
-    construction, so there is nothing to count short of the report.
-    Only the cubic base is built: the middle Hessian's rank is
-    transported from the base's Jordan type (`_transported_criterion`),
-    and no lifted algebra or matrix is made.
+    The defining claims are checked on the result: annihilator
+    generated by quadrics and a rank-deficient middle Hessian.  Only
+    the cubic base is built: the middle Hessian's rank is transported
+    from the base's Jordan type (`_transported_criterion`), and no
+    lifted algebra or matrix is made.
 
     The quadric answer is the base's.  For F = f*u, Ann(F) = Ann(f)*S +
     (u^2) (Lemma A) and u -> 0 maps it onto Ann(f), generators of degree
     <= 2 to generators of degree <= 2: F is presented by quadrics iff f
     is.  l + c*u kills F iff c*f = 0 and l kills f, so F has a linear
     annihilator iff f has.  Induction carries both up the lifts."""
-    if verify not in ("none", "counts", "report"):
-        raise ValueError(f"unknown verify level {verify!r}")
     if d < 3 or d % 2 == 0:
         raise ValueError("socle degree must be odd and at least 3")
     if codim < d + 5:
@@ -484,26 +460,23 @@ def odd_counterexample(
     for _ in range(d - 3):
         f = times_u(f)
         steps.append(f"multiplied by fresh variable {f.varset.names[-1]}")
-    quadrics: bool | None = None
-    criterion: RankCertificate | None = None
-    if verify == "report":
-        base_alg = build_algebra(base)
-        quadrics = ann_generated_by_quadrics(base_alg).presented
-        if not quadrics:
-            raise InvariantViolation(
-                "the annihilator needs generators beyond the quadrics, "
-                "contradicting the construction"
-            )
-        criterion, full, _ = _transported_criterion(base_alg, d - 3, config)
-        if criterion.rank >= full:
-            raise InvariantViolation(
-                "the middle Hessian reached full rank, contradicting "
-                "the construction"
-            )
-        steps.append(
-            "verified: presented by quadrics, middle Hessian rank "
-            f"{criterion.rank} < {full}"
+    base_alg = build_algebra(base)
+    quadrics = ann_generated_by_quadrics(base_alg).presented
+    if not quadrics:
+        raise InvariantViolation(
+            "the annihilator needs generators beyond the quadrics, "
+            "contradicting the construction"
         )
+    criterion, full, _ = _transported_criterion(base_alg, d - 3, config)
+    if criterion.rank >= full:
+        raise InvariantViolation(
+            "the middle Hessian reached full rank, contradicting "
+            "the construction"
+        )
+    steps.append(
+        "verified: presented by quadrics, middle Hessian rank "
+        f"{criterion.rank} < {full}"
+    )
     return FamilyMember(
         f,
         d,
@@ -543,7 +516,6 @@ def even_counterexample(
     d: int,
     codim: int,
     config: SamplingConfig = DEFAULT_CONFIG,
-    verify: str = "report",
 ) -> FamilyMember:
     """An algebra of even socle degree d >= 4 and the given codimension
     without the weak Lefschetz property.
@@ -555,15 +527,12 @@ def even_counterexample(
     by two, so degree d reaches codimensions 14 + (d-4) and everything
     from 16 + (d-4) upward.
 
-    The grid syzygy on the base is always verified except at verify
-    "none".  "report" (the default) additionally certifies the rank of
-    the step-deciding Hessian of the lifted result when fresh variables
-    were added, confirming that the deficiency travelled up the chain;
-    that rank is transported from the quartic base's Jordan type
-    (`_transported_criterion`), and no lifted algebra or matrix is
-    made."""
-    if verify not in ("none", "counts", "report"):
-        raise ValueError(f"unknown verify level {verify!r}")
+    The grid syzygy on the base is always verified.  When fresh
+    variables were added, the rank of the step-deciding Hessian of the
+    lifted result is certified too, confirming that the deficiency
+    travelled up the chain; that rank is transported from the quartic
+    base's Jordan type (`_transported_criterion`), and no lifted
+    algebra or matrix is made."""
     if d < 4 or d % 2:
         raise ValueError("socle degree must be even and at least 4")
     qc = codim - (d - 4)
@@ -575,27 +544,25 @@ def even_counterexample(
         )
     comp, desc, steps = _quartic_base(qc)
     base = dual_generator(comp)
-    witness: NoninjectivityWitness | None = None
-    if verify != "none":
-        base_alg = build_algebra(base)
-        pairs = (("a1", "a2"), ("b1", "b2"), ("c1", "c2"))
-        witness = grid_noninjectivity_witness(comp, pairs, config, base_alg)
-        if not witness.wlp_excluded:
-            raise InvariantViolation(
-                "the grid syzygy no longer excludes full rank on this base"
-            )
-        steps.append(
-            "verified the grid syzygy: multiplication A_1 -> A_2 has "
-            f"rank at most {witness.step_rank_bound} < "
-            f"{witness.step_full_rank} for every linear form"
+    base_alg = build_algebra(base)
+    pairs = (("a1", "a2"), ("b1", "b2"), ("c1", "c2"))
+    witness = grid_noninjectivity_witness(comp, pairs, config, base_alg)
+    if not witness.wlp_excluded:
+        raise InvariantViolation(
+            "the grid syzygy no longer excludes full rank on this base"
         )
+    steps.append(
+        "verified the grid syzygy: multiplication A_1 -> A_2 has "
+        f"rank at most {witness.step_rank_bound} < "
+        f"{witness.step_full_rank} for every linear form"
+    )
     f = base
     for _ in range((d - 4) // 2):
         f = times_u(times_u(f))
         z1, z2 = f.varset.names[-2:]
         steps.append(f"multiplied by fresh variables {z1} and {z2}")
     criterion: RankCertificate | None = None
-    if verify == "report" and d > 4:
+    if d > 4:
         criterion, full, _ = _transported_criterion(base_alg, d - 4, config)
         if criterion.rank >= full:
             raise InvariantViolation(

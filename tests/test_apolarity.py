@@ -217,6 +217,7 @@ def test_quadrics_fail_for_fermat_cubic():
 def test_each_catalecticant_is_reduced_once(monkeypatch):
     # build_algebra reduces the catalecticant of every degree, and the
     # annihilator bases read those reductions instead of redoing them.
+    member = odd_counterexample(5, 10)
     real = apolarity._catalecticant_rows
     degrees = []
 
@@ -225,7 +226,6 @@ def test_each_catalecticant_is_reduced_once(monkeypatch):
         return real(f, phi, k)
 
     monkeypatch.setattr(apolarity, "_catalecticant_rows", counted)
-    member = odd_counterexample(5, 10, verify="none")
     alg = build_algebra(member.polynomial)
     assert ann_generated_by_quadrics(alg).presented
     for k in range(6):
@@ -286,7 +286,7 @@ def test_quadric_steps_match_oracle_on_catalog(catalog, identifier):
     ids=["odd-5-10", "odd-5-14", "odd-7-12", "even-4-14", "even-6-16"],
 )
 def test_quadric_steps_match_oracle_on_families(family, d, codim):
-    f = family(d, codim, verify="none").polynomial
+    f = family(d, codim).polynomial
     assert all(_assert_steps_match_oracle(f))
 
 

@@ -200,16 +200,10 @@ GOLDEN = {
     "family_even_d4_codim14_seed1.json": [
         "family", "even", "--d", "4", "--codim", "14", "--seed", "1",
     ],
-    # Null quadrics and criterion rank when nothing is verified.
-    "family_odd_d5_codim10_verify_none_seed1.json": [
-        "family", "odd", "--d", "5", "--codim", "10", "--verify", "none",
-        "--seed", "1",
-    ],
-    # The Hilbert bookkeeping of the lifts and nothing else: a witness,
-    # but null quadrics and criterion rank.
-    "family_even_d8_codim18_verify_counts_seed1.json": [
-        "family", "even", "--d", "8", "--codim", "18", "--verify", "counts",
-        "--seed", "1",
+    # Two double lifts of a quartic base: the base's witness, null
+    # quadrics, and the criterion rank transported four degrees up.
+    "family_even_d8_codim18_seed1.json": [
+        "family", "even", "--d", "8", "--codim", "18", "--seed", "1",
     ],
     # A graph class next to the complex's own witness.
     "from_complex_square_seed1.json": [
@@ -516,21 +510,15 @@ def test_family_rejects_a_flag_its_kind_never_reads(argv, kinds, capsys):
     assert captured.err == f"error: {argv[-2]} is for family {kinds}, not {argv[1]}\n"
 
 
-@pytest.mark.parametrize("level", ["none", "counts", "report"])
-@pytest.mark.parametrize("argv", [
-    ["family", "boolean", "--n", "3"],
-    ["family", "times-u", "--base", "samples/boolean3.poly"],
-    ["family", "times-uv", "--base", "samples/boolean3.poly"],
-    ["family", "perazzo", "--partials", "u^2; u*v; v^2"],
-], ids=["boolean", "times-u", "times-uv", "perazzo"])
-def test_family_verify_is_for_odd_and_even_only(argv, level, monkeypatch, capsys):
-    # --verify has no default, so a kind that never reads it sees it given,
-    # at every level, the default one too.
-    monkeypatch.chdir(REPO)
-    assert main(argv + ["--verify", level]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: --verify is for family odd/even, not {argv[1]}\n"
+def test_family_has_no_verify_flag(monkeypatch, capsys):
+    # Every odd and even member is checked in full, so there is no level
+    # to choose: --verify is an unknown flag.
+    code, out, err = _parse_exit(
+        monkeypatch, capsys,
+        ["family", "odd", "--d", "5", "--codim", "10", "--verify", "none"],
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith("unrecognized arguments: --verify none")
 
 
 def test_family_times_u(capsys, tmp_path):
@@ -773,7 +761,7 @@ COMMAND_FLAGS = {
     "from-complex": ("path", "--checks CHECKS"),
     "family": (
         "{boolean,odd,even,times-u,times-uv,perazzo}", "--n N", "--d D",
-        "--codim CODIM", "--verify {none,counts,report}", "--base BASE",
+        "--codim CODIM", "--base BASE",
         "--partials PARTIALS", "--tail TAIL", "--poly-out POLY_OUT",
     ),
     "examples": ("--only ONLY",),
@@ -830,13 +818,10 @@ def test_parse_errors_exit_2(argv, message, monkeypatch, capsys):
     assert err.endswith(message)
 
 
-def test_family_help_says_what_counts_checks_on_odd(monkeypatch, capsys):
+def test_family_help_has_no_verify_flag(monkeypatch, capsys):
     code, out, err = _parse_exit(monkeypatch, capsys, ["family", "--help"])
     assert (code, err) == (0, "")
-    assert (
-        " --verify {none,counts,report} odd/even: verification level "
-        "(default report; on odd, counts checks no more than none) "
-    ) in out
+    assert "--verify" not in out
 
 
 def _values(spec, taken):

@@ -20,7 +20,6 @@ from mixedhess import (
     even_counterexample,
     example_catalog,
     generic_rank,
-    lift_chain_algebra,
     odd_counterexample,
     parse_polynomial,
     perazzo_form,
@@ -31,6 +30,7 @@ from mixedhess import (
     wlp_check,
 )
 from mixedhess import apolarity, families, hessians, lefschetz, polyring
+from mixedhess.families import lifted_hilbert
 from mixedhess.lefschetz import (
     jordan_type,
     lift_jordan_type,
@@ -53,8 +53,8 @@ def test_times_u_counts(boolean3_alg):
     lifted = times_u(parse_polynomial("x1*x2*x3"))
     assert lifted.varset.names == ("x1", "x2", "x3", "z1")
     assert lifted.terms == {(1, 1, 1, 1): 1}
-    assert lift_chain_algebra(boolean3_alg, lifted, 1).hilbert == (1, 4, 6, 4, 1)
-    assert lift_chain_algebra(boolean3_alg, lifted, 0) is boolean3_alg
+    assert lifted_hilbert(boolean3_alg.hilbert) == (1, 4, 6, 4, 1)
+    assert lifted_hilbert(boolean3_alg.hilbert, 0) == boolean3_alg.hilbert
 
 
 def test_times_u_full_verification(config):
@@ -82,31 +82,13 @@ def test_times_u_full_with_an_unused_variable(config):
 
 def test_times_u_full_when_the_unused_variable_is_z1(config):
     # The lift of f avoids the name z1 that f's VarSet holds, though its
-    # algebra drops z1: the fresh variable is z2 on both routes.
+    # algebra drops z1: the fresh variable is z2.
     f = parse_polynomial("x*y*z", VarSet(("x", "y", "z", "z1")))
     report = verify_lift(f, config)
     assert report.added == ("z2",)
-    lift = lift_chain_algebra(build_algebra(f), report.polynomial, 1)
+    lift = build_algebra(report.polynomial)
     assert lift.varset.names == ("x", "y", "z", "z2")
     assert lift.warnings == ("dropped unused variables: z1",)
-
-
-def test_verify_lift_rejects_a_transport_that_differs(config, monkeypatch):
-    # verify_lift builds the lift directly, so it catches a transport
-    # that lost a catalecticant row.
-    def corrupt(base, lifted, lifts):
-        alg = real(base, lifted, lifts)
-        cats = list(alg._catalecticants)
-        cats[1] = dict(list(cats[1].items())[1:])
-        return apolarity.GradedAlgebra(
-            alg.f, alg.scale, alg.hilbert, alg._quotient_bases, tuple(cats),
-            alg._reduced, alg.warnings,
-        )
-
-    real = families.lift_chain_algebra
-    monkeypatch.setattr(families, "lift_chain_algebra", corrupt)
-    with pytest.raises(InvariantViolation, match="differs from the direct build"):
-        verify_lift(parse_polynomial("x1*x2*x3"), config)
 
 
 def test_verify_lift_rejects_a_clebsch_gordan_step_that_drops_a_string(config, monkeypatch):
@@ -219,23 +201,6 @@ def _lifted(f, m):
     return f
 
 
-def _fields(alg):
-    """Everything an algebra is built from, reduced rows in their order."""
-    return (
-        alg.f, alg.scale, alg.hilbert, alg._quotient_bases,
-        alg._catalecticants, [list(red.items()) for red in alg._reduced],
-        alg.warnings,
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_forms(), st.integers(1, 3))
-def test_transported_lift_is_the_direct_build(f, m):
-    # Lemma A's transport reproduces the elimination of the lift itself.
-    moved = lift_chain_algebra(build_algebra(f), _lifted(f, m), m)
-    assert _fields(moved) == _fields(build_algebra(_lifted(f, m)))
-
-
 def _lifted_quadrics(f, m):
     """The quadric answers of f and of its m-th lift, each eliminated."""
     return tuple(
@@ -247,7 +212,7 @@ def _lifted_quadrics(f, m):
 @pytest.mark.parametrize("d, codim", [(5, 10), (5, 14), (7, 12)])
 def test_odd_member_quadrics_are_the_bases(d, codim):
     # The report reads the cubic base's answer; the lift's own agrees.
-    f = odd_counterexample(d, codim, verify="none").polynomial
+    f = odd_counterexample(d, codim).polynomial
     r = codim - (d - 3)
     base = Polynomial(VarSet(f.varset.names[:r]), {e[:r]: c for e, c in f.terms.items()})
     assert _lifted(base, d - 3) == f
@@ -279,30 +244,13 @@ def test_lift_quadrics_are_the_bases_on_small_forms(f, m):
 @settings(max_examples=40, deadline=None)
 @given(small_forms(), st.integers(1, 3))
 def test_lift_chain_hilbert_is_the_one_step_identity_repeated(f, m):
-    base = build_algebra(f)
-    lifted, expected = f, base.hilbert
-    for _ in range(m):
-        lifted, expected = times_u(lifted), _one_lift(expected)
-    assert lift_chain_algebra(base, lifted, m).hilbert == expected
-
-
-def test_lift_chain_rejects_a_lift_that_does_not_match(boolean3_alg):
-    twice = times_u(times_u(parse_polynomial("x1*x2*x3")))
-    message = "is not the base times a fresh variable"
-    with pytest.raises(InvariantViolation, match=message):
-        lift_chain_algebra(boolean3_alg, twice, 1)
-    other = times_u(parse_polynomial("x1^2*x2"))
-    with pytest.raises(InvariantViolation, match=message):
-        lift_chain_algebra(boolean3_alg, other, 1)
+    # The reports' Hilbert function of an m-fold lift, read off the
+    # base, against the elimination of the lift itself.
+    lift = build_algebra(_lifted(f, m))
+    assert lifted_hilbert(build_algebra(f).hilbert, m) == lift.hilbert
 
 
 # -- the criterion rank transported from the base's Jordan type ---------------
-
-
-def _base_of(f, lifts):
-    """The base of f = base * (lifts fresh variables), in its own variables."""
-    r = f.varset.size - lifts
-    return Polynomial(VarSet(f.varset.names[:r]), {e[:r]: c for e, c in f.terms.items()})
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -319,12 +267,10 @@ def _base_of(f, lifts):
     ids=["odd-5-10", "odd-5-14", "odd-7-12", "odd-9-14", "even-6-16", "even-8-18"],
 )
 def test_transported_criterion_is_the_direct_rank(make, d, codim, seed):
-    # The direct route: transport the lifted algebra and rank its criterion.
+    # The direct route: eliminate the lifted algebra and rank its criterion.
     config = SamplingConfig(seed=seed)
     member = make(d, codim, config)
-    lifts = d - 4 + d % 2
-    base = build_algebra(_base_of(member.polynomial, lifts))
-    lift = lift_chain_algebra(base, member.polynomial, lifts)
+    lift = build_algebra(member.polynomial)
     direct = generic_rank(wlp_criterion_matrix(lift), config)
     reported = member.criterion_rank
     assert (reported.rank, reported.mode) == (direct.rank, direct.mode)
@@ -390,29 +336,34 @@ def test_transported_criterion_of_a_low_sampled_base_cell(config, monkeypatch):
     ids=["odd-7-12", "even-8-18"],
 )
 def test_family_reports_build_no_lifted_algebra_or_matrix(make, d, codim, config, monkeypatch):
-    # Every matrix a report builds is one of its base's.
-    def refuse(*args):
-        raise AssertionError("a report transported the lifted algebra")
-
+    # The one algebra a report builds is its base's, and so is every
+    # matrix.
     def recording(f, *args, **kwargs):
         sizes.append(f.varset.size)
         return real(f, *args, **kwargs)
 
-    sizes, real = [], hessians._hessian_of
-    monkeypatch.setattr(families, "lift_chain_algebra", refuse)
+    built, sizes, real = [], [], hessians._hessian_of
+    monkeypatch.setattr(
+        families, "build_algebra", lambda f: built.append(f) or build_algebra(f)
+    )
     monkeypatch.setattr(hessians, "_hessian_of", recording)
     member = make(d, codim, config)
-    assert sizes and max(sizes) == member.polynomial.varset.size - (d - 4 + d % 2)
+    base_size = member.polynomial.varset.size - (d - 4 + d % 2)
+    assert [f.varset.size for f in built] == [base_size]
+    assert sizes and max(sizes) == base_size
 
 
 def test_times_uv_builds_no_lifted_algebra_or_matrix(config, monkeypatch):
-    sizes, real = [], hessians._hessian_of
-    monkeypatch.setattr(families, "lift_chain_algebra", None)
+    # The base is the caller's, so times_uv builds no algebra at all.
+    built, sizes, real = [], [], hessians._hessian_of
+    base = build_algebra(parse_polynomial("x1*x2*x3"))
+    monkeypatch.setattr(families, "build_algebra", built.append)
     monkeypatch.setattr(
         hessians, "_hessian_of",
         lambda f, *args: sizes.append(f.varset.size) or real(f, *args),
     )
-    report = times_uv(build_algebra(parse_polynomial("x1*x2*x3")), config)
+    report = times_uv(base, config)
+    assert built == []
     assert report.hilbert_lift == (1, 5, 10, 10, 5, 1)
     assert sizes and max(sizes) == 3
 
@@ -510,19 +461,9 @@ def test_odd_out_of_range():
         odd_counterexample(7, 11)
 
 
-def test_odd_counts_builds_no_algebra(config, monkeypatch):
-    # The odd member's Hilbert function holds by construction, so
-    # "counts" has nothing to build and gives the "none" member.
-    unverified = odd_counterexample(5, 10, config, verify="none")
-    built = []
-    monkeypatch.setattr(families, "build_algebra", built.append)
-    assert odd_counterexample(5, 10, config, verify="counts") == unverified
-    assert built == []
-
-
 def test_even_counterexamples(config):
     for d, codim in ((4, 14), (4, 16), (4, 17)):
-        member = even_counterexample(d, codim, config, verify="counts")
+        member = even_counterexample(d, codim, config)
         assert member.degree == d
         assert member.codimension == codim
         alg = build_algebra(member.polynomial)
@@ -573,7 +514,7 @@ def test_even_out_of_range():
 
 
 def test_even_lift_report(config):
-    member = even_counterexample(6, 16, config, verify="report")
+    member = even_counterexample(6, 16, config)
     assert member.criterion_rank is not None
     assert any("verified" in step for step in member.construction)
 

@@ -407,7 +407,7 @@ def _oracle_dual_entries(alg, l, k):
 def test_dual_entries_match_per_cell_oracle(catalog, name):
     f = {
         "four-cycle": lambda: catalog["four-cycle"].polynomial,
-        "odd-5-14": lambda: odd_counterexample(5, 14, verify="none").polynomial,
+        "odd-5-14": lambda: odd_counterexample(5, 14).polynomial,
         "boolean-5": lambda: boolean_form(5),
     }[name]()
     alg = build_algebra(f)
@@ -544,7 +544,7 @@ def _tight_generators():
     ):
         for d, codim in pairs:
             kind = make.__name__.split("_")[0]
-            out[f"{kind}-{d}-{codim}"] = (make(d, codim, verify="none").polynomial, None)
+            out[f"{kind}-{d}-{codim}"] = (make(d, codim).polynomial, None)
     return out
 
 
@@ -625,7 +625,7 @@ def test_a_deficient_cell_takes_one_point_rank(name, config, monkeypatch):
     else:
         make = odd_counterexample if name == "odd-5-14" else even_counterexample
         d, codim = map(int, name.split("-")[1:])
-        h = wlp_criterion_matrix(build_algebra(make(d, codim, verify="none").polynomial))
+        h = wlp_criterion_matrix(build_algebra(make(d, codim).polynomial))
     calls = []
 
     def counting(m, point):
@@ -691,7 +691,7 @@ def test_stored_cells_are_the_nonzero_cells_of_the_oracle(f, perazzo):
 
 def test_odd_11_16_criterion_stores_its_nonzero_cells():
     # 7,392 of the 1,092 x 1,092 cells are nonzero (0.62%).
-    alg = build_algebra(odd_counterexample(11, 16, verify="none").polynomial)
+    alg = build_algebra(odd_counterexample(11, 16).polynomial)
     h = wlp_criterion_matrix(alg)
     assert h.shape == (1092, 1092)
     assert sum(map(len, h.cells)) == 7392

@@ -364,7 +364,7 @@ SHARED_NAMES = {
     "degree": "Polynomial.degree: KEPT_UNREAD; FamilyMember.degree is a field",
     "dim": (
         "GradedAlgebra.dim: apolarity's quadric check and "
-        "families.verify_lift; SimplicialComplex.dim: cli and complexes"
+        "lefschetz.mult_map_matrix; SimplicialComplex.dim: cli and complexes"
     ),
     "rank": (
         "RowSpace.rank: apolarity._degree_step_spanned and "
