@@ -521,6 +521,23 @@ def test_family_has_no_verify_flag(monkeypatch, capsys):
     assert err.endswith("unrecognized arguments: --verify none")
 
 
+@pytest.mark.parametrize("level", ["none", "counts", "report"])
+@pytest.mark.parametrize("argv", [
+    ["family", "boolean", "--n", "3"],
+    ["family", "times-u", "--base", "samples/boolean3.poly"],
+    ["family", "times-uv", "--base", "samples/boolean3.poly"],
+    ["family", "perazzo", "--partials", "u^2; u*v; v^2"],
+], ids=["boolean", "times-u", "times-uv", "perazzo"])
+def test_family_verify_is_for_odd_and_even_only(argv, level, monkeypatch, capsys):
+    # The kinds that never read a verification level still reject
+    # --verify at each of its old levels; like odd and even, they now
+    # reject it as an unknown flag rather than as another kind's flag.
+    monkeypatch.chdir(REPO)
+    code, out, err = _parse_exit(monkeypatch, capsys, argv + ["--verify", level])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"unrecognized arguments: --verify {level}")
+
+
 def test_family_times_u(capsys, tmp_path):
     base = tmp_path / "base.poly"
     base.write_text("x1*x2*x3\n")
